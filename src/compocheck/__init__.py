@@ -54,6 +54,7 @@ from .type_system import (
     LinkOrigin,
     OriginKind,
     TransportedSet,
+    TypingIndex,
     class_interfaces,
     classifier_compatible,
     classify_link,
@@ -74,7 +75,7 @@ __all__ = [
     "deleg_name", "resolve", "synthesize_deleg_associations", "validate_integrity",
     "without_synthesized",
     "CheckReport", "check_model",
-    "LinkKind", "LinkOrigin", "OriginKind", "TransportedSet",
+    "LinkKind", "LinkOrigin", "OriginKind", "TransportedSet", "TypingIndex",
     "class_interfaces", "classifier_compatible", "classify_link", "interface_closure",
     "link_origin", "parents_of", "port_compatible", "port_interfaces",
     "transported_interfaces",

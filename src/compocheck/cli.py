@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the command's verdict is clean, 1 when rule violations or
 unsafe routing were found, 2 when the input could not be parsed, failed
-integrity validation, or the command could not run at all.
+integrity validation, or the command could not run at all (an unexpected
+exception is reported as one ``internal error`` line, without a traceback).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     synthesize_deleg_associations,
     validate_integrity,
 )
-from .rules import CheckReport, check_model, outgoing_connectors, pairwise_disjoint_by_cardinality
+from .rules import CheckReport, _fmt_set, check_model, pairwise_disjoint_by_cardinality
 from .simulator import (
     SimError,
     check_type_safety,
@@ -38,14 +39,7 @@ from .simulator import (
     instantiate,
     run_to_quiescence,
 )
-from .type_system import (
-    class_interfaces,
-    classify_link,
-    interface_closure,
-    link_origin,
-    port_interfaces,
-    transported_interfaces,
-)
+from .type_system import TypingIndex
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -78,10 +72,6 @@ def _palette(stream) -> _Palette:
     if mode == "never":
         return _Palette(False)
     return _Palette(hasattr(stream, "isatty") and stream.isatty())
-
-
-def _fmt_set(names) -> str:
-    return "{" + ", ".join(sorted(names)) + "}"
 
 
 def _print_parse_failure(path: str, failure: ParseFailure, out) -> None:
@@ -157,33 +147,31 @@ def cmd_check(args, out) -> int:
     return EXIT_OK if report.passed else EXIT_FINDINGS
 
 
-def _describe_connector(model: Model, cls: Class, index: int, conn: Connector) -> dict:
-    kind = classify_link(model, cls, conn)
-    origin = link_origin(model, cls, conn)
-    ts = transported_interfaces(model, cls, conn)
+def _describe_connector(index: TypingIndex, cls: Class, position: int, conn: Connector) -> dict:
+    link = index.connector(cls, conn)
+    ts = link.transported
     return {
-        "element": model.connector_path(cls, index),
+        "element": index.model.connector_path(cls, position),
         "ends": [conn.end1.describe(), conn.end2.describe()],
-        "kind": kind.value,
-        "origin": origin.describe(),
+        "kind": link.kind.value,
+        "origin": link.origin.describe(),
         "transported": sorted(ts.interfaces) if ts.computable else None,
         "association": conn.association,
     }
 
 
-def _describe_port(model: Model, cls: Class, port: Port) -> dict:
+def _describe_port(index: TypingIndex, cls: Class, port: Port) -> dict:
     outgoing = []
     sets = []
     untyped_sets = []
-    for owner, idx, conn in outgoing_connectors(model, cls, port):
-        ts = transported_interfaces(model, owner, conn)
-        entry = _describe_connector(model, owner, idx, conn)
-        outgoing.append(entry)
+    for owner, idx, conn in index.outgoing(port):
+        ts = index.connector(owner, conn).transported
+        outgoing.append(_describe_connector(index, owner, idx, conn))
         if ts.computable:
             sets.append(ts.interfaces)
             if conn.association is None:
                 untyped_sets.append(ts.interfaces)
-    closure = port_interfaces(model, port)
+    closure = index.port_interfaces(port)
     union = set().union(*sets) if sets else set()
     disjoint, overlap = pairwise_disjoint_by_cardinality(untyped_sets)
     return {
@@ -200,26 +188,25 @@ def _describe_port(model: Model, cls: Class, port: Port) -> dict:
 
 
 def _describe_element(model: Model, path: str, element) -> dict:
+    index = TypingIndex(model)
     if isinstance(element, Connector):
-        cls_name = path.partition("#")[0]
-        cls = model.find_class(cls_name)
-        index = next(i for i, conn in enumerate(cls.connectors) if conn is element)
-        return _describe_connector(model, cls, index, element)
+        cls = index.classes[path.partition("#")[0]]
+        position = next(i for i, conn in enumerate(cls.connectors) if conn is element)
+        return _describe_connector(index, cls, position, element)
     if isinstance(element, Port):
-        cls = model.find_class(path.partition(".")[0])
-        return _describe_port(model, cls, element)
+        return _describe_port(index, index.classes[path.partition(".")[0]], element)
     if isinstance(element, Part):
         return {
             "element": path,
             "type": element.type,
             "multiplicity": element.multiplicity,
-            "provided": sorted(class_interfaces(model, element.type)),
+            "provided": sorted(index.class_interfaces(element.type)),
         }
     if isinstance(element, Class):
         return {
             "element": path,
             "kind": element.kind.value,
-            "provided": sorted(class_interfaces(model, element.name)),
+            "provided": sorted(index.class_interfaces(element.name)),
             "parts": [p.name for p in element.parts],
             "ports": [p.name for p in element.ports],
         }
@@ -227,7 +214,7 @@ def _describe_element(model: Model, path: str, element) -> dict:
         return {
             "element": path,
             "group": element.is_group,
-            "closure": sorted(interface_closure(model, element.name)),
+            "closure": sorted(index.interface_closure(element.name)),
             "operations": list(element.operations),
         }
     return {"element": path, "kind": "association"}
@@ -343,14 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"check": cmd_check, "explain": cmd_explain, "simulate": cmd_simulate}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
-    if args.command == "check":
-        return cmd_check(args, out)
-    if args.command == "explain":
-        return cmd_explain(args, out)
-    return cmd_simulate(args, out)
+    try:
+        return COMMANDS[args.command](args, out)
+    except Exception as exc:  # exit 1 means findings; a command that crashed found nothing
+        print(f"internal error: {type(exc).__name__}: {exc}", file=out)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -234,30 +234,44 @@ def _duplicates(names: list[str]) -> list[str]:
 
 
 def _generalization_cycles(pairs: list[tuple[str, list[str]]]) -> list[list[str]]:
-    """Cycles in a name -> generals graph, each reported once, in declaration order."""
-    graph = {name: [g for g in generals if any(g == n for n, _ in pairs)] for name, generals in pairs}
+    """Cycles in a name -> generals graph, each reported once, in declaration order.
+
+    A depth-first search with an explicit stack, so arbitrarily deep
+    hierarchies need no recursion. A cycle sharing a name with one already
+    reported is not reported again.
+    """
+    names = {name for name, _ in pairs}
+    graph = {name: [g for g in generals if g in names] for name, generals in pairs}
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in graph}
     cycles: list[list[str]] = []
     in_cycle: set[str] = set()
 
-    def visit(node: str, stack: list[str]) -> None:
-        color[node] = GRAY
-        stack.append(node)
-        for succ in graph[node]:
-            if color[succ] == GRAY:
-                cycle = stack[stack.index(succ):]
-                if not in_cycle.intersection(cycle):
-                    cycles.append(list(cycle))
-                    in_cycle.update(cycle)
-            elif color[succ] == WHITE:
-                visit(succ, stack)
-        stack.pop()
-        color[node] = BLACK
-
     for name, _ in pairs:
-        if color[name] == WHITE:
-            visit(name, [])
+        if color[name] != WHITE:
+            continue
+        color[name] = GRAY
+        path = [name]                # the gray nodes, outermost first
+        depth = {name: 0}            # gray node -> its position in ``path``
+        pending = [iter(graph[name])]
+        while pending:
+            for succ in pending[-1]:
+                if color[succ] == GRAY:
+                    cycle = path[depth[succ]:]
+                    if in_cycle.isdisjoint(cycle):
+                        cycles.append(cycle)
+                        in_cycle.update(cycle)
+                elif color[succ] == WHITE:
+                    color[succ] = GRAY
+                    depth[succ] = len(path)
+                    path.append(succ)
+                    pending.append(iter(graph[succ]))
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                del depth[node]
+                color[node] = BLACK
     return cycles
 
 

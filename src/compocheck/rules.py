@@ -15,8 +15,10 @@ Codes:
 * W010 - active composites need all-passive or all active/protected parts.
 * W011 - observer composites may contain only observer parts.
 
-All rule functions are pure; :func:`check_model` runs them in order and
-returns a deterministic report (diagnostics sorted by element path then code).
+Each rule reads connector typing and closures from one
+:class:`~compocheck.type_system.TypingIndex`; :func:`check_model` builds it once,
+runs the rules in order and returns a deterministic report (diagnostics sorted
+by element path then code). A rule called on its own builds its own index.
 """
 
 from __future__ import annotations
@@ -25,21 +27,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Severity, error
-from .model import Class, ClassKind, Connector, Model, Port, validate_integrity
-from .type_system import (
-    LinkKind,
-    OriginKind,
-    classify_link,
-    classifier_compatible,
-    class_interfaces,
-    interface_closure,
-    link_origin,
-    parents_of,
-    port_compatible,
-    port_interfaces,
-    resolve_ends,
-    transported_interfaces,
-)
+from .model import Class, ClassKind, Model, Port, validate_integrity
+from .type_system import PORT_ORIGINS, LinkKind, OriginKind, TypingIndex
 
 
 @dataclass
@@ -70,18 +59,7 @@ def _port_path(cls: Class, port: Port) -> str:
     return f"{cls.name}.{port.name}"
 
 
-def _usage_closure(model: Model, cls: Class) -> set[str]:
-    used: set[str] = set()
-    for name in {cls.name} | parents_of(model, cls.name):
-        c = model.find_class(name)
-        if c is None:
-            continue
-        for usage in c.usages:
-            used |= interface_closure(model, usage)
-    return used
-
-
-def rule_unidirectional(model: Model) -> list[Diagnostic]:
+def rule_unidirectional(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W000: a port may carry one direction only.
 
     Flags a port when some interface in its closure is both provided and used
@@ -89,17 +67,18 @@ def rule_unidirectional(model: Model) -> list[Diagnostic]:
     uses, or when the owner has used interfaces with no reversed port to carry
     them (which presses the provided ports into bidirectional service).
     """
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
-        used = _usage_closure(model, cls)
-        realized = class_interfaces(model, cls.name)
+        used = index.used_interfaces(cls.name)
+        realized = index.class_interfaces(cls.name)
         covered: set[str] = set()
         for port in cls.ports:
             if port.reversed:
-                covered |= port_interfaces(model, port)
+                covered |= index.port_interfaces(port)
         uncovered = used - covered
         for port in cls.ports:
-            closure = port_interfaces(model, port)
+            closure = index.port_interfaces(port)
             both = closure & used & realized
             out_through_provided = set() if port.reversed else closure & used
             reasons: list[str] = []
@@ -122,13 +101,15 @@ def rule_unidirectional(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def rule_link_type(model: Model) -> list[Diagnostic]:
+def rule_link_type(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W001/W002: forbidden direction combinations of port ends."""
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
-        if classify_link(model, cls, conn) is not LinkKind.FORBIDDEN:
+        link = index.connector(cls, conn)
+        if link.kind is not LinkKind.FORBIDDEN:
             continue
-        s1, s2 = resolve_ends(model, cls, conn)
+        s1, s2 = link.ends
         subject = model.connector_path(cls, idx)
         dir1 = "required" if s1.port is not None and s1.port.reversed else "provided"
         dir2 = "required" if s2.port is not None and s2.port.reversed else "provided"
@@ -147,13 +128,13 @@ def rule_link_type(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def _admissible_association(model: Model, kind: LinkKind, origin_kind: OriginKind,
+def _admissible_association(index: TypingIndex, kind: LinkKind, origin_kind: OriginKind,
                             assoc) -> tuple[bool, str]:
     """Which association classifier kinds may type a link of the given shape."""
     start = assoc.start_end() or assoc.end1
     pointed = assoc.pointed_end() or assoc.end2
-    start_iface = model.find_interface(start.type) is not None
-    pointed_iface = model.find_interface(pointed.type) is not None
+    start_iface = start.type in index.interfaces
+    pointed_iface = pointed.type in index.interfaces
     if kind is LinkKind.ASSEMBLY_PART_PART:
         return True, ""
     port_port = kind in (LinkKind.INBOUND_DELEGATION_PORT_PORT,
@@ -177,7 +158,7 @@ def _admissible_association(model: Model, kind: LinkKind, origin_kind: OriginKin
                    "interfaces (class ends cannot govern the port side)")
 
 
-def rule_association_direction(model: Model) -> list[Diagnostic]:
+def rule_association_direction(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W003: the typing association's direction and ends must fit the link.
 
     Checks navigability (at least one navigable end; bidirectional only on
@@ -185,14 +166,16 @@ def rule_association_direction(model: Model) -> list[Diagnostic]:
     association kind for the link shape, and, for links starting from a part,
     the compatibility of the link ends with the association ends.
     """
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
         if conn.association is None:
             continue
-        kind = classify_link(model, cls, conn)
+        link = index.connector(cls, conn)
+        kind = link.kind
         if kind is LinkKind.FORBIDDEN:
             continue
-        assoc = model.find_association(conn.association)
+        assoc = index.associations.get(conn.association)
         if assoc is None:
             continue
         subject = model.connector_path(cls, idx)
@@ -204,32 +187,31 @@ def rule_association_direction(model: Model) -> list[Diagnostic]:
             emit(f"association '{assoc.name}' is not navigable at either end, so the "
                  f"connector has no direction and is not well-formed")
             continue
-        origin = link_origin(model, cls, conn)
+        origin = link.origin
+        s1, s2 = link.ends
         if assoc.is_bidirectional:
             if kind is not LinkKind.ASSEMBLY_PART_PART:
                 emit(f"bidirectional association '{assoc.name}' may only type a link "
                      f"between two parts")
                 continue
-            cc = (model.find_class(assoc.end1.type) is not None
-                  and model.find_class(assoc.end2.type) is not None)
+            cc = assoc.end1.type in index.classes and assoc.end2.type in index.classes
             if not cc:
                 emit(f"bidirectional association '{assoc.name}' must connect two classes")
                 continue
-            s1, s2 = resolve_ends(model, cls, conn)
             t1 = s1.part.type if s1.part else ""
             t2 = s2.part.type if s2.part else ""
-            forward = (classifier_compatible(model, t1, assoc.end1.type)
-                       and classifier_compatible(model, t2, assoc.end2.type))
-            backward = (classifier_compatible(model, t1, assoc.end2.type)
-                        and classifier_compatible(model, t2, assoc.end1.type))
+            forward = (index.classifier_compatible(t1, assoc.end1.type)
+                       and index.classifier_compatible(t2, assoc.end2.type))
+            backward = (index.classifier_compatible(t1, assoc.end2.type)
+                        and index.classifier_compatible(t2, assoc.end1.type))
             if not (forward or backward):
                 emit(f"neither orientation of bidirectional association '{assoc.name}' "
                      f"({assoc.end1.type} -- {assoc.end2.type}) matches the part types "
                      f"({t1}, {t2})")
             continue
-        ok, why = _admissible_association(model, kind, origin.kind, assoc)
+        ok, why = _admissible_association(index, kind, origin.kind, assoc)
         if not ok:
-            if origin.kind in (OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT) \
+            if origin.kind in PORT_ORIGINS \
                     and kind not in (LinkKind.INBOUND_DELEGATION_PORT_PORT,
                                      LinkKind.OUTBOUND_DELEGATION_PORT_PORT,
                                      LinkKind.ASSEMBLY_PORT_PORT):
@@ -244,20 +226,19 @@ def rule_association_direction(model: Model) -> list[Diagnostic]:
             start_site = origin.site
             assert start_site is not None and start_site.part is not None
             problems: list[str] = []
-            if not classifier_compatible(model, start_site.part.type, start.type):
+            if not index.classifier_compatible(start_site.part.type, start.type):
                 problems.append(
                     f"start end '{start.type}' does not match part '{start_site.part.name}' "
                     f"of type '{start_site.part.type}'")
-            s1, s2 = resolve_ends(model, cls, conn)
             far = s2 if start_site.index == 1 else s1
             if far.port is not None:
-                if not port_compatible(model, far.port, pointed.type):
+                if not index.port_compatible(far.port, pointed.type):
                     problems.append(
                         f"pointed end '{pointed.type}' is not covered by port "
                         f"'{far.describe()}' (contract closure "
-                        f"{_fmt_set(port_interfaces(model, far.port))})")
+                        f"{_fmt_set(index.port_interfaces(far.port))})")
             elif far.part is not None:
-                if not classifier_compatible(model, far.part.type, pointed.type):
+                if not index.classifier_compatible(far.part.type, pointed.type):
                     problems.append(
                         f"pointed end '{pointed.type}' does not match part "
                         f"'{far.part.name}' of type '{far.part.type}'")
@@ -266,23 +247,24 @@ def rule_association_direction(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def rule_typed_from_port(model: Model) -> list[Diagnostic]:
+def rule_typed_from_port(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W004: a typed link out of a port must point inside its transported set,
     and both link ends must cover the association ends."""
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
         if conn.association is None:
             continue
-        kind = classify_link(model, cls, conn)
+        link = index.connector(cls, conn)
+        kind, origin = link.kind, link.origin
         if kind is LinkKind.FORBIDDEN:
             continue
-        origin = link_origin(model, cls, conn)
-        if origin.kind not in (OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT):
+        if origin.kind not in PORT_ORIGINS:
             continue
-        assoc = model.find_association(conn.association)
+        assoc = index.associations.get(conn.association)
         if assoc is None or assoc.is_non_navigable or assoc.is_bidirectional:
             continue  # navigability problems are W003's
-        ok, _ = _admissible_association(model, kind, origin.kind, assoc)
+        ok, _ = _admissible_association(index, kind, origin.kind, assoc)
         if not ok:
             continue  # inadmissible kind is W003's
         start = assoc.start_end()
@@ -291,24 +273,24 @@ def rule_typed_from_port(model: Model) -> list[Diagnostic]:
         origin_port = origin.site.port if origin.site else None
         assert origin_port is not None
         problems: list[str] = []
-        ts = transported_interfaces(model, cls, conn)
+        ts = link.transported
         if pointed.type not in ts.interfaces:
             problems.append(
                 f"pointed type '{pointed.type}' is not in the transported set "
                 f"{_fmt_set(ts.interfaces)}")
-        if not port_compatible(model, origin_port, start.type):
+        if not index.port_compatible(origin_port, start.type):
             problems.append(
                 f"start end '{start.type}' is not covered by the originating port "
-                f"(closure {_fmt_set(port_interfaces(model, origin_port))})")
-        s1, s2 = resolve_ends(model, cls, conn)
+                f"(closure {_fmt_set(index.port_interfaces(origin_port))})")
+        s1, s2 = link.ends
         far = s2 if origin.site is not None and origin.site.index == 1 else s1
         if far.port is not None:
-            if not port_compatible(model, far.port, pointed.type):
+            if not index.port_compatible(far.port, pointed.type):
                 problems.append(
                     f"pointed type '{pointed.type}' is not covered by the far port "
                     f"'{far.describe()}'")
         elif far.part is not None:
-            if not classifier_compatible(model, far.part.type, pointed.type):
+            if not index.classifier_compatible(far.part.type, pointed.type):
                 problems.append(
                     f"pointed type '{pointed.type}' does not match the far part "
                     f"'{far.part.name}' of type '{far.part.type}'")
@@ -321,15 +303,13 @@ def rule_typed_from_port(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def rule_typed_from_part(model: Model) -> list[Diagnostic]:
+def rule_typed_from_part(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W005: every link starting from a part must carry an association,
     because the component needs a name under which to address the channel."""
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
-        kind = classify_link(model, cls, conn)
-        if kind is LinkKind.FORBIDDEN:
-            continue
-        origin = link_origin(model, cls, conn)
+        origin = index.connector(cls, conn).origin
         if origin.kind is OriginKind.FROM_PART and conn.association is None:
             part_name = origin.site.part.name if origin.site and origin.site.part else "?"
             diags.append(error(
@@ -340,40 +320,21 @@ def rule_typed_from_part(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def rule_nonvoid(model: Model) -> list[Diagnostic]:
+def rule_nonvoid(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W006: a link whose transported set is computable must carry something."""
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
-        ts = transported_interfaces(model, cls, conn)
+        link = index.connector(cls, conn)
+        ts = link.transported
         if ts.computable and not ts.interfaces:
-            s1, s2 = resolve_ends(model, cls, conn)
+            s1, s2 = link.ends
             diags.append(error(
                 "W006", model.connector_path(cls, idx),
                 f"link {s1.describe()} -- {s2.describe()} transports no interfaces: "
                 f"the interface sets at its two ends are disjoint",
             ))
     return diags
-
-
-def outgoing_connectors(model: Model, cls: Class, port: Port,
-                        typed: bool | None = None) -> list[tuple[Class, int, Connector]]:
-    """Connectors anywhere in the model that originate at this port declaration.
-
-    ``typed`` filters: True for typed only, False for untyped only, None for all.
-    """
-    out: list[tuple[Class, int, Connector]] = []
-    for owner, idx, conn in model.iter_connectors():
-        origin = link_origin(model, owner, conn)
-        if origin.site is None or origin.site.port is not port:
-            continue
-        if origin.kind not in (OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT):
-            continue
-        if typed is True and conn.association is None:
-            continue
-        if typed is False and conn.association is not None:
-            continue
-        out.append((owner, idx, conn))
-    return out
 
 
 def pairwise_disjoint_by_cardinality(sets: list[frozenset[str]] | list[set[str]]) -> tuple[bool, set[str]]:
@@ -391,19 +352,21 @@ def pairwise_disjoint_by_cardinality(sets: list[frozenset[str]] | list[set[str]]
     return len(union) == total, seen_twice
 
 
-def rule_pairwise_disjoint(model: Model) -> list[Diagnostic]:
+def rule_pairwise_disjoint(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W007: untyped links out of one port must not overlap, or the default
     per-interface forwarding destination would be ambiguous."""
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         for port in cls.ports:
-            untyped = outgoing_connectors(model, cls, port, typed=False)
+            untyped = [(owner, idx, conn) for owner, idx, conn in index.outgoing(port)
+                       if conn.association is None]
             if len(untyped) < 2:
                 continue
             sets = []
             related = []
             for owner, idx, conn in untyped:
-                ts = transported_interfaces(model, owner, conn)
+                ts = index.connector(owner, conn).transported
                 if ts.computable:
                     sets.append(ts.interfaces)
                     related.append(model.connector_path(owner, idx))
@@ -419,26 +382,27 @@ def rule_pairwise_disjoint(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def rule_completeness(model: Model) -> list[Diagnostic]:
+def rule_completeness(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W008: the links out of a port must together transport its whole closure.
 
     Ports that originate no link are skipped (see the stub notes in the report
     header for ports that are not wired at all).
     """
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         for port in cls.ports:
-            outgoing = outgoing_connectors(model, cls, port, typed=None)
+            outgoing = index.outgoing(port)
             if not outgoing:
                 continue
             union: set[str] = set()
             related = []
             for owner, idx, conn in outgoing:
-                ts = transported_interfaces(model, owner, conn)
+                ts = index.connector(owner, conn).transported
                 if ts.computable:
                     union |= ts.interfaces
                 related.append(model.connector_path(owner, idx))
-            want = port_interfaces(model, port)
+            want = index.port_interfaces(port)
             missing = want - union
             excess = union - want
             if missing or excess:
@@ -456,20 +420,21 @@ def rule_completeness(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def rule_concurrency(model: Model) -> list[Diagnostic]:
+def rule_concurrency(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W009/W010: composites must not mix their parts' activity groups.
 
     Passive composites may hold only passive parts; active composites may hold
     either only passive parts or only active/protected parts. Protected and
     observer composites are exempt here.
     """
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         if not cls.is_composite:
             continue
         part_kinds: list[tuple[str, ClassKind]] = []
         for part in cls.parts:
-            part_cls = model.find_class(part.type)
+            part_cls = index.classes.get(part.type)
             if part_cls is not None:
                 part_kinds.append((f"{cls.name}.{part.name}", part_cls.kind))
         if not part_kinds:
@@ -499,15 +464,16 @@ def rule_concurrency(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def rule_observer(model: Model) -> list[Diagnostic]:
+def rule_observer(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
     """W011: composite observers may contain only observer parts."""
+    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         if cls.kind is not ClassKind.OBSERVER or not cls.is_composite:
             continue
         offenders = []
         for part in cls.parts:
-            part_cls = model.find_class(part.type)
+            part_cls = index.classes.get(part.type)
             if part_cls is not None and part_cls.kind is not ClassKind.OBSERVER:
                 offenders.append(f"{cls.name}.{part.name}")
         if offenders:
@@ -533,13 +499,14 @@ RULES = [
 ]
 
 
-def _report_notes(model: Model) -> list[str]:
+def _report_notes(model: Model, index: TypingIndex | None = None) -> list[str]:
+    index = index or TypingIndex(model)
     notes: list[str] = []
     touched: set[tuple[str, str]] = set()
     for cls, _, conn in model.iter_connectors():
         for ref in (conn.end1, conn.end2):
             if ref.part is not None and ref.port is not None:
-                part = cls.find_part(ref.part)
+                part = index.part(cls, ref.part)
                 if part is not None:
                     touched.add((part.type, ref.port))
             elif ref.port is not None:
@@ -555,22 +522,26 @@ def _report_notes(model: Model) -> list[str]:
     return sorted(notes)
 
 
-def check_model(model: Model, downgrade: Iterable[str] = ()) -> CheckReport:
+def check_model(model: Model, downgrade: Iterable[str] = (),
+                index: TypingIndex | None = None) -> CheckReport:
     """Run every rule and build a deterministic report.
 
     ``downgrade`` lists codes whose findings become warnings instead of
     errors; warnings never fail the report. The model must already satisfy
     :func:`validate_integrity` and have its deleg associations synthesized.
+    The rules share one typing index: ``index`` when the caller built one for
+    this model, a fresh one otherwise.
     """
     integrity = validate_integrity(model)
     if integrity:
         raise ValueError(
             "check_model requires a model that passes integrity validation; found: "
             + "; ".join(d.render() for d in integrity))
+    index = index or TypingIndex(model)
     downgraded = set(downgrade)
     diagnostics: list[Diagnostic] = []
     for rule in RULES:
-        diagnostics.extend(rule(model))
+        diagnostics.extend(rule(model, index))
     for diag in diagnostics:
         if diag.code in downgraded:
             diag.severity = Severity.WARNING
@@ -580,4 +551,4 @@ def check_model(model: Model, downgrade: Iterable[str] = ()) -> CheckReport:
         stats[diag.code] = stats.get(diag.code, 0) + 1
     passed = not any(d.severity is Severity.ERROR for d in diagnostics)
     return CheckReport(diagnostics=diagnostics, stats=dict(sorted(stats.items())),
-                       passed=passed, notes=_report_notes(model))
+                       passed=passed, notes=_report_notes(model, index))

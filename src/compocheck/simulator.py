@@ -23,16 +23,7 @@ from enum import Enum
 
 from .model import Class, Model, Port, deleg_name
 from .rules import check_model
-from .type_system import (
-    LinkKind,
-    class_interfaces,
-    classify_link,
-    link_origin,
-    port_interfaces,
-    provided_interfaces,
-    resolve_ends,
-    transported_interfaces,
-)
+from .type_system import LinkKind, TypingIndex
 
 ENVIRONMENT = "environment"
 
@@ -132,10 +123,15 @@ class SafetyReport:
 
 
 class InstanceGraph:
-    """Mutable runtime state: instances, bindings and in-flight requests."""
+    """Mutable runtime state: instances, bindings and in-flight requests.
 
-    def __init__(self, model: Model, root_id: str):
+    ``typing`` is the model's typing index, built once when the graph is
+    created; the model must not change while the graph is in use.
+    """
+
+    def __init__(self, model: Model, root_id: str, typing: TypingIndex | None = None):
         self.model = model
+        self.typing = typing or TypingIndex(model)
         self.root_id = root_id
         self.components: dict[str, ComponentInstance] = {}
         self.ports: dict[str, PortInstance] = {}
@@ -165,7 +161,7 @@ class InstanceGraph:
         raise SimError(f"unknown holder '{holder_id}'")
 
     def component_class(self, component_id: str) -> Class:
-        cls = self.model.find_class(self.components[component_id].class_name)
+        cls = self.typing.classes.get(self.components[component_id].class_name)
         assert cls is not None
         return cls
 
@@ -183,15 +179,16 @@ def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set
     The model must pass :func:`~compocheck.rules.check_model` with no
     error-severity findings (codes in ``downgrade`` count as warnings).
     """
-    report = check_model(model, downgrade=downgrade)
+    index = TypingIndex(model)
+    report = check_model(model, downgrade=downgrade, index=index)
     if not report.passed:
         raise SimError("model check failed: "
                        + "; ".join(d.render() for d in report.errors()))
     root_name = root if isinstance(root, str) else root.name
-    root_cls = model.find_class(root_name)
+    root_cls = index.classes.get(root_name)
     if root_cls is None:
         raise SimError(f"root '{root_name}' is not a class of the model")
-    graph = InstanceGraph(model, root_id=root_cls.name)
+    graph = InstanceGraph(model, root_id=root_cls.name, typing=index)
 
     def create(cls: Class, instance_id: str, parent: str | None) -> None:
         graph.components[instance_id] = ComponentInstance(
@@ -201,7 +198,7 @@ def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set
             graph.ports[pid] = PortInstance(id=pid, owner=instance_id,
                                             declaration=port, seq=graph.next_seq())
         for part in cls.parts:
-            part_cls = model.find_class(part.type)
+            part_cls = index.classes.get(part.type)
             assert part_cls is not None
             if part.multiplicity == 1:
                 create(part_cls, f"{instance_id}.{part.name}", instance_id)
@@ -224,20 +221,21 @@ def _site_holder_ids(graph: InstanceGraph, composite_id: str, site) -> list[str]
 
 
 def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str) -> None:
-    model = graph.model
+    index = graph.typing
     for conn in cls.connectors:
-        kind = classify_link(model, cls, conn)
+        link = index.connector(cls, conn)
+        kind = link.kind
         if kind is LinkKind.FORBIDDEN:
             continue
-        s1, s2 = resolve_ends(model, cls, conn)
-        origin = link_origin(model, cls, conn)
-        assoc = model.find_association(conn.association) if conn.association else None
+        s1, s2 = link.ends
+        origin = link.origin
+        assoc = index.associations.get(conn.association) if conn.association else None
         if assoc is not None and assoc.is_bidirectional and kind is LinkKind.ASSEMBLY_PART_PART:
             pairs = [(s1, s2, assoc.end2.type), (s2, s1, assoc.end1.type)]
             for origin_site, far_site, pointed_type in pairs:
                 holders = _site_holder_ids(graph, instance_id, origin_site)
                 targets = _site_holder_ids(graph, instance_id, far_site)
-                for x in sorted(provided_interfaces(model, pointed_type)):
+                for x in sorted(index.provided_interfaces(pointed_type)):
                     for holder in holders:
                         for target in targets:
                             graph.add_binding(DelegBinding(holder, assoc.name, target, x))
@@ -246,7 +244,7 @@ def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str) -> None
         far_site = s2 if origin_site.index == 1 else s1
         holders = _site_holder_ids(graph, instance_id, origin_site)
         targets = _site_holder_ids(graph, instance_id, far_site)
-        ts = transported_interfaces(model, cls, conn)
+        ts = link.transported
         if assoc is not None:
             pointed = assoc.pointed_end()
             if pointed is None:
@@ -254,7 +252,7 @@ def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str) -> None
             if ts.computable:
                 interfaces = sorted(ts.interfaces)
             else:
-                interfaces = sorted(provided_interfaces(model, pointed.type))
+                interfaces = sorted(index.provided_interfaces(pointed.type))
             name = assoc.name
             for x in interfaces:
                 for holder in holders:
@@ -273,14 +271,14 @@ def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None 
     A port only accepts interfaces in its contract closure.
     """
     if at in graph.ports:
-        accepted = port_interfaces(graph.model, graph.ports[at].declaration)
+        accepted = graph.typing.port_interfaces(graph.ports[at].declaration)
         if interface not in accepted:
             raise SimError(f"port '{at}' does not accept interface '{interface}' "
                            f"(contract closure: {sorted(accepted)})")
     elif at not in graph.components:
         raise SimError(f"unknown injection point '{at}'")
     if operation is None:
-        iface = graph.model.find_interface(interface)
+        iface = graph.typing.interfaces.get(interface)
         operation = iface.operations[0] if iface is not None and iface.operations else "op"
     request = Request(id=graph._next_request, interface=interface, operation=operation,
                       location=at, path=[at])
@@ -319,7 +317,7 @@ def _arrive(graph: InstanceGraph, request: Request, target: str) -> None:
         return
     if target in graph.components:
         cls = graph.component_class(target)
-        if request.interface in class_interfaces(graph.model, cls.name):
+        if request.interface in graph.typing.class_interfaces(cls.name):
             request.status = RequestStatus.DELIVERED
         else:
             request.status = RequestStatus.STUCK
@@ -409,14 +407,14 @@ def check_type_safety(trace: Trace, graph: InstanceGraph) -> SafetyReport:
             if len(request.path) >= 2:
                 exit_port = request.path[-2]
                 if exit_port in graph.ports:
-                    closure = port_interfaces(graph.model, graph.ports[exit_port].declaration)
+                    closure = graph.typing.port_interfaces(graph.ports[exit_port].declaration)
                     if request.interface not in closure:
                         violations.append(SafetyViolation(
                             rid, f"left through port '{exit_port}' that does not carry "
                                  f"'{request.interface}'", list(request.path)))
             continue
         cls = graph.component_class(request.location)
-        if request.interface not in class_interfaces(graph.model, cls.name):
+        if request.interface not in graph.typing.class_interfaces(cls.name):
             violations.append(SafetyViolation(
                 rid, f"delivered to '{request.location}' ({cls.name}), which does not "
                      f"provide '{request.interface}'", list(request.path)))
@@ -432,6 +430,6 @@ def default_injection_suite(graph: InstanceGraph) -> list[tuple[str, str]]:
         if port.reversed:
             continue
         pid = f"{graph.root_id}.{port.name}"
-        for interface in sorted(port_interfaces(graph.model, port)):
+        for interface in sorted(graph.typing.port_interfaces(port)):
             suite.append((pid, interface))
     return suite

@@ -1,8 +1,9 @@
 """Derived typing over component models.
 
-Everything here is a pure function of an immutable :class:`~compocheck.model.Model`:
+A :class:`TypingIndex` derives, once, everything the rules, ``explain`` and
+the simulator need to know about a model's typing:
 
-* generalization closures (``parents_of``) and the provided-interface sets of
+* generalization closures (``parents``) and the provided-interface sets of
   ports, classes and interfaces (interface groups never appear in a result);
 * the classification of a connector into delegation/assembly kinds, including
   the forbidden direction combinations;
@@ -11,10 +12,18 @@ Everything here is a pure function of an immutable :class:`~compocheck.model.Mod
   interface sets at its two ends, narrowed to the pointed type's closure when
   the connector is statically typed with an association;
 * compatibility predicates between link ends and association ends.
+
+:class:`~compocheck.model.Model` is mutable, so an index is a snapshot: it is
+built once per ``check_model``, ``instantiate`` or ``explain`` call and read
+for the rest of that call (an instance graph keeps the one ``instantiate``
+built). Nothing is cached on the model or across calls. The module-level
+functions (``parents_of``, ``classify_link``, ...) are entry points that build
+a fresh index and ask it one question.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +57,9 @@ class OriginKind(Enum):
     FROM_REQUIRED_PORT = "required port"
     FROM_PART = "part"
     UNDIRECTED = "undirected"
+
+
+PORT_ORIGINS = frozenset({OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT})
 
 
 @dataclass(frozen=True)
@@ -93,84 +105,28 @@ class TransportedSet:
     computable: bool
 
 
-def parents_of(model: Model, name: str) -> set[str]:
-    """Transitive closure of a classifier's generals, excluding itself."""
-    seen: set[str] = set()
-    work = [name]
-    while work:
-        current = work.pop()
-        element = model.find_interface(current) or model.find_class(current)
-        if element is None:
-            continue
-        for general in element.generals:
-            if general not in seen:
-                seen.add(general)
-                work.append(general)
-    seen.discard(name)
-    return seen
+# A named tuple rather than a dataclass: defining a dataclass costs about a
+# millisecond at import, and every CLI call pays for it.
+class ConnectorTyping(namedtuple("ConnectorTyping", "kind ends origin transported")):
+    """Everything derived about one connector, in terms of its owning class: its
+    :class:`LinkKind`, both :class:`EndSite` s, its :class:`LinkOrigin` and its
+    :class:`TransportedSet`."""
+
+    __slots__ = ()
 
 
-def interface_closure(model: Model, name: str) -> set[str]:
-    """The interface itself plus its ancestors, with interface groups rejected."""
-    out: set[str] = set()
-    for candidate in {name} | parents_of(model, name):
-        iface = model.find_interface(candidate)
-        if iface is not None and not iface.is_group:
-            out.add(candidate)
+_EMPTY: frozenset[str] = frozenset()
+
+
+def _by_name(elements) -> dict:
+    """Name -> element, the first declaration winning as in ``Model.find_*``."""
+    out: dict = {}
+    for element in elements:
+        out.setdefault(element.name, element)
     return out
 
 
-def class_interfaces(model: Model, name: str) -> set[str]:
-    """Interfaces a class provides: realized directly or via any ancestor class,
-    expanded to the realized interfaces' ancestors, groups rejected."""
-    realized: set[str] = set()
-    for cls_name in {name} | parents_of(model, name):
-        cls = model.find_class(cls_name)
-        if cls is None:
-            continue
-        realized.update(cls.realizes)
-    out: set[str] = set()
-    for r in realized:
-        out |= interface_closure(model, r)
-    return out
-
-
-def port_interfaces(model: Model, port: Port) -> set[str]:
-    """The interfaces a port provides (or requires, when reversed)."""
-    return interface_closure(model, port.contract)
-
-
-def provided_interfaces(model: Model, name: str) -> set[str]:
-    """Polymorphic interface set of a classifier name (class or interface)."""
-    if model.find_interface(name) is not None:
-        return interface_closure(model, name)
-    if model.find_class(name) is not None:
-        return class_interfaces(model, name)
-    return set()
-
-
-def resolve_end(model: Model, owner: Class, ref: EndRef, index: int) -> EndSite:
-    part = owner.find_part(ref.part) if ref.part else None
-    part_class = model.find_class(part.type) if part else None
-    if ref.port is None:
-        port = None
-        on_composite = False
-    elif part_class is not None:
-        port = part_class.find_port(ref.port)
-        on_composite = False
-    else:
-        port = owner.find_port(ref.port) if ref.part is None else None
-        on_composite = ref.part is None
-    return EndSite(index=index, ref=ref, part=part, part_class=part_class,
-                   port=port, on_composite=on_composite)
-
-
-def resolve_ends(model: Model, owner: Class, conn: Connector) -> tuple[EndSite, EndSite]:
-    return (resolve_end(model, owner, conn.end1, 1),
-            resolve_end(model, owner, conn.end2, 2))
-
-
-def classify_link(model: Model, owner: Class, conn: Connector) -> LinkKind:
+def _classify(s1: EndSite, s2: EndSite) -> LinkKind:
     """Classify a connector by its end shapes and port directions.
 
     Port-port links with one port on the composite are delegations and need
@@ -179,7 +135,6 @@ def classify_link(model: Model, owner: Class, conn: Connector) -> LinkKind:
     a part and delegations when it sits on the composite. Two ports of the
     composite itself fall under the assembly case.
     """
-    s1, s2 = resolve_ends(model, owner, conn)
     p1, p2 = s1.port, s2.port
     if p1 is None and p2 is None:
         return LinkKind.ASSEMBLY_PART_PART
@@ -203,7 +158,7 @@ def classify_link(model: Model, owner: Class, conn: Connector) -> LinkKind:
             else LinkKind.INBOUND_DELEGATION_PART_PORT)
 
 
-def link_origin(model: Model, owner: Class, conn: Connector) -> LinkOrigin:
+def _origin(kind: LinkKind, s1: EndSite, s2: EndSite) -> LinkOrigin:
     """The end a connector's requests flow away from.
 
     Inbound delegations start at the composite's provided port; outbound
@@ -211,8 +166,6 @@ def link_origin(model: Model, owner: Class, conn: Connector) -> LinkOrigin:
     assemblies start at the required port when one exists, otherwise at the
     part. Part-part links start at their first end.
     """
-    kind = classify_link(model, owner, conn)
-    s1, s2 = resolve_ends(model, owner, conn)
     if kind is LinkKind.FORBIDDEN:
         return LinkOrigin(OriginKind.UNDIRECTED, None)
     if kind is LinkKind.ASSEMBLY_PART_PART:
@@ -237,64 +190,283 @@ def link_origin(model: Model, owner: Class, conn: Connector) -> LinkOrigin:
     return LinkOrigin(OriginKind.FROM_PART, part_site)  # outbound delegation part-port
 
 
-def _end_interface_set(model: Model, site: EndSite) -> set[str]:
-    if site.port is not None:
-        return port_interfaces(model, site.port)
-    if site.part is not None:
-        return class_interfaces(model, site.part.type)
-    return set()
+class TypingIndex:
+    """Name lookups, closures and connector typing of one model, each derived once.
+
+    Closures and connector records are computed on first use and kept as
+    frozensets and frozen records, so every reader shares one result. The
+    model must not change while the index is in use.
+    """
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.interfaces = _by_name(model.interfaces)
+        self.classes = _by_name(model.classes)
+        self.associations = _by_name(model.associations)
+        self._parents: dict[str, frozenset[str]] = {}
+        self._interface_closures: dict[str, frozenset[str]] = {}
+        self._class_interfaces: dict[str, frozenset[str]] = {}
+        self._used_interfaces: dict[str, frozenset[str]] = {}
+        self._members: dict[int, tuple[dict[str, Part], dict[str, Port]]] = {}
+        self._connectors: dict[tuple[int, int], ConnectorTyping] = {}
+        self._outgoing: dict[int, list[tuple[Class, int, Connector]]] | None = None
+
+    # --- closures ------------------------------------------------------------
+
+    def _generals(self, name: str) -> list[str]:
+        element = self.interfaces.get(name) or self.classes.get(name)
+        return element.generals if element is not None else []
+
+    def parents(self, name: str) -> frozenset[str]:
+        """Transitive closure of a classifier's generals, excluding itself."""
+        found = self._parents.get(name)
+        if found is None:
+            seen: set[str] = set()
+            work = [name]
+            while work:
+                for general in self._generals(work.pop()):
+                    if general not in seen:
+                        seen.add(general)
+                        work.append(general)
+            seen.discard(name)
+            found = self._parents[name] = frozenset(seen)
+        return found
+
+    def _fold(self, name: str, memo: dict[str, frozenset[str]], own) -> frozenset[str]:
+        """The union of ``own(c)`` over the classifier ``name`` and all its ancestors.
+
+        Generals are walked in post-order with an explicit stack, so every
+        ancestor's union is built once from its generals' unions and deep
+        hierarchies need no recursion. Results stay small (interface sets),
+        unlike the ancestor sets themselves. A cycle, which only a model
+        failing integrity has, falls back to a walk over :meth:`parents`.
+        """
+        found = memo.get(name)
+        if found is not None:
+            return found
+        on_path = {name}
+        stack = [(name, iter(self._generals(name)))]
+        while stack:
+            node, pending = stack[-1]
+            for general in pending:
+                if general in memo:
+                    continue
+                if general in on_path:
+                    found = memo[name] = _EMPTY.union(*map(own, (name, *self.parents(name))))
+                    return found
+                on_path.add(general)
+                stack.append((general, iter(self._generals(general))))
+                break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                memo[node] = own(node).union(*(memo[g] for g in self._generals(node)))
+        return memo[name]
+
+    def interface_closure(self, name: str) -> frozenset[str]:
+        """The interface itself plus its ancestors, with interface groups rejected."""
+        found = self._interface_closures.get(name)
+        if found is None:
+            found = self._interface_closures[name] = frozenset(
+                c for c in (name, *self.parents(name))
+                if c in self.interfaces and not self.interfaces[c].is_group)
+        return found
+
+    def _expanded(self, name: str, attribute: str) -> frozenset[str]:
+        """The closures of the interfaces class ``name`` itself realizes or uses."""
+        cls = self.classes.get(name)
+        if cls is None:
+            return _EMPTY
+        return _EMPTY.union(*map(self.interface_closure, getattr(cls, attribute)))
+
+    def class_interfaces(self, name: str) -> frozenset[str]:
+        """Interfaces a class provides: realized directly or via any ancestor class,
+        expanded to the realized interfaces' ancestors, groups rejected."""
+        return self._fold(name, self._class_interfaces, lambda c: self._expanded(c, "realizes"))
+
+    def used_interfaces(self, name: str) -> frozenset[str]:
+        """Interfaces a class uses, directly or via any ancestor class, expanded
+        to the used interfaces' ancestors, groups rejected."""
+        return self._fold(name, self._used_interfaces, lambda c: self._expanded(c, "usages"))
+
+    def port_interfaces(self, port: Port) -> frozenset[str]:
+        """The interfaces a port provides (or requires, when reversed)."""
+        return self.interface_closure(port.contract)
+
+    def provided_interfaces(self, name: str) -> frozenset[str]:
+        """Polymorphic interface set of a classifier name (class or interface)."""
+        if name in self.interfaces:
+            return self.interface_closure(name)
+        if name in self.classes:
+            return self.class_interfaces(name)
+        return _EMPTY
+
+    # --- compatibility -------------------------------------------------------
+
+    def classifier_compatible(self, end_type: str, assoc_type: str) -> bool:
+        """True when an association end may govern a link end of the given type.
+
+        The association end must name the link end's classifier or something it
+        specializes: for interfaces, an ancestor (or itself); for a class against
+        an interface, something the class realizes directly or indirectly; for two
+        classes, the class itself or one of its superclasses.
+        """
+        end_is_iface = end_type in self.interfaces
+        assoc_is_iface = assoc_type in self.interfaces
+        if end_is_iface and assoc_is_iface:
+            return assoc_type in self.interface_closure(end_type)
+        if not end_is_iface and assoc_is_iface:
+            return assoc_type in self.class_interfaces(end_type)
+        if not end_is_iface and not assoc_is_iface:
+            return assoc_type == end_type or assoc_type in self.parents(end_type)
+        return False
+
+    def port_compatible(self, port: Port, assoc_type: str) -> bool:
+        """True when the port provides/requires everything the given interface covers."""
+        if assoc_type not in self.interfaces:
+            return False
+        return self.interface_closure(assoc_type) <= self.port_interfaces(port)
+
+    # --- connectors ----------------------------------------------------------
+
+    def _members_of(self, cls: Class) -> tuple[dict[str, Part], dict[str, Port]]:
+        found = self._members.get(id(cls))
+        if found is None:
+            found = self._members[id(cls)] = (_by_name(cls.parts), _by_name(cls.ports))
+        return found
+
+    def part(self, cls: Class, name: str) -> Part | None:
+        return self._members_of(cls)[0].get(name)
+
+    def port(self, cls: Class, name: str) -> Port | None:
+        return self._members_of(cls)[1].get(name)
+
+    def resolve_end(self, owner: Class, ref: EndRef, index: int) -> EndSite:
+        part = self.part(owner, ref.part) if ref.part else None
+        part_class = self.classes.get(part.type) if part else None
+        if ref.port is None:
+            port = None
+            on_composite = False
+        elif part_class is not None:
+            port = self.port(part_class, ref.port)
+            on_composite = False
+        else:
+            port = self.port(owner, ref.port) if ref.part is None else None
+            on_composite = ref.part is None
+        return EndSite(index=index, ref=ref, part=part, part_class=part_class,
+                       port=port, on_composite=on_composite)
+
+    def connector(self, owner: Class, conn: Connector) -> ConnectorTyping:
+        """Kind, resolved ends, origin and transported set of a connector of ``owner``."""
+        key = (id(owner), id(conn))
+        found = self._connectors.get(key)
+        if found is None:
+            s1 = self.resolve_end(owner, conn.end1, 1)
+            s2 = self.resolve_end(owner, conn.end2, 2)
+            kind = _classify(s1, s2)
+            origin = _origin(kind, s1, s2)
+            found = self._connectors[key] = ConnectorTyping(
+                kind, (s1, s2), origin, self._transported(conn, kind, s1, s2, origin))
+        return found
+
+    def _end_interface_set(self, site: EndSite) -> frozenset[str]:
+        if site.port is not None:
+            return self.port_interfaces(site.port)
+        if site.part is not None:
+            return self.class_interfaces(site.part.type)
+        return _EMPTY
+
+    def _transported(self, conn: Connector, kind: LinkKind, s1: EndSite, s2: EndSite,
+                     origin: LinkOrigin) -> TransportedSet:
+        """The set of interfaces a connector can carry.
+
+        Untyped: intersection of the two end interface sets (a port contributes
+        its contract closure, a part the interfaces its class provides). Typed:
+        the origin-side port closure intersected with the pointed type's closure,
+        so the association narrows the channel. Not computable for part-part
+        links, forbidden links, or associations with no navigable end.
+        """
+        if kind in (LinkKind.ASSEMBLY_PART_PART, LinkKind.FORBIDDEN):
+            return TransportedSet(frozenset(), False)
+        assoc = self.associations.get(conn.association) if conn.association else None
+        if assoc is not None:
+            pointed = assoc.pointed_end()
+            if pointed is None:
+                return TransportedSet(frozenset(), False)
+            if origin.kind in PORT_ORIGINS:
+                base_site = origin.site
+            else:
+                base_site = s1 if s1.port is not None else s2
+            assert base_site is not None and base_site.port is not None
+            base = self.port_interfaces(base_site.port)
+            return TransportedSet(base & self.provided_interfaces(pointed.type), True)
+        return TransportedSet(self._end_interface_set(s1) & self._end_interface_set(s2), True)
+
+    def outgoing(self, port: Port) -> list[tuple[Class, int, Connector]]:
+        """Connectors anywhere in the model that originate at this port
+        declaration, in ``Model.iter_connectors`` order. Do not mutate."""
+        if self._outgoing is None:
+            self._outgoing = {}
+            for owner, idx, conn in self.model.iter_connectors():
+                origin = self.connector(owner, conn).origin
+                if origin.kind in PORT_ORIGINS and origin.site.port is not None:
+                    self._outgoing.setdefault(id(origin.site.port), []).append((owner, idx, conn))
+        return self._outgoing.get(id(port), [])
+
+
+def parents_of(model: Model, name: str) -> set[str]:
+    """Transitive closure of a classifier's generals, excluding itself."""
+    return set(TypingIndex(model).parents(name))
+
+
+def interface_closure(model: Model, name: str) -> set[str]:
+    """The interface itself plus its ancestors, with interface groups rejected."""
+    return set(TypingIndex(model).interface_closure(name))
+
+
+def class_interfaces(model: Model, name: str) -> set[str]:
+    """Interfaces a class provides (see :meth:`TypingIndex.class_interfaces`)."""
+    return set(TypingIndex(model).class_interfaces(name))
+
+
+def port_interfaces(model: Model, port: Port) -> set[str]:
+    """The interfaces a port provides (or requires, when reversed)."""
+    return set(TypingIndex(model).port_interfaces(port))
+
+
+def provided_interfaces(model: Model, name: str) -> set[str]:
+    """Polymorphic interface set of a classifier name (class or interface)."""
+    return set(TypingIndex(model).provided_interfaces(name))
+
+
+def resolve_end(model: Model, owner: Class, ref: EndRef, index: int) -> EndSite:
+    return TypingIndex(model).resolve_end(owner, ref, index)
+
+
+def resolve_ends(model: Model, owner: Class, conn: Connector) -> tuple[EndSite, EndSite]:
+    return TypingIndex(model).connector(owner, conn).ends
+
+
+def classify_link(model: Model, owner: Class, conn: Connector) -> LinkKind:
+    """Classify a connector by its end shapes and port directions (see :func:`_classify`)."""
+    return TypingIndex(model).connector(owner, conn).kind
+
+
+def link_origin(model: Model, owner: Class, conn: Connector) -> LinkOrigin:
+    """The end a connector's requests flow away from (see :func:`_origin`)."""
+    return TypingIndex(model).connector(owner, conn).origin
 
 
 def transported_interfaces(model: Model, owner: Class, conn: Connector) -> TransportedSet:
-    """The set of interfaces a connector can carry.
-
-    Untyped: intersection of the two end interface sets (a port contributes
-    its contract closure, a part the interfaces its class provides). Typed:
-    the origin-side port closure intersected with the pointed type's closure,
-    so the association narrows the channel. Not computable for part-part
-    links, forbidden links, or associations with no navigable end.
-    """
-    kind = classify_link(model, owner, conn)
-    if kind in (LinkKind.ASSEMBLY_PART_PART, LinkKind.FORBIDDEN):
-        return TransportedSet(frozenset(), False)
-    s1, s2 = resolve_ends(model, owner, conn)
-    assoc = model.find_association(conn.association) if conn.association else None
-    if assoc is not None:
-        pointed = assoc.pointed_end()
-        if pointed is None:
-            return TransportedSet(frozenset(), False)
-        origin = link_origin(model, owner, conn)
-        if origin.kind in (OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT):
-            base_site = origin.site
-        else:
-            base_site = s1 if s1.port is not None else s2
-        assert base_site is not None and base_site.port is not None
-        base = port_interfaces(model, base_site.port)
-        return TransportedSet(frozenset(base & provided_interfaces(model, pointed.type)), True)
-    return TransportedSet(frozenset(_end_interface_set(model, s1) & _end_interface_set(model, s2)), True)
+    """The set of interfaces a connector can carry (see :meth:`TypingIndex._transported`)."""
+    return TypingIndex(model).connector(owner, conn).transported
 
 
 def classifier_compatible(model: Model, end_type: str, assoc_type: str) -> bool:
-    """True when an association end may govern a link end of the given type.
-
-    The association end must name the link end's classifier or something it
-    specializes: for interfaces, an ancestor (or itself); for a class against
-    an interface, something the class realizes directly or indirectly; for two
-    classes, the class itself or one of its superclasses.
-    """
-    end_is_iface = model.find_interface(end_type) is not None
-    assoc_is_iface = model.find_interface(assoc_type) is not None
-    if end_is_iface and assoc_is_iface:
-        return assoc_type in interface_closure(model, end_type)
-    if not end_is_iface and assoc_is_iface:
-        return assoc_type in class_interfaces(model, end_type)
-    if not end_is_iface and not assoc_is_iface:
-        return assoc_type == end_type or assoc_type in parents_of(model, end_type)
-    return False
+    """True when an association end may govern a link end of the given type."""
+    return TypingIndex(model).classifier_compatible(end_type, assoc_type)
 
 
 def port_compatible(model: Model, port: Port, assoc_type: str) -> bool:
     """True when the port provides/requires everything the given interface covers."""
-    if model.find_interface(assoc_type) is None:
-        return False
-    return interface_closure(model, assoc_type) <= port_interfaces(model, port)
+    return TypingIndex(model).port_compatible(port, assoc_type)

@@ -214,3 +214,35 @@ def random_fanout_port_model(rng: random.Random, universe: int = 10,
                                               end2=EndRef(part=f"t{i}")))
     model.classes.append(composite)
     return model, hub, hub.ports[0], subsets
+
+
+def flat_model(n: int) -> Model:
+    """One composite with n leaf parts, each reached from one group port."""
+    model = Model()
+    names = [f"F{i}" for i in range(n)]
+    model.interfaces += [Interface(name=name) for name in names]
+    model.interfaces.append(Interface(name="FG", generals=list(names), is_group=True))
+    model.classes += [Class(name=f"Leaf{i}", kind=ClassKind.ACTIVE, realizes=[name])
+                      for i, name in enumerate(names)]
+    top = Class(name="Flat", kind=ClassKind.ACTIVE, ports=[Port(name="p", contract="FG")])
+    for i in range(n):
+        top.parts.append(Part(name=f"l{i}", type=f"Leaf{i}"))
+        top.connectors.append(Connector(end1=EndRef(port="p"), end2=EndRef(part=f"l{i}")))
+    model.classes.append(top)
+    model.root = "Flat"
+    return model
+
+
+def gen_chain_model(n: int, cyclic: bool = False) -> Model:
+    """An n-deep class generalization chain; every class has a provided port.
+    With ``cyclic`` the first class also specializes the last one."""
+    model = Model(interfaces=[Interface(name="H")])
+    for i in range(n):
+        model.classes.append(Class(name=f"K{i}", kind=ClassKind.ACTIVE,
+                                   generals=[f"K{i - 1}"] if i else [],
+                                   realizes=[] if i else ["H"],
+                                   ports=[Port(name="p", contract="H")]))
+    if cyclic:
+        model.classes[0].generals.append(f"K{n - 1}")
+    model.root = f"K{n - 1}"
+    return model

@@ -1,0 +1,123 @@
+"""Byte-identity digests of compocheck's observable outputs.
+
+Each entry maps a case name to the sha256 of a canonical JSON rendering of
+what the package produced for it:
+
+* ``check/...``: ``CheckReport.to_dict()`` for the parseable fixtures, both
+  sides of every ``MUTATION_PAIRS`` entry, 200 ``random_wellformed_model``
+  seeds and 100 ``random_fanout_port_model`` seeds;
+* ``explain/...``: ``compocheck explain --output json`` (exit code and
+  standard output) for every connector and port of the fixtures;
+* ``simulate/...``: the trace events, final statuses and
+  ``SafetyReport.to_dict()`` of the default injection suite on the
+  well-formed seeds.
+
+``golden_digests.json`` holds the digests recorded before connector typing
+moved into one index per check; ``test_golden.py`` recomputes them. To record
+them again, only when an output change is intended::
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from pathlib import Path
+
+from compocheck import cli
+from compocheck.ingest import ParseFailure, parse_dsl, parse_json
+from compocheck.model import Model, synthesize_deleg_associations, validate_integrity
+from compocheck.rules import check_model
+from compocheck.simulator import (
+    check_type_safety,
+    default_injection_suite,
+    inject,
+    instantiate,
+    run_to_quiescence,
+)
+from generators import random_fanout_port_model, random_wellformed_model
+from mutants import MUTATION_PAIRS
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE / "fixtures"
+GOLDEN = HERE / "golden_digests.json"
+WELLFORMED_SEEDS = range(200)
+FANOUT_SEEDS = range(100)
+
+
+def _digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _prepared(model: Model) -> Model:
+    problems = validate_integrity(model)
+    assert problems == [], [d.render() for d in problems]
+    return synthesize_deleg_associations(model)
+
+
+def _fixture_models() -> dict[str, Model]:
+    """The fixtures that parse, keyed by file name, in name order."""
+    out = {}
+    for path in sorted(FIXTURES.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        try:
+            model = parse_json(text, path.name) if path.name.endswith(".json") \
+                else parse_dsl(text, path.name)
+        except ParseFailure:
+            continue
+        out[path.name] = _prepared(model)
+    return out
+
+
+def _explain(path: Path, element: str) -> dict:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(["explain", str(path), element, "--output", "json"])
+    return {"exit": code, "stdout": buffer.getvalue()}
+
+
+def _simulate(model: Model) -> dict:
+    graph = instantiate(model, model.root)
+    for location, interface in default_injection_suite(graph):
+        inject(graph, location, interface)
+    trace = run_to_quiescence(graph)
+    safety = check_type_safety(trace, graph)
+    return {
+        "events": [e.to_dict() for e in trace.events],
+        "statuses": {str(k): v for k, v in trace.final_statuses.items()},
+        "safety": safety.to_dict(),
+    }
+
+
+def compute_digests() -> dict[str, str]:
+    digests: dict[str, str] = {}
+    for name, model in _fixture_models().items():
+        digests[f"check/fixture/{name}"] = _digest(check_model(model).to_dict())
+        for cls in model.classes:
+            elements = [f"{cls.name}#{i}" for i in range(len(cls.connectors))]
+            elements += [f"{cls.name}.{p.name}" for p in cls.ports]
+            for element in elements:
+                digests[f"explain/{name}/{element}"] = _digest(_explain(FIXTURES / name, element))
+    for code, (violating, fixed) in MUTATION_PAIRS.items():
+        for side, text in (("violating", violating), ("fixed", fixed)):
+            report = check_model(_prepared(parse_dsl(text, f"{code}-{side}.csm")))
+            digests[f"check/mutant/{code}/{side}"] = _digest(report.to_dict())
+    for seed in WELLFORMED_SEEDS:
+        model = _prepared(random_wellformed_model(random.Random(seed)))
+        digests[f"check/wellformed/{seed}"] = _digest(check_model(model).to_dict())
+        digests[f"simulate/wellformed/{seed}"] = _digest(_simulate(model))
+    for seed in FANOUT_SEEDS:
+        model = _prepared(random_fanout_port_model(random.Random(seed))[0])
+        digests[f"check/fanout/{seed}"] = _digest(check_model(model).to_dict())
+    return digests
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {GOLDEN}")

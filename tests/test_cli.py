@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from compocheck.cli import main
 
 from conftest import ATM, BROKEN, DELEGATION, LEAF, MIXED_CONCURRENCY
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -111,6 +117,18 @@ def test_simulate_leaf_root_is_trivially_safe():
 def test_simulate_exits_2_on_rule_errors():
     code, out = run_cli("simulate", str(MIXED_CONCURRENCY), "--root", "A")
     assert code == 2
+
+
+def test_unexpected_errors_exit_2_with_one_line_and_no_traceback(tmp_path):
+    # A part typed by its own class makes instantiation recurse without end.
+    path = tmp_path / "self_part.csm"
+    path.write_text("class A active { part a: A; }\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "compocheck.cli", "simulate", str(path), "--root", "A"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines() == ["internal error: RecursionError: maximum recursion depth exceeded"]
+    assert proc.stderr == ""
 
 
 def test_simulate_detects_stuck_requests_after_dropping_a_connector(tmp_path):

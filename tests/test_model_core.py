@@ -23,7 +23,9 @@ from compocheck import (
     synthesize_deleg_associations,
     validate_integrity,
 )
+from compocheck.rules import check_model
 
+from generators import gen_chain_model
 from oracles import has_cycle_dfs
 
 
@@ -205,3 +207,20 @@ class TestResolve:
         with pytest.raises(UnknownPathError) as err:
             resolve(delegation_model, path)
         assert codes(err.value.diagnostics) == {"E005"}
+
+
+@pytest.mark.parametrize("derived_first", [False, True])
+def test_deep_generalization_chain_validates_and_checks(derived_first):
+    model = gen_chain_model(3000)
+    if derived_first:  # the cycle search then walks the whole chain from its first class
+        model.classes.reverse()
+    assert validate_integrity(model) == []
+    report = check_model(synthesize_deleg_associations(model))
+    assert report.passed
+
+
+def test_deep_generalization_cycle_is_one_e003():
+    diags = validate_integrity(gen_chain_model(3000, cyclic=True))
+    assert [d.code for d in diags] == ["E003"]
+    assert diags[0].subject == "K0"
+    assert len(diags[0].related) == 2999
