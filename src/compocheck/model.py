@@ -233,15 +233,15 @@ def _duplicates(names: list[str]) -> list[str]:
     return dups
 
 
-def _generalization_cycles(pairs: list[tuple[str, list[str]]]) -> list[list[str]]:
-    """Cycles in a name -> generals graph, each reported once, in declaration order.
+def _cycles(pairs: list[tuple[str, list[str]]]) -> list[list[str]]:
+    """Cycles in a name -> successors graph, each reported once, in declaration order.
 
     A depth-first search with an explicit stack, so arbitrarily deep
     hierarchies need no recursion. A cycle sharing a name with one already
     reported is not reported again.
     """
     names = {name for name, _ in pairs}
-    graph = {name: [g for g in generals if g in names] for name, generals in pairs}
+    graph = {name: [s for s in succs if s in names] for name, succs in pairs}
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in graph}
     cycles: list[list[str]] = []
@@ -276,13 +276,13 @@ def _generalization_cycles(pairs: list[tuple[str, list[str]]]) -> list[list[str]
 
 
 def validate_integrity(model: Model) -> list[Diagnostic]:
-    """Referential and structural sanity of a model (codes E001-E009).
+    """Referential and structural sanity of a model (codes E001-E010).
 
     Returns an empty list exactly when every cross reference resolves to an
     element of the right kind, names are unique within their namespace, the
-    generalization graphs are acyclic, and parts/ports/connectors are shaped
-    legally. Connector associations named ``deleg_I`` for a declared non-group
-    interface ``I`` are accepted even before synthesis runs.
+    generalization and containment graphs are acyclic, and parts/ports/connectors
+    are shaped legally. Connector associations named ``deleg_I`` for a declared
+    non-group interface ``I`` are accepted even before synthesis runs.
     """
     diags: list[Diagnostic] = []
 
@@ -381,10 +381,14 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
             elif isinstance(target, Association):
                 emit("E009", assoc.name, f"association end type '{end.type}' is an association")
 
-    for cycle in _generalization_cycles([(i.name, i.generals) for i in model.interfaces]):
+    for cycle in _cycles([(i.name, i.generals) for i in model.interfaces]):
         emit("E003", cycle[0], "generalization cycle: " + " -> ".join(cycle + [cycle[0]]), cycle[1:])
-    for cycle in _generalization_cycles([(c.name, c.generals) for c in model.classes]):
+    for cycle in _cycles([(c.name, c.generals) for c in model.classes]):
         emit("E003", cycle[0], "generalization cycle: " + " -> ".join(cycle + [cycle[0]]), cycle[1:])
+    # A class without parts is on no containment cycle; leaving it out keeps
+    # the search to the composites.
+    for cycle in _cycles([(c.name, [p.type for p in c.parts]) for c in model.classes if c.parts]):
+        emit("E010", cycle[0], "containment cycle: " + " -> ".join(cycle + [cycle[0]]), cycle[1:])
 
     if model.root is not None and model.find_class(model.root) is None:
         emit("E001", model.root, f"root class '{model.root}' is not declared")

@@ -18,6 +18,7 @@ the root instance hands them to the environment.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -127,6 +128,12 @@ class InstanceGraph:
 
     ``typing`` is the model's typing index, built once when the graph is
     created; the model must not change while the graph is in use.
+    ``part_instances`` lists the component ids of each part, keyed by
+    (parent id, part name), in creation order.
+
+    Only :func:`inject` and :func:`step` change a request's status or
+    location, and the run queue holds exactly the in-transit requests, as
+    (holder seq, request id) pairs; its head is the next request to move.
     """
 
     def __init__(self, model: Model, root_id: str, typing: TypingIndex | None = None):
@@ -134,10 +141,12 @@ class InstanceGraph:
         self.typing = typing or TypingIndex(model)
         self.root_id = root_id
         self.components: dict[str, ComponentInstance] = {}
+        self.part_instances: dict[tuple[str, str], list[str]] = {}
         self.ports: dict[str, PortInstance] = {}
         self.bindings: list[DelegBinding] = []
         self._bindings_by_holder: dict[str, list[DelegBinding]] = {}
         self.requests: dict[int, Request] = {}
+        self._run_queue: list[tuple[int, int]] = []
         self._next_request = 1
         self._next_step = 1
         self._seq = 0
@@ -153,6 +162,9 @@ class InstanceGraph:
     def bindings_of(self, holder: str) -> list[DelegBinding]:
         return self._bindings_by_holder.get(holder, [])
 
+    def enqueue(self, request: Request) -> None:
+        heapq.heappush(self._run_queue, (self.holder_seq(request.location), request.id))
+
     def holder_seq(self, holder_id: str) -> int:
         if holder_id in self.ports:
             return self.ports[holder_id].seq
@@ -164,13 +176,6 @@ class InstanceGraph:
         cls = self.typing.classes.get(self.components[component_id].class_name)
         assert cls is not None
         return cls
-
-    def instances_of(self, parent_id: str, part_name: str) -> list[str]:
-        prefix = f"{parent_id}.{part_name}"
-        out = [cid for cid in self.components
-               if cid == prefix or (cid.startswith(prefix + "[") and "]" == cid[-1]
-                                    and "." not in cid[len(prefix):])]
-        return out
 
 
 def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set[str] = frozenset()) -> InstanceGraph:
@@ -189,80 +194,69 @@ def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set
     if root_cls is None:
         raise SimError(f"root '{root_name}' is not a class of the model")
     graph = InstanceGraph(model, root_id=root_cls.name, typing=index)
-
-    def create(cls: Class, instance_id: str, parent: str | None) -> None:
-        graph.components[instance_id] = ComponentInstance(
-            id=instance_id, class_name=cls.name, parent=parent, seq=graph.next_seq())
-        for port in cls.ports:
-            pid = f"{instance_id}.{port.name}"
-            graph.ports[pid] = PortInstance(id=pid, owner=instance_id,
-                                            declaration=port, seq=graph.next_seq())
-        for part in cls.parts:
-            part_cls = index.classes.get(part.type)
-            assert part_cls is not None
-            if part.multiplicity == 1:
-                create(part_cls, f"{instance_id}.{part.name}", instance_id)
-            else:
-                for i in range(part.multiplicity):
-                    create(part_cls, f"{instance_id}.{part.name}[{i}]", instance_id)
-        _bind_connectors(graph, cls, instance_id)
-
-    create(root_cls, root_cls.name, None)
+    _create(graph, root_cls, root_cls.name, None)
     return graph
+
+
+def _create(graph: InstanceGraph, cls: Class, instance_id: str, parent: str | None) -> None:
+    """Create an instance, its ports, its parts (depth first) and its bindings.
+    Not a closure: one that calls itself is a reference cycle, which keeps each
+    finished graph alive until the next full garbage collection."""
+    graph.components[instance_id] = ComponentInstance(
+        id=instance_id, class_name=cls.name, parent=parent, seq=graph.next_seq())
+    for port in cls.ports:
+        pid = f"{instance_id}.{port.name}"
+        graph.ports[pid] = PortInstance(id=pid, owner=instance_id,
+                                        declaration=port, seq=graph.next_seq())
+    for part in cls.parts:
+        part_cls = graph.typing.classes.get(part.type)
+        assert part_cls is not None
+        base = f"{instance_id}.{part.name}"
+        child_ids = [base] if part.multiplicity == 1 else \
+            [f"{base}[{i}]" for i in range(part.multiplicity)]
+        graph.part_instances[(instance_id, part.name)] = child_ids
+        for child_id in child_ids:
+            _create(graph, part_cls, child_id, instance_id)
+    _bind_connectors(graph, cls, instance_id)
 
 
 def _site_holder_ids(graph: InstanceGraph, composite_id: str, site) -> list[str]:
     if site.port is not None and site.on_composite:
         return [f"{composite_id}.{site.port.name}"]
+    child_ids = graph.part_instances[(composite_id, site.part.name)]
     if site.port is not None:
-        return [f"{cid}.{site.port.name}"
-                for cid in graph.instances_of(composite_id, site.part.name)]
-    return graph.instances_of(composite_id, site.part.name)
+        return [f"{cid}.{site.port.name}" for cid in child_ids]
+    return child_ids
 
 
 def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str) -> None:
     index = graph.typing
     for conn in cls.connectors:
         link = index.connector(cls, conn)
-        kind = link.kind
-        if kind is LinkKind.FORBIDDEN:
+        if link.kind is LinkKind.FORBIDDEN:
             continue
         s1, s2 = link.ends
-        origin = link.origin
         assoc = index.associations.get(conn.association) if conn.association else None
-        if assoc is not None and assoc.is_bidirectional and kind is LinkKind.ASSEMBLY_PART_PART:
-            pairs = [(s1, s2, assoc.end2.type), (s2, s1, assoc.end1.type)]
-            for origin_site, far_site, pointed_type in pairs:
-                holders = _site_holder_ids(graph, instance_id, origin_site)
-                targets = _site_holder_ids(graph, instance_id, far_site)
-                for x in sorted(index.provided_interfaces(pointed_type)):
-                    for holder in holders:
-                        for target in targets:
-                            graph.add_binding(DelegBinding(holder, assoc.name, target, x))
-            continue
-        origin_site = origin.site if origin.site is not None else s1
-        far_site = s2 if origin_site.index == 1 else s1
-        holders = _site_holder_ids(graph, instance_id, origin_site)
-        targets = _site_holder_ids(graph, instance_id, far_site)
-        ts = link.transported
-        if assoc is not None:
-            pointed = assoc.pointed_end()
-            if pointed is None:
+        if assoc is not None and assoc.is_bidirectional and link.kind is LinkKind.ASSEMBLY_PART_PART:
+            directions = [(s1, s2, index.provided_interfaces(assoc.end2.type)),
+                          (s2, s1, index.provided_interfaces(assoc.end1.type))]
+        else:
+            origin_site = link.origin.site if link.origin.site is not None else s1
+            far_site = s2 if origin_site.index == 1 else s1
+            if assoc is not None and assoc.pointed_end() is None:
                 continue
-            if ts.computable:
-                interfaces = sorted(ts.interfaces)
-            else:
-                interfaces = sorted(index.provided_interfaces(pointed.type))
-            name = assoc.name
-            for x in interfaces:
+            ts = link.transported
+            interfaces = ts.interfaces if assoc is None or ts.computable \
+                else index.provided_interfaces(assoc.pointed_end().type)
+            directions = [(origin_site, far_site, interfaces)]
+        for origin_site, far_site, interfaces in directions:
+            holders = _site_holder_ids(graph, instance_id, origin_site)
+            targets = _site_holder_ids(graph, instance_id, far_site)
+            for x in sorted(interfaces):
+                name = assoc.name if assoc is not None else deleg_name(x)
                 for holder in holders:
                     for target in targets:
                         graph.add_binding(DelegBinding(holder, name, target, x))
-        else:
-            for x in sorted(ts.interfaces):
-                for holder in holders:
-                    for target in targets:
-                        graph.add_binding(DelegBinding(holder, deleg_name(x), target, x))
 
 
 def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None = None) -> int:
@@ -286,6 +280,7 @@ def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None 
         request.visited_ports.add(at)
     graph._next_request += 1
     graph.requests[request.id] = request
+    graph.enqueue(request)
     return request.id
 
 
@@ -335,10 +330,9 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
     Returns the trace events it produced (several when a request fans out to a
     multi-instance part), or an empty list when the graph is quiescent.
     """
-    pending = [r for r in graph.requests.values() if r.status is RequestStatus.IN_TRANSIT]
-    if not pending:
+    if not graph._run_queue:
         return []
-    request = min(pending, key=lambda r: (graph.holder_seq(r.location), r.id))
+    request = graph.requests[heapq.heappop(graph._run_queue)[1]]
     source = request.location
     if source in graph.ports:
         routed = _route_from_port(graph, request)
@@ -373,21 +367,16 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
         mover.location = target
         mover.path.append(target)
         _arrive(graph, mover, target)
+        if mover.status is RequestStatus.IN_TRANSIT:
+            graph.enqueue(mover)
     return events
 
 
 def run_to_quiescence(graph: InstanceGraph) -> Trace:
     """Step until no request is in transit; the cycle guard bounds every run."""
     events: list[TraceEvent] = []
-    while True:
-        fired = step(graph)
-        if not fired:
-            pending = [r for r in graph.requests.values()
-                       if r.status is RequestStatus.IN_TRANSIT]
-            if not pending:
-                break
-            continue
-        events.extend(fired)
+    while graph._run_queue:
+        events.extend(step(graph))
     statuses = {rid: r.status.value for rid, r in sorted(graph.requests.items())}
     return Trace(events=events, final_statuses=statuses)
 

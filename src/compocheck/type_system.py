@@ -44,14 +44,6 @@ class LinkKind(Enum):
     FORBIDDEN = "forbidden"
 
 
-DELEGATION_KINDS = frozenset({
-    LinkKind.INBOUND_DELEGATION_PORT_PORT,
-    LinkKind.OUTBOUND_DELEGATION_PORT_PORT,
-    LinkKind.INBOUND_DELEGATION_PART_PORT,
-    LinkKind.OUTBOUND_DELEGATION_PART_PORT,
-})
-
-
 class OriginKind(Enum):
     FROM_PROVIDED_PORT = "provided port"
     FROM_REQUIRED_PORT = "required port"

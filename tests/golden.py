@@ -10,11 +10,16 @@ what the package produced for it:
   standard output) for every connector and port of the fixtures;
 * ``simulate/...``: the trace events, final statuses and
   ``SafetyReport.to_dict()`` of the default injection suite on the
+  well-formed seeds;
+* ``bindings/...``: the ordered (holder, association, target, interface)
+  tuples of ``InstanceGraph.bindings`` and the sorted component ids of the
   well-formed seeds.
 
-``golden_digests.json`` holds the digests recorded before connector typing
-moved into one index per check; ``test_golden.py`` recomputes them. To record
-them again, only when an output change is intended::
+``golden_digests.json`` holds the ``check``, ``explain`` and ``simulate``
+digests recorded before connector typing moved into one index per check, and
+the ``bindings`` digests recorded before the simulator kept its part-instance
+table and run queue; ``test_golden.py`` recomputes them. To record them again,
+only when an output change is intended::
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -33,6 +38,7 @@ from compocheck.ingest import ParseFailure, parse_dsl, parse_json
 from compocheck.model import Model, synthesize_deleg_associations, validate_integrity
 from compocheck.rules import check_model
 from compocheck.simulator import (
+    InstanceGraph,
     check_type_safety,
     default_injection_suite,
     inject,
@@ -81,8 +87,14 @@ def _explain(path: Path, element: str) -> dict:
     return {"exit": code, "stdout": buffer.getvalue()}
 
 
-def _simulate(model: Model) -> dict:
-    graph = instantiate(model, model.root)
+def _bindings(graph: InstanceGraph) -> dict:
+    return {
+        "bindings": [[b.holder, b.association, b.target, b.interface] for b in graph.bindings],
+        "components": sorted(graph.components),
+    }
+
+
+def _simulate(graph: InstanceGraph) -> dict:
     for location, interface in default_injection_suite(graph):
         inject(graph, location, interface)
     trace = run_to_quiescence(graph)
@@ -110,7 +122,9 @@ def compute_digests() -> dict[str, str]:
     for seed in WELLFORMED_SEEDS:
         model = _prepared(random_wellformed_model(random.Random(seed)))
         digests[f"check/wellformed/{seed}"] = _digest(check_model(model).to_dict())
-        digests[f"simulate/wellformed/{seed}"] = _digest(_simulate(model))
+        graph = instantiate(model, model.root)
+        digests[f"bindings/wellformed/{seed}"] = _digest(_bindings(graph))
+        digests[f"simulate/wellformed/{seed}"] = _digest(_simulate(graph))
     for seed in FANOUT_SEEDS:
         model = _prepared(random_fanout_port_model(random.Random(seed))[0])
         digests[f"check/fanout/{seed}"] = _digest(check_model(model).to_dict())

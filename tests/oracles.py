@@ -170,3 +170,18 @@ def expected_untyped_bindings(model: Model, root_name: str) -> set[tuple[str, st
     root_cls = model.find_class(root_name)
     walk(root_cls, root_cls.name)
     return out
+
+
+def next_request_oracle(graph) -> int | None:
+    """The request the scheduler must move next: of the in-transit requests,
+    the one whose current holder was created first, ties broken by request id.
+    ``None`` when no request is in transit. Reads creation order straight off
+    the instance tables and scans every request."""
+    def created(holder: str) -> int:
+        if holder in graph.ports:
+            return graph.ports[holder].seq
+        return graph.components[holder].seq
+
+    pending = [(created(r.location), r.id) for r in graph.requests.values()
+               if r.status.value == "inTransit"]
+    return min(pending)[1] if pending else None

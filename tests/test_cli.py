@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from compocheck import cli
 from compocheck.cli import main
 
 from conftest import ATM, BROKEN, DELEGATION, LEAF, MIXED_CONCURRENCY
@@ -119,15 +120,29 @@ def test_simulate_exits_2_on_rule_errors():
     assert code == 2
 
 
-def test_unexpected_errors_exit_2_with_one_line_and_no_traceback(tmp_path):
-    # A part typed by its own class makes instantiation recurse without end.
+def test_unexpected_errors_exit_2_with_one_line_and_no_traceback(monkeypatch, capsys):
+    def crash(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "check", crash)
+    assert main(["check", str(DELEGATION)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["internal error: RuntimeError: boom"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_self_containment_is_an_integrity_error(tmp_path, command):
+    # A part typed by its own class would make instantiation recurse without end.
     path = tmp_path / "self_part.csm"
     path.write_text("class A active { part a: A; }\n", encoding="utf-8")
-    proc = subprocess.run([sys.executable, "-m", "compocheck.cli", "simulate", str(path), "--root", "A"],
+    root = ["--root", "A"] if command == "simulate" else []
+    proc = subprocess.run([sys.executable, "-m", "compocheck.cli", command, str(path), *root],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 2
-    assert proc.stdout.splitlines() == ["internal error: RecursionError: maximum recursion depth exceeded"]
+    assert proc.stdout.splitlines()[0] == "E010 error: A: containment cycle: A -> A"
+    assert "internal error" not in proc.stdout
     assert proc.stderr == ""
 
 

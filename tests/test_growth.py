@@ -1,7 +1,9 @@
-"""Work done by ``check_model`` grows near-linearly with model size.
+"""Work done by ``check_model`` and by routing grows near-linearly with model size.
 
-The bound is on name-lookup calls (``Model.find_*`` and ``Class.find_*``),
-which are deterministic, rather than on time, which is not on shared hosts.
+The bounds are on call counts, which are deterministic, rather than on time,
+which is not on shared hosts: name lookups (``Model.find_*`` and
+``Class.find_*``) for ``check_model``, and reads of a holder's creation order
+(``InstanceGraph.holder_seq``) for routing.
 """
 
 from __future__ import annotations
@@ -10,6 +12,13 @@ import pytest
 
 from compocheck import model as model_layer
 from compocheck.rules import check_model
+from compocheck.simulator import (
+    InstanceGraph,
+    default_injection_suite,
+    inject,
+    instantiate,
+    run_to_quiescence,
+)
 
 from conftest import prepare_model
 from generators import flat_model, gen_chain_model
@@ -19,25 +28,46 @@ FINDERS = [(model_layer.Model, name) for name in
 FINDERS += [(model_layer.Class, name) for name in ("find_part", "find_port")]
 
 
-def find_calls(monkeypatch, model) -> int:
-    calls = 0
+class Counter:
+    def __init__(self):
+        self.calls = 0
 
-    def counting(original):
+    def wrap(self, original):
         def wrapper(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+            self.calls += 1
             return original(*args, **kwargs)
         return wrapper
 
+
+def find_calls(monkeypatch, model) -> int:
+    counter = Counter()
     with monkeypatch.context() as patch:
         for owner, name in FINDERS:
-            patch.setattr(owner, name, counting(getattr(owner, name)))
+            patch.setattr(owner, name, counter.wrap(getattr(owner, name)))
         check_model(model)
-    return calls
+    return counter.calls
+
+
+def holder_seq_calls(monkeypatch, model) -> int:
+    """``holder_seq`` calls while the default suite is injected and routed."""
+    graph = instantiate(model, model.root)
+    counter = Counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(InstanceGraph, "holder_seq", counter.wrap(InstanceGraph.holder_seq))
+        for location, interface in default_injection_suite(graph):
+            inject(graph, location, interface)
+        run_to_quiescence(graph)
+    return counter.calls
 
 
 @pytest.mark.parametrize("family", [flat_model, gen_chain_model])
 def test_lookups_grow_at_most_linearly(monkeypatch, family):
     small = find_calls(monkeypatch, prepare_model(family(50)))
     large = find_calls(monkeypatch, prepare_model(family(200)))
+    assert large <= 5 * small
+
+
+def test_routing_reads_creation_order_near_linearly(monkeypatch):
+    small = holder_seq_calls(monkeypatch, prepare_model(flat_model(50)))
+    large = holder_seq_calls(monkeypatch, prepare_model(flat_model(200)))
     assert large <= 5 * small

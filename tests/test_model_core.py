@@ -63,6 +63,22 @@ def test_cycle_detection_agrees_with_dfs_oracle(seed):
     assert found == has_cycle_dfs(pairs)
 
 
+def test_self_containment_is_one_e010():
+    model = Model(classes=[Class(name="A", parts=[Part(name="a", type="A")])])
+    diags = validate_integrity(model)
+    assert [(d.code, d.subject, d.related) for d in diags] == [("E010", "A", [])]
+    assert diags[0].message == "containment cycle: A -> A"
+
+
+def test_mutual_containment_is_one_e010_and_its_container_none():
+    model = Model(classes=[Class(name="A", parts=[Part(name="b", type="B")]),
+                           Class(name="B", parts=[Part(name="a", type="A")]),
+                           Class(name="C", parts=[Part(name="x", type="A")])])
+    diags = validate_integrity(model)
+    assert [(d.code, d.subject, d.related) for d in diags] == [("E010", "A", ["B"])]
+    assert diags[0].message == "containment cycle: A -> B -> A"
+
+
 def test_duplicate_classifier_names_clash():
     model = Model(interfaces=[Interface(name="X")], classes=[Class(name="X")])
     assert codes(validate_integrity(model)) == {"E002"}

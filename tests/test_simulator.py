@@ -21,7 +21,13 @@ from compocheck.simulator import ENVIRONMENT
 
 import oracles
 from conftest import prepare, prepare_model
-from generators import drop_connector, random_wellformed_model, relay_chain_model
+from generators import (
+    drop_connector,
+    flat_model,
+    provided_origin_connectors,
+    random_wellformed_model,
+    relay_chain_model,
+)
 from mutants import MUTATION_PAIRS
 
 
@@ -249,3 +255,42 @@ def test_stuck_at_component_when_receiver_lacks_the_interface():
     assert graph.requests[rid].status is RequestStatus.STUCK
     assert "does not provide" in graph.requests[rid].stuck_reason
     assert not check_type_safety(trace, graph).passed
+
+
+def _stepping_graph(case: str, seed: int):
+    """A well-formed model, the same model with one connector dropped so that
+    some requests get stuck, or a flat fan-out."""
+    if case == "flat":
+        return instantiate(prepare_model(flat_model(30)), "Flat")
+    model = prepare_model(random_wellformed_model(random.Random(seed)))
+    if case == "dropped":
+        cls, index = random.Random(seed).choice(provided_origin_connectors(model))
+        model = prepare_model(drop_connector(model, cls.name, index))
+    return instantiate(model, model.root, downgrade={"W008"})
+
+
+@pytest.mark.parametrize("case,seed", [("wellformed", s) for s in range(60)]
+                         + [("dropped", s) for s in range(60)] + [("flat", 0)])
+def test_each_step_moves_the_oracles_pick(case, seed):
+    graph = _stepping_graph(case, seed)
+    rng = random.Random(seed)
+
+    def checked_step() -> bool:
+        expected = oracles.next_request_oracle(graph)
+        events = step(graph)
+        if expected is None:
+            assert events == []
+            return False
+        if events:
+            assert events[0].request == expected
+        else:
+            assert graph.requests[expected].status is RequestStatus.STUCK
+        return True
+
+    for location, interface in default_injection_suite(graph) * 2:
+        inject(graph, location, interface)
+        for _ in range(rng.randint(0, 3)):
+            checked_step()
+    while checked_step():
+        pass
+    assert step(graph) == []
