@@ -55,15 +55,7 @@ from .type_system import (
     OriginKind,
     TransportedSet,
     TypingIndex,
-    class_interfaces,
-    classifier_compatible,
-    classify_link,
-    interface_closure,
-    link_origin,
     parents_of,
-    port_compatible,
-    port_interfaces,
-    transported_interfaces,
 )
 
 __all__ = [
@@ -75,10 +67,7 @@ __all__ = [
     "deleg_name", "resolve", "synthesize_deleg_associations", "validate_integrity",
     "without_synthesized",
     "CheckReport", "check_model",
-    "LinkKind", "LinkOrigin", "OriginKind", "TransportedSet", "TypingIndex",
-    "class_interfaces", "classifier_compatible", "classify_link", "interface_closure",
-    "link_origin", "parents_of", "port_compatible", "port_interfaces",
-    "transported_interfaces",
+    "LinkKind", "LinkOrigin", "OriginKind", "TransportedSet", "TypingIndex", "parents_of",
     "DelegBinding", "InstanceGraph", "Request", "RequestStatus", "SafetyReport", "SimError", "Trace",
     "TraceEvent", "check_type_safety", "default_injection_suite", "inject", "instantiate",
     "run_to_quiescence", "step",

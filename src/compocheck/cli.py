@@ -4,6 +4,9 @@ Exit codes: 0 when the command's verdict is clean, 1 when rule violations or
 unsafe routing were found, 2 when the input could not be parsed, failed
 integrity validation, or the command could not run at all (an unexpected
 exception is reported as one ``internal error`` line, without a traceback).
+With ``--output json``, integrity errors and deleg conflicts (E004) are printed
+as a failed check report; parse and read failures carry no diagnostic code and
+stay text.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from .model import (
     synthesize_deleg_associations,
     validate_integrity,
 )
-from .rules import CheckReport, _fmt_set, check_model, pairwise_disjoint_by_cardinality
+from .rules import (
+    CheckReport,
+    _fmt_set,
+    check_model,
+    code_counts,
+    pairwise_disjoint_by_cardinality,
+)
 from .simulator import (
     SimError,
     check_type_safety,
@@ -85,6 +94,25 @@ def _load(path: str, fmt: str) -> Model:
     return parse_auto(text, path, fmt)
 
 
+def _print_report_json(args, report: CheckReport, out) -> None:
+    doc = {"formatVersion": 1, "command": args.command, "input": args.input}
+    doc.update(report.to_dict())
+    print(json.dumps(doc, indent=2), file=out)
+
+
+def _reject(args, diagnostics: list, out, summary: str | None = None) -> tuple[None, int]:
+    """Report diagnostics that stopped the input before the rules; exit code 2."""
+    if args.output == "json":
+        report = CheckReport(diagnostics=diagnostics, stats=code_counts(diagnostics), passed=False)
+        _print_report_json(args, report, out)
+    else:
+        for diag in diagnostics:
+            print(diag.render(), file=out)
+        if summary is not None:
+            print(summary, file=out)
+    return None, EXIT_INPUT
+
+
 def _prepare(args, out) -> tuple[Model, None] | tuple[None, int]:
     """Parse, integrity-check and synthesize; returns (model, None) or (None, exit code)."""
     try:
@@ -97,16 +125,11 @@ def _prepare(args, out) -> tuple[Model, None] | tuple[None, int]:
         return None, EXIT_INPUT
     integrity = validate_integrity(model)
     if integrity:
-        for diag in integrity:
-            print(diag.render(), file=out)
-        print(f"{args.input}: {len(integrity)} integrity error(s)", file=out)
-        return None, EXIT_INPUT
+        return _reject(args, integrity, out, f"{args.input}: {len(integrity)} integrity error(s)")
     try:
         model = synthesize_deleg_associations(model)
     except ModelError as exc:
-        for diag in exc.diagnostics:
-            print(diag.render(), file=out)
-        return None, EXIT_INPUT
+        return _reject(args, exc.diagnostics, out)
     return model, None
 
 
@@ -139,9 +162,7 @@ def cmd_check(args, out) -> int:
         return code
     report = check_model(model, downgrade=_downgrade_codes(args))
     if args.output == "json":
-        doc = {"formatVersion": 1, "command": "check", "input": args.input}
-        doc.update(report.to_dict())
-        print(json.dumps(doc, indent=2), file=out)
+        _print_report_json(args, report, out)
     else:
         _render_check_text(report, out, _palette(out))
     return EXIT_OK if report.passed else EXIT_FINDINGS

@@ -223,6 +223,14 @@ class UnknownPathError(ModelError):
     """An element path did not resolve (code E005)."""
 
 
+def _by_name(elements) -> dict:
+    """Name -> element, the first declaration winning as in ``Model.find_*``."""
+    out: dict = {}
+    for element in elements:
+        out.setdefault(element.name, element)
+    return out
+
+
 def _duplicates(names: list[str]) -> list[str]:
     seen: set[str] = set()
     dups: list[str] = []
@@ -297,22 +305,31 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
     for name in _duplicates(classifier_names):
         emit("E002", name, f"the classifier name '{name}' is declared more than once")
 
-    interface_names = {i.name for i in model.interfaces}
-    class_names = {c.name for c in model.classes}
+    declared = set(classifier_names)
+    interfaces = _by_name(model.interfaces)
+    classes = _by_name(model.classes)
+    ports = {(id(cls), port.name) for cls in model.classes for port in cls.ports}
+    # A connector may name a deleg_I association before synthesis adds it.
+    connector_types = {a.name for a in model.associations} | {
+        deleg_name(i.name) for i in interfaces.values() if not i.is_group}
 
-    def synthesizable(name: str) -> bool:
-        if not name.startswith(DELEG_PREFIX):
-            return False
-        iface = model.find_interface(name[len(DELEG_PREFIX):])
-        return iface is not None and not iface.is_group
+    def expect(name: str, namespace, subject: str, wrong_kind: str, undeclared: str,
+               *fields: str) -> None:
+        """E009 when ``name`` names a classifier outside ``namespace``, E001 when it names none.
+
+        The messages are formatted with ``name`` as ``{0}`` and ``fields`` after
+        it, only when a diagnostic is emitted.
+        """
+        if name not in namespace:
+            if name in declared:
+                emit("E009", subject, wrong_kind.format(name, *fields))
+            else:
+                emit("E001", subject, undeclared.format(name, *fields))
 
     for iface in model.interfaces:
         for gen in iface.generals:
-            if gen not in interface_names:
-                if model.find_classifier(gen) is not None:
-                    emit("E009", iface.name, f"general '{gen}' of interface '{iface.name}' is not an interface")
-                else:
-                    emit("E001", iface.name, f"interface '{iface.name}' inherits undeclared interface '{gen}'")
+            expect(gen, interfaces, iface.name, "general '{0}' of interface '{1}' is not an interface",
+                   "interface '{1}' inherits undeclared interface '{0}'", iface.name)
         if iface.is_group and len(iface.generals) < 2:
             emit("E008", iface.name, f"interface group '{iface.name}' must bundle at least two interfaces")
 
@@ -321,65 +338,50 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
         for name in _duplicates(member_names):
             emit("E002", f"{cls.name}.{name}", f"class '{cls.name}' declares '{name}' more than once")
         for gen in cls.generals:
-            if gen not in class_names:
-                if model.find_classifier(gen) is not None:
-                    emit("E009", cls.name, f"general '{gen}' of class '{cls.name}' is not a class")
-                else:
-                    emit("E001", cls.name, f"class '{cls.name}' inherits undeclared class '{gen}'")
+            expect(gen, classes, cls.name, "general '{0}' of class '{1}' is not a class",
+                   "class '{1}' inherits undeclared class '{0}'", cls.name)
         for group_name, refs in (("realizes", cls.realizes), ("uses", cls.usages)):
             for ref in refs:
-                if ref not in interface_names:
-                    if model.find_classifier(ref) is not None:
-                        emit("E009", cls.name, f"'{cls.name}' {group_name} '{ref}', which is not an interface")
-                    else:
-                        emit("E001", cls.name, f"'{cls.name}' {group_name} undeclared interface '{ref}'")
+                expect(ref, interfaces, cls.name, "'{1}' {2} '{0}', which is not an interface",
+                       "'{1}' {2} undeclared interface '{0}'", cls.name, group_name)
         for attr in cls.attributes:
-            if model.find_classifier(attr.type) is None:
+            if attr.type not in declared:
                 emit("E001", f"{cls.name}.{attr.name}", f"attribute type '{attr.type}' is not declared")
         for part in cls.parts:
             subject = f"{cls.name}.{part.name}"
-            if part.type not in class_names:
-                if model.find_classifier(part.type) is not None:
-                    emit("E009", subject, f"part '{part.name}' is typed by '{part.type}', which is not a class")
-                else:
-                    emit("E001", subject, f"part '{part.name}' is typed by undeclared class '{part.type}'")
+            expect(part.type, classes, subject, "part '{1}' is typed by '{0}', which is not a class",
+                   "part '{1}' is typed by undeclared class '{0}'", part.name)
             if part.multiplicity < 1:
                 emit("E007", subject, f"part '{part.name}' has multiplicity {part.multiplicity}; it must be at least 1")
         for port in cls.ports:
-            subject = f"{cls.name}.{port.name}"
-            if port.contract not in interface_names:
-                if model.find_classifier(port.contract) is not None:
-                    emit("E009", subject, f"port contract '{port.contract}' is not an interface")
-                else:
-                    emit("E001", subject, f"port '{port.name}' has undeclared contract '{port.contract}'")
+            expect(port.contract, interfaces, f"{cls.name}.{port.name}",
+                   "port contract '{0}' is not an interface",
+                   "port '{1}' has undeclared contract '{0}'", port.name)
+        parts = _by_name(cls.parts) if cls.connectors else {}
         for idx, conn in enumerate(cls.connectors):
             subject = model.connector_path(cls, idx)
             for ref in (conn.end1, conn.end2):
                 if ref.part is None and ref.port is None:
                     emit("E006", subject, "connector end names neither a part nor a port")
                 elif ref.part is not None:
-                    part = cls.find_part(ref.part)
+                    part = parts.get(ref.part)
                     if part is None:
                         emit("E001", subject, f"connector end names unknown part '{ref.part}'")
                     elif ref.port is not None:
-                        part_cls = model.find_class(part.type)
-                        if part_cls is not None and part_cls.find_port(ref.port) is None:
+                        part_cls = classes.get(part.type)
+                        if part_cls is not None and (id(part_cls), ref.port) not in ports:
                             emit("E001", subject,
                                  f"part '{ref.part}' of type '{part.type}' has no port '{ref.port}'")
-                else:
-                    if cls.find_port(ref.port) is None:
-                        emit("E001", subject, f"class '{cls.name}' has no port '{ref.port}'")
-            if conn.association is not None and model.find_association(conn.association) is None:
-                if not synthesizable(conn.association):
-                    emit("E001", subject, f"connector is typed with undeclared association '{conn.association}'")
+                elif (id(cls), ref.port) not in ports:
+                    emit("E001", subject, f"class '{cls.name}' has no port '{ref.port}'")
+            if conn.association is not None and conn.association not in connector_types:
+                emit("E001", subject, f"connector is typed with undeclared association '{conn.association}'")
 
+    end_types = interfaces.keys() | classes.keys()
     for assoc in model.associations:
         for end in (assoc.end1, assoc.end2):
-            target = model.find_classifier(end.type)
-            if target is None:
-                emit("E001", assoc.name, f"association end type '{end.type}' is not declared")
-            elif isinstance(target, Association):
-                emit("E009", assoc.name, f"association end type '{end.type}' is an association")
+            expect(end.type, end_types, assoc.name, "association end type '{0}' is an association",
+                   "association end type '{0}' is not declared")
 
     for cycle in _cycles([(i.name, i.generals) for i in model.interfaces]):
         emit("E003", cycle[0], "generalization cycle: " + " -> ".join(cycle + [cycle[0]]), cycle[1:])
@@ -390,7 +392,7 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
     for cycle in _cycles([(c.name, [p.type for p in c.parts]) for c in model.classes if c.parts]):
         emit("E010", cycle[0], "containment cycle: " + " -> ".join(cycle + [cycle[0]]), cycle[1:])
 
-    if model.root is not None and model.find_class(model.root) is None:
+    if model.root is not None and model.root not in classes:
         emit("E001", model.root, f"root class '{model.root}' is not declared")
 
     diags.sort(key=Diagnostic.sort_key)
@@ -405,13 +407,16 @@ def synthesize_deleg_associations(model: Model) -> Model:
     occupies a needed ``deleg_`` name with an incompatible shape raises
     :class:`DelegConflictError` (code E004).
     """
+    interfaces = _by_name(model.interfaces)
+    classes = _by_name(model.classes)
+    associations = _by_name(model.associations)
     conflicts: list[Diagnostic] = []
     additions: list[Association] = []
     for iface in model.interfaces:
         if iface.is_group:
             continue
         name = deleg_name(iface.name)
-        existing = model.find_classifier(name)
+        existing = interfaces.get(name) or classes.get(name) or associations.get(name)
         if existing is None:
             additions.append(Association(
                 name=name,

@@ -15,14 +15,16 @@ Codes:
 * W010 - active composites need all-passive or all active/protected parts.
 * W011 - observer composites may contain only observer parts.
 
-Each rule reads connector typing and closures from one
-:class:`~compocheck.type_system.TypingIndex`; :func:`check_model` builds it once,
-runs the rules in order and returns a deterministic report (diagnostics sorted
-by element path then code). A rule called on its own builds its own index.
+Each rule, and the report notes, read connector typing and closures from the
+:class:`~compocheck.type_system.TypingIndex` passed to them; :func:`check_model`
+builds it once (or takes the caller's), runs the rules in order and returns a
+deterministic report (diagnostics sorted by element path then code). To run
+one rule alone, pass it ``TypingIndex(model)``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -50,6 +52,11 @@ class CheckReport:
         }
 
 
+def code_counts(diagnostics: list[Diagnostic]) -> dict[str, int]:
+    """Number of diagnostics per code, in code order."""
+    return dict(sorted(Counter(d.code for d in diagnostics).items()))
+
+
 def _fmt_set(names: Iterable[str]) -> str:
     inner = ", ".join(sorted(names))
     return "{" + inner + "}"
@@ -59,7 +66,7 @@ def _port_path(cls: Class, port: Port) -> str:
     return f"{cls.name}.{port.name}"
 
 
-def rule_unidirectional(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_unidirectional(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W000: a port may carry one direction only.
 
     Flags a port when some interface in its closure is both provided and used
@@ -67,7 +74,6 @@ def rule_unidirectional(model: Model, index: TypingIndex | None = None) -> list[
     uses, or when the owner has used interfaces with no reversed port to carry
     them (which presses the provided ports into bidirectional service).
     """
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         used = index.used_interfaces(cls.name)
@@ -101,9 +107,8 @@ def rule_unidirectional(model: Model, index: TypingIndex | None = None) -> list[
     return diags
 
 
-def rule_link_type(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_link_type(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W001/W002: forbidden direction combinations of port ends."""
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
         link = index.connector(cls, conn)
@@ -158,7 +163,7 @@ def _admissible_association(index: TypingIndex, kind: LinkKind, origin_kind: Ori
                    "interfaces (class ends cannot govern the port side)")
 
 
-def rule_association_direction(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_association_direction(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W003: the typing association's direction and ends must fit the link.
 
     Checks navigability (at least one navigable end; bidirectional only on
@@ -166,7 +171,6 @@ def rule_association_direction(model: Model, index: TypingIndex | None = None) -
     association kind for the link shape, and, for links starting from a part,
     the compatibility of the link ends with the association ends.
     """
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
         if conn.association is None:
@@ -247,10 +251,9 @@ def rule_association_direction(model: Model, index: TypingIndex | None = None) -
     return diags
 
 
-def rule_typed_from_port(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_typed_from_port(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W004: a typed link out of a port must point inside its transported set,
     and both link ends must cover the association ends."""
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
         if conn.association is None:
@@ -303,10 +306,9 @@ def rule_typed_from_port(model: Model, index: TypingIndex | None = None) -> list
     return diags
 
 
-def rule_typed_from_part(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_typed_from_part(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W005: every link starting from a part must carry an association,
     because the component needs a name under which to address the channel."""
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
         origin = index.connector(cls, conn).origin
@@ -320,9 +322,8 @@ def rule_typed_from_part(model: Model, index: TypingIndex | None = None) -> list
     return diags
 
 
-def rule_nonvoid(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_nonvoid(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W006: a link whose transported set is computable must carry something."""
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls, idx, conn in model.iter_connectors():
         link = index.connector(cls, conn)
@@ -352,10 +353,9 @@ def pairwise_disjoint_by_cardinality(sets: list[frozenset[str]] | list[set[str]]
     return len(union) == total, seen_twice
 
 
-def rule_pairwise_disjoint(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_pairwise_disjoint(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W007: untyped links out of one port must not overlap, or the default
     per-interface forwarding destination would be ambiguous."""
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         for port in cls.ports:
@@ -382,13 +382,12 @@ def rule_pairwise_disjoint(model: Model, index: TypingIndex | None = None) -> li
     return diags
 
 
-def rule_completeness(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_completeness(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W008: the links out of a port must together transport its whole closure.
 
     Ports that originate no link are skipped (see the stub notes in the report
     header for ports that are not wired at all).
     """
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         for port in cls.ports:
@@ -420,14 +419,13 @@ def rule_completeness(model: Model, index: TypingIndex | None = None) -> list[Di
     return diags
 
 
-def rule_concurrency(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_concurrency(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W009/W010: composites must not mix their parts' activity groups.
 
     Passive composites may hold only passive parts; active composites may hold
     either only passive parts or only active/protected parts. Protected and
     observer composites are exempt here.
     """
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         if not cls.is_composite:
@@ -464,9 +462,8 @@ def rule_concurrency(model: Model, index: TypingIndex | None = None) -> list[Dia
     return diags
 
 
-def rule_observer(model: Model, index: TypingIndex | None = None) -> list[Diagnostic]:
+def rule_observer(model: Model, index: TypingIndex) -> list[Diagnostic]:
     """W011: composite observers may contain only observer parts."""
-    index = index or TypingIndex(model)
     diags: list[Diagnostic] = []
     for cls in model.classes:
         if cls.kind is not ClassKind.OBSERVER or not cls.is_composite:
@@ -499,8 +496,7 @@ RULES = [
 ]
 
 
-def _report_notes(model: Model, index: TypingIndex | None = None) -> list[str]:
-    index = index or TypingIndex(model)
+def _report_notes(model: Model, index: TypingIndex) -> list[str]:
     notes: list[str] = []
     touched: set[tuple[str, str]] = set()
     for cls, _, conn in model.iter_connectors():
@@ -546,9 +542,6 @@ def check_model(model: Model, downgrade: Iterable[str] = (),
         if diag.code in downgraded:
             diag.severity = Severity.WARNING
     diagnostics.sort(key=Diagnostic.sort_key)
-    stats: dict[str, int] = {}
-    for diag in diagnostics:
-        stats[diag.code] = stats.get(diag.code, 0) + 1
     passed = not any(d.severity is Severity.ERROR for d in diagnostics)
-    return CheckReport(diagnostics=diagnostics, stats=dict(sorted(stats.items())),
+    return CheckReport(diagnostics=diagnostics, stats=code_counts(diagnostics),
                        passed=passed, notes=_report_notes(model, index))

@@ -16,9 +16,9 @@ the simulator need to know about a model's typing:
 :class:`~compocheck.model.Model` is mutable, so an index is a snapshot: it is
 built once per ``check_model``, ``instantiate`` or ``explain`` call and read
 for the rest of that call (an instance graph keeps the one ``instantiate``
-built). Nothing is cached on the model or across calls. The module-level
-functions (``parents_of``, ``classify_link``, ...) are entry points that build
-a fresh index and ask it one question.
+built). Nothing is cached on the model or across calls. To ask about a model,
+build one index and call its methods; :func:`parents_of` is the one
+module-level shortcut, and it builds a fresh index per call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Class, Connector, EndRef, Model, Part, Port
+from .model import Class, Connector, EndRef, Model, Part, Port, _by_name
 
 
 class LinkKind(Enum):
@@ -108,14 +108,6 @@ class ConnectorTyping(namedtuple("ConnectorTyping", "kind ends origin transporte
 
 
 _EMPTY: frozenset[str] = frozenset()
-
-
-def _by_name(elements) -> dict:
-    """Name -> element, the first declaration winning as in ``Model.find_*``."""
-    out: dict = {}
-    for element in elements:
-        out.setdefault(element.name, element)
-    return out
 
 
 def _classify(s1: EndSite, s2: EndSite) -> LinkKind:
@@ -409,56 +401,3 @@ class TypingIndex:
 def parents_of(model: Model, name: str) -> set[str]:
     """Transitive closure of a classifier's generals, excluding itself."""
     return set(TypingIndex(model).parents(name))
-
-
-def interface_closure(model: Model, name: str) -> set[str]:
-    """The interface itself plus its ancestors, with interface groups rejected."""
-    return set(TypingIndex(model).interface_closure(name))
-
-
-def class_interfaces(model: Model, name: str) -> set[str]:
-    """Interfaces a class provides (see :meth:`TypingIndex.class_interfaces`)."""
-    return set(TypingIndex(model).class_interfaces(name))
-
-
-def port_interfaces(model: Model, port: Port) -> set[str]:
-    """The interfaces a port provides (or requires, when reversed)."""
-    return set(TypingIndex(model).port_interfaces(port))
-
-
-def provided_interfaces(model: Model, name: str) -> set[str]:
-    """Polymorphic interface set of a classifier name (class or interface)."""
-    return set(TypingIndex(model).provided_interfaces(name))
-
-
-def resolve_end(model: Model, owner: Class, ref: EndRef, index: int) -> EndSite:
-    return TypingIndex(model).resolve_end(owner, ref, index)
-
-
-def resolve_ends(model: Model, owner: Class, conn: Connector) -> tuple[EndSite, EndSite]:
-    return TypingIndex(model).connector(owner, conn).ends
-
-
-def classify_link(model: Model, owner: Class, conn: Connector) -> LinkKind:
-    """Classify a connector by its end shapes and port directions (see :func:`_classify`)."""
-    return TypingIndex(model).connector(owner, conn).kind
-
-
-def link_origin(model: Model, owner: Class, conn: Connector) -> LinkOrigin:
-    """The end a connector's requests flow away from (see :func:`_origin`)."""
-    return TypingIndex(model).connector(owner, conn).origin
-
-
-def transported_interfaces(model: Model, owner: Class, conn: Connector) -> TransportedSet:
-    """The set of interfaces a connector can carry (see :meth:`TypingIndex._transported`)."""
-    return TypingIndex(model).connector(owner, conn).transported
-
-
-def classifier_compatible(model: Model, end_type: str, assoc_type: str) -> bool:
-    """True when an association end may govern a link end of the given type."""
-    return TypingIndex(model).classifier_compatible(end_type, assoc_type)
-
-
-def port_compatible(model: Model, port: Port, assoc_type: str) -> bool:
-    """True when the port provides/requires everything the given interface covers."""
-    return TypingIndex(model).port_compatible(port, assoc_type)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 from compocheck.model import (
     Association,
     AssociationEnd,
+    Attribute,
     Class,
     ClassKind,
     Connector,
@@ -15,6 +17,7 @@ from compocheck.model import (
     Model,
     Part,
     Port,
+    deleg_name,
 )
 
 
@@ -145,11 +148,12 @@ def random_wellformed_model(rng: random.Random, max_depth: int = 3) -> Model:
 def provided_origin_connectors(model: Model) -> list[tuple[Class, int]]:
     """(class, index) of every connector starting at a provided port; dropping
     one of these breaks a delivery path without touching any other rule."""
-    from compocheck.type_system import OriginKind, link_origin
+    from compocheck.type_system import OriginKind, TypingIndex
 
+    index = TypingIndex(model)
     out = []
     for cls, idx, conn in model.iter_connectors():
-        if link_origin(model, cls, conn).kind is OriginKind.FROM_PROVIDED_PORT:
+        if index.connector(cls, conn).origin.kind is OriginKind.FROM_PROVIDED_PORT:
             out.append((cls, idx))
     return out
 
@@ -245,4 +249,178 @@ def gen_chain_model(n: int, cyclic: bool = False) -> Model:
     if cyclic:
         model.classes[0].generals.append(f"K{n - 1}")
     model.root = f"K{n - 1}"
+    return model
+
+
+def corrupt_names(rng: random.Random, model: Model, mutations: int) -> Model:
+    """Apply ``mutations`` seeded name corruptions to ``model`` in place; return it.
+
+    Each corruption points a reference at a name of the wrong kind or at an
+    undeclared one, declares a name again (before or after the first
+    declaration, in its own namespace or another, or as a second part or port
+    of one class), sets a bogus root, claims a ``deleg_`` name, or breaks a
+    structural constraint. Together they reach every code
+    ``validate_integrity`` emits and the E004 synthesis conflict, and make the
+    outcome depend on which declaration of a name is found first.
+    """
+    def declared() -> list[str]:
+        return ([i.name for i in model.interfaces] + [c.name for c in model.classes]
+                + [a.name for a in model.associations])
+
+    def any_name() -> str:
+        return rng.choice(declared() + ["Nope", deleg_name("Nope")]
+                          + [deleg_name(i.name) for i in model.interfaces])
+
+    def set_slot(owner, key, value) -> None:
+        if isinstance(owner, list):
+            owner[key] = value
+        else:
+            setattr(owner, key, value)
+
+    def retarget() -> None:
+        slots: list = []
+        for iface in model.interfaces:
+            slots += [(iface.generals, k) for k in range(len(iface.generals))]
+        for cls in model.classes:
+            for refs in (cls.generals, cls.realizes, cls.usages):
+                slots += [(refs, k) for k in range(len(refs))]
+            slots += [(part, "type") for part in cls.parts]
+            slots += [(port, "contract") for port in cls.ports]
+            slots += [(attr, "type") for attr in cls.attributes]
+            slots += [(conn, "association") for conn in cls.connectors]
+        for assoc in model.associations:
+            slots += [(assoc.end1, "type"), (assoc.end2, "type")]
+        if slots:
+            set_slot(*rng.choice(slots), any_name())
+
+    def add_reference() -> None:
+        choice = rng.randrange(4)
+        if choice == 0 and model.interfaces:
+            rng.choice(model.interfaces).generals.append(any_name())
+        elif choice == 1 and model.classes:
+            cls = rng.choice(model.classes)
+            rng.choice((cls.generals, cls.realizes, cls.usages)).append(any_name())
+        elif choice == 2 and model.classes:
+            rng.choice(model.classes).attributes.append(Attribute("attr", any_name()))
+        elif model.classes:
+            cls = rng.choice(model.classes)
+            cls.ports.append(Port(name=f"q{len(cls.ports)}", contract=any_name(),
+                                  reversed=rng.random() < 0.5))
+
+    def retarget_end() -> None:
+        owners = [c for c in model.classes if c.connectors]
+        if not owners:
+            return
+        cls = rng.choice(owners)
+        end = rng.choice([e for conn in cls.connectors for e in (conn.end1, conn.end2)])
+        members = [p.name for p in cls.parts] + [p.name for p in cls.ports] + ["nope"]
+        ports = sorted({p.name for c in model.classes for p in c.ports}) + ["nope"]
+        choice = rng.randrange(4)
+        if choice == 0:
+            end.part = rng.choice(members)
+        elif choice == 1:
+            end.port = rng.choice(ports)
+        elif choice == 2:
+            end.part, end.port = None, rng.choice(ports + [None])
+        else:
+            end.part, end.port = rng.choice(members), rng.choice(ports)
+
+    def redeclare() -> None:
+        name = rng.choice(declared())
+        choice = rng.randrange(4)
+        if choice == 0:
+            element = Interface(name=name, generals=[any_name()] if rng.random() < 0.5 else [],
+                                is_group=rng.random() < 0.5)
+            target = model.interfaces
+        elif choice == 1:
+            element = Class(name=name, kind=rng.choice(list(ClassKind)),
+                            realizes=[any_name()] if rng.random() < 0.5 else [])
+            target = model.classes
+        elif choice == 2:
+            element = Association(name=name, end1=AssociationEnd(any_name()),
+                                  end2=AssociationEnd(any_name(), navigable=rng.random() < 0.7))
+            target = model.associations
+        else:
+            owners = [c for c in model.classes if c.parts or c.ports]
+            if not owners:
+                return
+            cls = rng.choice(owners)
+            member = rng.choice(cls.parts + cls.ports)
+            if rng.random() < 0.5:
+                cls.parts.insert(rng.randint(0, len(cls.parts)),
+                                 Part(name=member.name, type=rng.choice(declared())))
+            else:
+                cls.ports.insert(rng.randint(0, len(cls.ports)),
+                                 Port(name=member.name, contract=any_name()))
+            return
+        target.insert(rng.randint(0, len(target)), element)
+
+    def shadow() -> None:
+        """Declare a changed copy of an element just before it, so a lookup finds the copy."""
+        candidates = model.interfaces + [c for c in model.classes if c.ports] + model.associations
+        if not candidates:
+            return
+        element = rng.choice(candidates)
+        target = {Interface: model.interfaces, Class: model.classes}.get(type(element),
+                                                                         model.associations)
+        twin = copy.deepcopy(element)
+        if isinstance(twin, Interface):
+            twin.is_group = not twin.is_group
+        elif isinstance(twin, Class):
+            del twin.ports[rng.randint(0, len(twin.ports)):]
+            del twin.parts[rng.randint(0, len(twin.parts)):]
+        else:
+            twin.end1, twin.end2 = twin.end2, AssociationEnd(any_name(), rng.random() < 0.5)
+        target.insert(target.index(element), twin)
+
+    def set_root() -> None:
+        model.root = rng.choice([None, "Nope", any_name(), rng.choice(declared())])
+
+    def claim_deleg() -> None:
+        if not model.interfaces:
+            return
+        iface = rng.choice(model.interfaces).name
+        name = deleg_name(iface)
+        other = rng.choice(declared())
+        choice = rng.randrange(6)
+        if choice == 0:
+            model.classes.insert(rng.randint(0, len(model.classes)), Class(name=name))
+        elif choice == 1:
+            model.interfaces.append(Interface(name=name))
+        elif choice == 2:
+            model.associations.append(Association(
+                name, AssociationEnd(iface), AssociationEnd(iface, navigable=True)))
+        elif choice == 3:
+            model.associations.append(Association(
+                name, AssociationEnd(iface), AssociationEnd(other, navigable=True)))
+        elif choice == 4:
+            model.associations.append(Association(
+                name, AssociationEnd(iface), AssociationEnd(iface)))
+        else:
+            connectors = [conn for cls in model.classes for conn in cls.connectors]
+            if connectors:
+                rng.choice(connectors).association = name
+
+    def break_structure() -> None:
+        choice = rng.randrange(4)
+        parts = [p for c in model.classes for p in c.parts]
+        if choice == 0 and parts:
+            rng.choice(parts).multiplicity = rng.choice([0, -1])
+        elif choice == 1 and parts:
+            cls = rng.choice([c for c in model.classes if c.parts])
+            rng.choice(cls.parts).type = cls.name
+        elif choice == 2:
+            groups = [i for i in model.interfaces if i.is_group]
+            if groups:
+                del rng.choice(groups).generals[1:]
+        else:
+            connectors = [conn for cls in model.classes for conn in cls.connectors]
+            if connectors:
+                conn = rng.choice(connectors)
+                setattr(conn, rng.choice(("end1", "end2")), EndRef())
+
+    ops = [retarget, add_reference, retarget_end, redeclare, shadow, set_root, claim_deleg,
+           break_structure]
+    for _ in range(mutations):
+        rng.choice(ops)()
     return model

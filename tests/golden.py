@@ -13,12 +13,17 @@ what the package produced for it:
   well-formed seeds;
 * ``bindings/...``: the ordered (holder, association, target, interface)
   tuples of ``InstanceGraph.bindings`` and the sorted component ids of the
-  well-formed seeds.
+  well-formed seeds;
+* ``integrity/...``: ``validate_integrity`` diagnostics of models with
+  ``corrupt_names`` applied and, where those pass, the E004 conflicts that
+  ``synthesize_deleg_associations`` raises or the association names it leaves.
 
 ``golden_digests.json`` holds the ``check``, ``explain`` and ``simulate``
-digests recorded before connector typing moved into one index per check, and
-the ``bindings`` digests recorded before the simulator kept its part-instance
-table and run queue; ``test_golden.py`` recomputes them. To record them again,
+digests recorded before connector typing moved into one index per check, the
+``bindings`` digests recorded before the simulator kept its part-instance
+table and run queue, and the ``integrity`` digests recorded while integrity
+checks and deleg synthesis still looked names up with ``Model.find_*``;
+``test_golden.py`` recomputes them. To record them again,
 only when an output change is intended::
 
     PYTHONPATH=src python tests/golden.py
@@ -35,7 +40,12 @@ from pathlib import Path
 
 from compocheck import cli
 from compocheck.ingest import ParseFailure, parse_dsl, parse_json
-from compocheck.model import Model, synthesize_deleg_associations, validate_integrity
+from compocheck.model import (
+    DelegConflictError,
+    Model,
+    synthesize_deleg_associations,
+    validate_integrity,
+)
 from compocheck.rules import check_model
 from compocheck.simulator import (
     InstanceGraph,
@@ -45,7 +55,12 @@ from compocheck.simulator import (
     instantiate,
     run_to_quiescence,
 )
-from generators import random_fanout_port_model, random_wellformed_model
+from generators import (
+    corrupt_names,
+    random_classifier_dag,
+    random_fanout_port_model,
+    random_wellformed_model,
+)
 from mutants import MUTATION_PAIRS
 
 HERE = Path(__file__).resolve().parent
@@ -53,6 +68,7 @@ FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "golden_digests.json"
 WELLFORMED_SEEDS = range(200)
 FANOUT_SEEDS = range(100)
+INTEGRITY_SEEDS = range(1000)
 
 
 def _digest(value) -> str:
@@ -106,6 +122,26 @@ def _simulate(graph: InstanceGraph) -> dict:
     }
 
 
+def _corrupted_model(seed: int) -> Model:
+    """A well-formed model (every fourth seed a classifier DAG) with 0-4 name corruptions."""
+    rng = random.Random(seed)
+    model = random_classifier_dag(rng) if seed % 4 == 3 else random_wellformed_model(rng)
+    return corrupt_names(rng, model, rng.randint(0, 4))
+
+
+def _integrity(model: Model) -> dict:
+    problems = validate_integrity(model)
+    out: dict = {"integrity": [d.to_dict() for d in problems]}
+    if not problems:
+        try:
+            synthesized = synthesize_deleg_associations(model)
+        except DelegConflictError as exc:
+            out["conflicts"] = [d.to_dict() for d in exc.diagnostics]
+        else:
+            out["associations"] = [a.name for a in synthesized.associations]
+    return out
+
+
 def compute_digests() -> dict[str, str]:
     digests: dict[str, str] = {}
     for name, model in _fixture_models().items():
@@ -128,6 +164,8 @@ def compute_digests() -> dict[str, str]:
     for seed in FANOUT_SEEDS:
         model = _prepared(random_fanout_port_model(random.Random(seed))[0])
         digests[f"check/fanout/{seed}"] = _digest(check_model(model).to_dict())
+    for seed in INTEGRITY_SEEDS:
+        digests[f"integrity/{seed}"] = _digest(_integrity(_corrupted_model(seed)))
     return digests
 
 

@@ -13,20 +13,16 @@ from contextlib import redirect_stdout
 
 
 from compocheck import (
+    TypingIndex,
     check_model,
     check_type_safety,
-    class_interfaces,
-    classify_link,
     default_injection_suite,
     inject,
     instantiate,
-    interface_closure,
     parents_of,
     parse_dsl,
-    port_interfaces,
     run_to_quiescence,
     synthesize_deleg_associations,
-    transported_interfaces,
     validate_integrity,
 )
 from compocheck.cli import main
@@ -59,7 +55,8 @@ def test_criterion_1_delegation_fixture_sets_and_runtime(delegation_text):
     assert validate_integrity(model) == []
     model = synthesize_deleg_associations(model)
     a = model.find_class("A")
-    sets = [transported_interfaces(model, a, conn).interfaces for conn in a.connectors[:3]]
+    sets = [TypingIndex(model).connector(a, conn).transported.interfaces
+            for conn in a.connectors[:3]]
     passed = check_model(model).passed
     elapsed = time.perf_counter() - started
     ok = (sets == [frozenset({"I"}), frozenset({"J", "L"}), frozenset({"K"})]
@@ -73,7 +70,7 @@ def test_criterion_2_classification_table_is_exhaustive():
     forbidden_rows = 0
     for shape, rev1, rev2, expected in CLASSIFICATION_TABLE:
         model, comp, conn = link_fixture(shape, rev1, rev2)
-        got = classify_link(model, comp, conn)
+        got = TypingIndex(model).connector(comp, conn).kind
         assert got is expected, (shape, rev1, rev2, got)
         if shape != "part__part":
             directed_rows += 1
@@ -106,7 +103,7 @@ def test_criterion_4_w007_agrees_with_the_pairwise_oracle():
     disagreements = 0
     for _ in range(1000):
         model, _, _, subsets = random_fanout_port_model(rng, universe=10)
-        fired = any(d.code == "W007" for d in rule_pairwise_disjoint(model))
+        fired = any(d.code == "W007" for d in rule_pairwise_disjoint(model, TypingIndex(model)))
         if fired != (not oracles.pairwise_disjoint_direct(subsets)):
             disagreements += 1
     report(4, disagreements == 0,
@@ -122,15 +119,15 @@ def test_criterion_5_closures_match_the_fixpoint_oracle():
         for iface in model.interfaces:
             if parents_of(model, iface.name) != oracles.parents_fixpoint(model, iface.name):
                 disagreements += 1
-            if interface_closure(model, iface.name) != \
+            if TypingIndex(model).interface_closure(iface.name) != \
                     oracles.interface_closure_oracle(model, iface.name):
                 disagreements += 1
         for cls in model.classes:
-            if class_interfaces(model, cls.name) != \
+            if TypingIndex(model).class_interfaces(cls.name) != \
                     oracles.class_interfaces_oracle(model, cls.name):
                 disagreements += 1
             for port in cls.ports:
-                if port_interfaces(model, port) != \
+                if TypingIndex(model).port_interfaces(port) != \
                         oracles.port_interfaces_oracle(model, port):
                     disagreements += 1
     report(5, disagreements == 0, f"500 random DAGs (max 20 classifiers), "
@@ -150,7 +147,7 @@ def _routing_safe(model, root) -> tuple[bool, int]:
         if request.location == ENVIRONMENT:
             continue
         cls = graph.component_class(request.location)
-        if request.interface not in class_interfaces(model, cls.name):
+        if request.interface not in TypingIndex(model).class_interfaces(cls.name):
             receivers_ok = False
     return all_delivered and receivers_ok and check_type_safety(trace, graph).passed, len(suite)
 

@@ -56,6 +56,34 @@ def test_check_exits_2_on_integrity_errors(tmp_path):
     assert "E001" in out
 
 
+@pytest.mark.parametrize("text,diagnostic", [
+    ("class A active { part a: X; }",
+     "E001 error: A.a: part 'a' is typed by undeclared class 'X'"),
+    ("interface I {} class deleg_I {}",
+     "E004 error: deleg_I: the name 'deleg_I' is reserved for the default forwarding "
+     "association of 'I'"),
+], ids=["E001", "E004"])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_inputs_stopped_before_the_rules_keep_the_output_format(tmp_path, command, text,
+                                                                diagnostic):
+    path = tmp_path / "stopped.csm"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(command, str(path))
+    summary = [f"{path}: 1 integrity error(s)"] if diagnostic.startswith("E001") else []
+    assert code == 2
+    assert out.splitlines() == [diagnostic] + summary
+    code, out = run_cli(command, str(path), "--output", "json")
+    assert code == 2
+    doc = json.loads(out)
+    assert list(doc) == ["formatVersion", "command", "input", "passed", "stats", "notes",
+                         "diagnostics"]
+    assert (doc["formatVersion"], doc["command"], doc["input"]) == (1, command, str(path))
+    assert doc["passed"] is False and doc["notes"] == []
+    assert doc["stats"] == {diagnostic[:4]: 1}
+    assert [f"{d['code']} {d['severity']}: {d['subject']}: {d['message']}"
+            for d in doc["diagnostics"]] == [diagnostic]
+
+
 def test_check_json_report_shape():
     code, out = run_cli("check", str(MIXED_CONCURRENCY), "--output", "json")
     assert code == 1

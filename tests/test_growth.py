@@ -1,8 +1,9 @@
-"""Work done by ``check_model`` and by routing grows near-linearly with model size.
+"""Work done on the check path and by routing grows near-linearly with model size.
 
 The bounds are on call counts, which are deterministic, rather than on time,
-which is not on shared hosts: name lookups (``Model.find_*`` and
-``Class.find_*``) for ``check_model``, and reads of a holder's creation order
+which is not on shared hosts: linear name scans (``Model.find_*`` and
+``Class.find_*``), of which integrity validation, deleg synthesis and
+``check_model`` make none, and reads of a holder's creation order
 (``InstanceGraph.holder_seq``) for routing.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from compocheck import model as model_layer
+from compocheck.model import synthesize_deleg_associations, validate_integrity
 from compocheck.rules import check_model
 from compocheck.simulator import (
     InstanceGraph,
@@ -40,11 +42,13 @@ class Counter:
 
 
 def find_calls(monkeypatch, model) -> int:
+    """``find_*`` calls while ``model`` is validated, synthesized and checked."""
     counter = Counter()
     with monkeypatch.context() as patch:
         for owner, name in FINDERS:
             patch.setattr(owner, name, counter.wrap(getattr(owner, name)))
-        check_model(model)
+        assert validate_integrity(model) == []
+        check_model(synthesize_deleg_associations(model))
     return counter.calls
 
 
@@ -60,11 +64,10 @@ def holder_seq_calls(monkeypatch, model) -> int:
     return counter.calls
 
 
+@pytest.mark.parametrize("n", [50, 200])
 @pytest.mark.parametrize("family", [flat_model, gen_chain_model])
-def test_lookups_grow_at_most_linearly(monkeypatch, family):
-    small = find_calls(monkeypatch, prepare_model(family(50)))
-    large = find_calls(monkeypatch, prepare_model(family(200)))
-    assert large <= 5 * small
+def test_check_path_makes_no_linear_lookups(monkeypatch, family, n):
+    assert find_calls(monkeypatch, family(n)) == 0
 
 
 def test_routing_reads_creation_order_near_linearly(monkeypatch):

@@ -8,12 +8,12 @@ from compocheck import (
     DelegBinding,
     RequestStatus,
     SimError,
+    TypingIndex,
     check_type_safety,
     default_injection_suite,
     deleg_name,
     inject,
     instantiate,
-    port_interfaces,
     run_to_quiescence,
     step,
 )
@@ -118,7 +118,7 @@ def test_full_injection_suite_is_delivered(delegation_model, atm_model):
     for model, root in ((delegation_model, "A"), (atm_model, "ATM")):
         graph = instantiate(model, root)
         for pid, port_instance in sorted(graph.ports.items()):
-            for iface in sorted(port_interfaces(model, port_instance.declaration)):
+            for iface in sorted(TypingIndex(model).port_interfaces(port_instance.declaration)):
                 inject(graph, pid, iface)
         trace = run_to_quiescence(graph)
         counts = trace.status_counts()

@@ -19,15 +19,8 @@ from compocheck import (
     OriginKind,
     Part,
     Port,
-    class_interfaces,
-    classifier_compatible,
-    classify_link,
-    interface_closure,
-    link_origin,
+    TypingIndex,
     parents_of,
-    port_compatible,
-    port_interfaces,
-    transported_interfaces,
 )
 
 import oracles
@@ -52,8 +45,8 @@ def test_parents_of_chain():
 
 
 def test_class_interfaces_on_delegation_model(delegation_model):
-    assert class_interfaces(delegation_model, "D") == {"I"}
-    assert class_interfaces(delegation_model, "E") == {"J", "L"}
+    assert TypingIndex(delegation_model).class_interfaces("D") == {"I"}
+    assert TypingIndex(delegation_model).class_interfaces("E") == {"J", "L"}
 
 
 def test_class_realizing_group_keeps_members_only():
@@ -62,7 +55,7 @@ def test_class_realizing_group_keeps_members_only():
                     Interface(name="IJL", generals=["I", "J", "L"], is_group=True)],
         classes=[Class(name="C", realizes=["IJL"])],
     )
-    assert class_interfaces(model, "C") == {"I", "J", "L"}
+    assert TypingIndex(model).class_interfaces("C") == {"I", "J", "L"}
 
 
 def test_class_interfaces_follow_class_generalization():
@@ -70,15 +63,15 @@ def test_class_interfaces_follow_class_generalization():
         interfaces=[Interface(name="I")],
         classes=[Class(name="Base", realizes=["I"]), Class(name="Sub", generals=["Base"])],
     )
-    assert class_interfaces(model, "Sub") == {"I"}
+    assert TypingIndex(model).class_interfaces("Sub") == {"I"}
 
 
 def test_port_interfaces(delegation_model):
     a = delegation_model.find_class("A")
     e = delegation_model.find_class("E")
-    assert port_interfaces(delegation_model, a.find_port("pIJL")) == {"I", "J", "L"}
-    assert port_interfaces(delegation_model, e.find_port("rK")) == {"K"}
-    assert port_interfaces(delegation_model, e.find_port("pJL")) == {"J", "L"}
+    assert TypingIndex(delegation_model).port_interfaces(a.find_port("pIJL")) == {"I", "J", "L"}
+    assert TypingIndex(delegation_model).port_interfaces(e.find_port("rK")) == {"K"}
+    assert TypingIndex(delegation_model).port_interfaces(e.find_port("pJL")) == {"J", "L"}
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -86,14 +79,15 @@ def test_closures_match_fixpoint_oracle(seed):
     model = random_classifier_dag(random.Random(seed))
     for iface in model.interfaces:
         assert parents_of(model, iface.name) == oracles.parents_fixpoint(model, iface.name)
-        assert interface_closure(model, iface.name) == \
+        assert TypingIndex(model).interface_closure(iface.name) == \
             oracles.interface_closure_oracle(model, iface.name)
     for cls in model.classes:
         assert parents_of(model, cls.name) == oracles.parents_fixpoint(model, cls.name)
-        assert class_interfaces(model, cls.name) == \
+        assert TypingIndex(model).class_interfaces(cls.name) == \
             oracles.class_interfaces_oracle(model, cls.name)
         for port in cls.ports:
-            assert port_interfaces(model, port) == oracles.port_interfaces_oracle(model, port)
+            assert TypingIndex(model).port_interfaces(port) == \
+                oracles.port_interfaces_oracle(model, port)
 
 
 # --- link classification ----------------------------------------------------
@@ -153,26 +147,26 @@ CLASSIFICATION_TABLE = [
 @pytest.mark.parametrize("shape,rev1,rev2,expected", CLASSIFICATION_TABLE)
 def test_classification_table(shape, rev1, rev2, expected):
     model, comp, conn = link_fixture(shape, rev1, rev2)
-    assert classify_link(model, comp, conn) is expected
+    assert TypingIndex(model).connector(comp, conn).kind is expected
 
 
 @pytest.mark.parametrize("shape,rev1,rev2,expected", CLASSIFICATION_TABLE)
 def test_classification_ignores_end_order(shape, rev1, rev2, expected):
     model, comp, conn = link_fixture(shape, rev1, rev2)
     conn.end1, conn.end2 = conn.end2, conn.end1
-    assert classify_link(model, comp, conn) is expected
+    assert TypingIndex(model).connector(comp, conn).kind is expected
 
 
 @pytest.mark.parametrize("shape,rev1,rev2,expected", CLASSIFICATION_TABLE)
 def test_origin_is_undirected_exactly_for_forbidden(shape, rev1, rev2, expected):
     model, comp, conn = link_fixture(shape, rev1, rev2)
-    origin = link_origin(model, comp, conn)
+    origin = TypingIndex(model).connector(comp, conn).origin
     assert (origin.kind is OriginKind.UNDIRECTED) == (expected is LinkKind.FORBIDDEN)
 
 
 def test_link_origins_on_delegation_model(delegation_model):
     a = delegation_model.find_class("A")
-    origins = [link_origin(delegation_model, a, conn) for conn in a.connectors]
+    origins = [TypingIndex(delegation_model).connector(a, conn).origin for conn in a.connectors]
     assert origins[0].kind is OriginKind.FROM_PROVIDED_PORT
     assert origins[0].site.port.name == "pIJL"
     assert origins[1].kind is OriginKind.FROM_PROVIDED_PORT
@@ -187,7 +181,7 @@ def test_link_origins_on_delegation_model(delegation_model):
 
 def test_transported_sets_on_delegation_model(delegation_model):
     a = delegation_model.find_class("A")
-    sets = [transported_interfaces(delegation_model, a, conn) for conn in a.connectors]
+    sets = [TypingIndex(delegation_model).connector(a, conn).transported for conn in a.connectors]
     assert sets[0].interfaces == frozenset({"I"})
     assert sets[1].interfaces == frozenset({"J", "L"})
     assert sets[2].interfaces == frozenset({"K"})
@@ -201,7 +195,8 @@ def test_part_part_links_have_no_computable_set():
         Class(name="A", parts=[Part(name="x", type="B"), Part(name="y", type="B")],
               connectors=[Connector(end1=EndRef(part="x"), end2=EndRef(part="y"))]),
     ])
-    ts = transported_interfaces(model, model.find_class("A"), model.find_class("A").connectors[0])
+    ts = TypingIndex(model).connector(model.find_class("A"),
+                                      model.find_class("A").connectors[0]).transported
     assert not ts.computable
 
 
@@ -222,22 +217,20 @@ def test_typed_link_narrows_to_the_pointed_closure():
         ],
     )
     a = text_model.find_class("A")
-    ts = transported_interfaces(text_model, a, a.connectors[0])
+    ts = TypingIndex(text_model).connector(a, a.connectors[0]).transported
     assert ts.computable and ts.interfaces == frozenset({"J"})
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_untyped_sets_match_the_enumeration_oracle(seed):
     model = prepare_model(random_wellformed_model(random.Random(seed)))
-    from compocheck.type_system import resolve_ends
-
     for cls, idx, conn in model.iter_connectors():
         if conn.association is not None:
             continue
-        ts = transported_interfaces(model, cls, conn)
+        ts = TypingIndex(model).connector(cls, conn).transported
         if not ts.computable:
             continue
-        s1, s2 = resolve_ends(model, cls, conn)
+        s1, s2 = TypingIndex(model).connector(cls, conn).ends
 
         def end_set(site):
             if site.port is not None:
@@ -253,32 +246,32 @@ def test_no_transported_set_contains_a_group(seed):
     model = prepare_model(random_wellformed_model(random.Random(seed)))
     groups = {i.name for i in model.interfaces if i.is_group}
     for cls, _, conn in model.iter_connectors():
-        ts = transported_interfaces(model, cls, conn)
+        ts = TypingIndex(model).connector(cls, conn).transported
         assert not (set(ts.interfaces) & groups)
 
 
 # --- compatibility ----------------------------------------------------------
 
 def test_compatibility_examples(delegation_model):
-    assert classifier_compatible(delegation_model, "D", "I")
-    assert classifier_compatible(delegation_model, "I", "I")
-    assert not classifier_compatible(delegation_model, "D", "K")
+    assert TypingIndex(delegation_model).classifier_compatible("D", "I")
+    assert TypingIndex(delegation_model).classifier_compatible("I", "I")
+    assert not TypingIndex(delegation_model).classifier_compatible("D", "K")
 
 
 def test_class_class_compatibility_direction():
     model = Model(classes=[Class(name="C1"), Class(name="C2", generals=["C1"])])
-    assert classifier_compatible(model, "C2", "C1")
-    assert not classifier_compatible(model, "C1", "C2")
+    assert TypingIndex(model).classifier_compatible("C2", "C1")
+    assert not TypingIndex(model).classifier_compatible("C1", "C2")
 
 
 def test_port_compatibility(delegation_model):
     a = delegation_model.find_class("A")
     pijl = a.find_port("pIJL")
     rak = a.find_port("rA_K")
-    assert port_compatible(delegation_model, pijl, "J")
-    assert not port_compatible(delegation_model, rak, "J")
-    assert port_compatible(delegation_model, rak, "K")
-    assert port_compatible(delegation_model, pijl, "IJL")  # group closure is covered
+    assert TypingIndex(delegation_model).port_compatible(pijl, "J")
+    assert not TypingIndex(delegation_model).port_compatible(rak, "J")
+    assert TypingIndex(delegation_model).port_compatible(rak, "K")
+    assert TypingIndex(delegation_model).port_compatible(pijl, "IJL")  # group closure is covered
 
 
 @settings(max_examples=50, deadline=None)
@@ -289,6 +282,6 @@ def test_interface_compatibility_is_reflexive_and_transitive(length, lower):
         Interface(name=f"I{i}", generals=[f"I{i - 1}"] if i else []) for i in range(length)
     ])
     top = f"I{length - 1}"
-    assert classifier_compatible(model, top, top)
+    assert TypingIndex(model).classifier_compatible(top, top)
     anchor = f"I{min(lower, length - 1)}"
-    assert classifier_compatible(model, top, anchor)
+    assert TypingIndex(model).classifier_compatible(top, anchor)
