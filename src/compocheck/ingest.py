@@ -22,6 +22,12 @@ Two surfaces feed the same :class:`~compocheck.model.Model`:
 
 Both parsers collect as many errors as they can and raise
 :class:`ParseFailure` carrying the list.
+
+The DSL is scanned in one pass: the text is split at ``"\n"`` only (not at the
+other line breaks :meth:`str.splitlines` knows) and one regular expression
+matches each line. Tokens are plain ``(kind, value, line, column)`` tuples. A
+``//`` comment runs to the end of its line, and the closing ``eof`` token sits
+just past the last line, or where a comment on that line starts.
 """
 
 from __future__ import annotations
@@ -49,8 +55,6 @@ FORMAT_VERSION = 1
 
 _KINDS = {k.value: k for k in ClassKind}
 _MULT_RE = re.compile(r"^x(\d+)$")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = "{}():,;."
 
 
 @dataclass(frozen=True)
@@ -70,290 +74,281 @@ class ParseFailure(Exception):
         super().__init__("; ".join(e.render() for e in errors))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "punct", "eof"
-    value: str
-    line: int
-    column: int
+_TOKEN_RE = re.compile(r"([ \t\r]*)(?:([A-Za-z_][A-Za-z0-9_]*)|([{}():,;.])|//.*|([^ \t\r]))")
 
 
-def _tokenize(text: str, filename: str) -> tuple[list[_Token], list[ParseError]]:
-    tokens: list[_Token] = []
+def _tokenize(text: str, filename: str) -> tuple[list[tuple], list[ParseError]]:
+    """The tokens ``(kind, value, line, column)`` of a DSL text, ending with
+    ``eof``, and an error per unexpected character."""
+    tokens: list[tuple] = []
     errors: list[ParseError] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        match = _IDENT_RE.match(text, i)
-        if match:
-            word = match.group(0)
-            tokens.append(_Token("ident", word, line, col))
-            i = match.end()
-            col += len(word)
-            continue
-        errors.append(ParseError(SourceSpan(filename, line, col), f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    tokens.append(_Token("eof", "", line, col))
+    append = tokens.append
+    findall = _TOKEN_RE.findall
+    lines = text.split("\n")
+    for line_no, line in enumerate(lines, 1):
+        column = 1
+        for space, word, punct, other in findall(line):
+            if space:
+                column += len(space)
+            if word:
+                append(("ident", word, line_no, column))
+                column += len(word)
+            elif punct:
+                append(("punct", punct, line_no, column))
+                column += 1
+            elif other:
+                errors.append(ParseError(SourceSpan(filename, line_no, column),
+                                         f"unexpected character {other!r}"))
+                column += 1
+    last = lines[-1]
+    comment = last.find("//")
+    append(("eof", "", len(lines), (comment if comment >= 0 else len(last)) + 1))
     return tokens, errors
 
 
 class _StatementError(Exception):
-    """Internal signal: abandon the current statement and resynchronize."""
+    """Internal signal: abandon the current statement and resynchronize at the
+    token position it carries."""
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], filename: str):
+    """Recursive descent over the token list. Each production takes the
+    position of its first token and returns what it built with the position
+    after its last; it reads the token tuples itself. A token's value alone
+    tells a keyword or punctuation mark apart, since no identifier is a
+    punctuation mark and ``eof`` has an empty value."""
+
+    def __init__(self, tokens: list[tuple], filename: str):
         self.tokens = tokens
         self.filename = filename
-        self.pos = 0
         self.errors: list[ParseError] = []
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def span(self, tok: tuple) -> SourceSpan:
+        return SourceSpan(self.filename, tok[2], tok[3])
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def fail(self, pos: int, message: str, expected: str | None = None) -> None:
+        self.errors.append(ParseError(self.span(self.tokens[pos]), message, expected))
+        raise _StatementError(pos)
 
-    def span(self, tok: _Token) -> SourceSpan:
-        return SourceSpan(self.filename, tok.line, tok.column)
+    def expected(self, pos: int, what: str) -> None:
+        shown = self.tokens[pos][1] or "end of input"
+        self.fail(pos, f"expected {what}, found {shown!r}", what)
 
-    def fail(self, message: str, expected: str | None = None) -> None:
-        tok = self.peek()
-        self.errors.append(ParseError(self.span(tok), message, expected))
-        raise _StatementError()
-
-    def expect_ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            shown = tok.value or "end of input"
-            self.fail(f"expected {what}, found {shown!r}", what)
-        return self.advance()
-
-    def expect_punct(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            shown = tok.value or "end of input"
-            self.fail(f"expected '{value}', found {shown!r}", f"'{value}'")
-        return self.advance()
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
-
-    def eat_keyword(self, word: str) -> bool:
-        if self.at_keyword(word):
-            self.advance()
-            return True
-        return False
-
-    def end_statement(self) -> None:
+    def end_statement(self, pos: int) -> int:
         """Statements close with ';'; the one before '}' may omit it."""
-        if self.at_punct(";"):
-            self.advance()
-        elif not self.at_punct("}"):
-            self.fail("statement is not terminated", "';'")
+        value = self.tokens[pos][1]
+        if value == ";":
+            return pos + 1
+        if value != "}":
+            self.fail(pos, "statement is not terminated", "';'")
+        return pos
 
-    def sync_statement(self) -> None:
+    def sync_statement(self, pos: int) -> int:
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "punct" and tok.value == ";":
-                self.advance()
-                return
-            if tok.kind == "punct" and tok.value == "}":
-                return
-            self.advance()
+            kind, value = tokens[pos][:2]
+            if kind == "eof" or value == "}":
+                return pos
+            if value == ";":
+                return pos + 1
+            pos += 1
 
-    def sync_toplevel(self) -> None:
+    def sync_toplevel(self, pos: int) -> int:
+        tokens = self.tokens
         depth = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if depth == 0 and tok.kind == "ident" and tok.value in ("interface", "class", "assoc"):
-                return
-            if tok.kind == "punct" and tok.value == "{":
+            kind, value = tokens[pos][:2]
+            if kind == "eof" or (depth == 0 and value in ("interface", "class", "assoc")):
+                return pos
+            if value == "{":
                 depth += 1
-            elif tok.kind == "punct" and tok.value == "}":
+            elif value == "}":
                 depth = max(0, depth - 1)
                 if depth == 0:
-                    self.advance()
-                    return
-            self.advance()
+                    return pos + 1
+            pos += 1
 
-    def name_list(self, what: str) -> list[str]:
-        names = [self.expect_ident(what).value]
-        while self.at_punct(","):
-            self.advance()
-            names.append(self.expect_ident(what).value)
-        return names
+    def name_list(self, pos: int, what: str) -> tuple[list[str], int]:
+        tokens = self.tokens
+        names = []
+        while True:
+            if tokens[pos][0] != "ident":
+                self.expected(pos, what)
+            names.append(tokens[pos][1])
+            if tokens[pos + 1][1] != ",":
+                return names, pos + 1
+            pos += 2
 
     # Top-level declarations -------------------------------------------------
 
     def parse_model(self) -> Model:
+        tokens = self.tokens
         model = Model()
+        pos = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
+            kind, value = tokens[pos][:2]
+            if kind == "eof":
+                return model
             try:
-                if self.eat_keyword("interface"):
-                    model.interfaces.append(self.interface_decl())
-                elif self.eat_keyword("class"):
-                    model.classes.append(self.class_decl())
-                elif self.eat_keyword("assoc"):
-                    model.associations.append(self.assoc_decl())
-                elif self.at_punct(";"):
-                    self.advance()
+                if value == "interface":
+                    iface, pos = self.interface_decl(pos + 1)
+                    model.interfaces.append(iface)
+                elif value == "class":
+                    cls, pos = self.class_decl(pos + 1)
+                    model.classes.append(cls)
+                elif value == "assoc":
+                    assoc, pos = self.assoc_decl(pos + 1)
+                    model.associations.append(assoc)
+                elif value == ";":
+                    pos += 1
                 else:
-                    self.fail(f"expected a declaration, found {tok.value!r}",
+                    self.fail(pos, f"expected a declaration, found {value!r}",
                               "'interface', 'class' or 'assoc'")
-            except _StatementError:
-                self.sync_toplevel()
-        return model
+            except _StatementError as exc:
+                pos = self.sync_toplevel(exc.args[0])
 
-    def interface_decl(self) -> Interface:
-        name_tok = self.expect_ident("interface name")
-        iface = Interface(name=name_tok.value, span=self.span(name_tok))
-        if self.eat_keyword("group"):
+    def interface_decl(self, pos: int) -> tuple[Interface, int]:
+        tokens = self.tokens
+        name_tok = tokens[pos]
+        if name_tok[0] != "ident":
+            self.expected(pos, "interface name")
+        iface = Interface(name=name_tok[1], span=self.span(name_tok))
+        pos += 1
+        if tokens[pos][1] == "group":
             iface.is_group = True
-        if self.at_punct(":"):
-            self.advance()
-            iface.generals = self.name_list("interface name")
-        self.expect_punct("{")
-        while not self.at_punct("}"):
-            if self.peek().kind == "eof":
-                self.fail("interface body is not closed", "'}'")
+            pos += 1
+        if tokens[pos][1] == ":":
+            iface.generals, pos = self.name_list(pos + 1, "interface name")
+        if tokens[pos][1] != "{":
+            self.expected(pos, "'{'")
+        pos += 1
+        while (value := tokens[pos][1]) != "}":
+            if not value:
+                self.fail(pos, "interface body is not closed", "'}'")
             try:
-                if self.eat_keyword("op"):
-                    iface.operations.append(self.expect_ident("operation name").value)
-                    self.end_statement()
-                else:
-                    self.fail(f"expected an operation, found {self.peek().value!r}", "'op'")
-            except _StatementError:
-                self.sync_statement()
-        self.expect_punct("}")
-        return iface
+                if value != "op":
+                    self.fail(pos, f"expected an operation, found {value!r}", "'op'")
+                if tokens[pos + 1][0] != "ident":
+                    self.expected(pos + 1, "operation name")
+                iface.operations.append(tokens[pos + 1][1])
+                pos = self.end_statement(pos + 2)
+            except _StatementError as exc:
+                pos = self.sync_statement(exc.args[0])
+        return iface, pos + 1
 
-    def class_decl(self) -> Class:
-        name_tok = self.expect_ident("class name")
-        cls = Class(name=name_tok.value, span=self.span(name_tok))
-        tok = self.peek()
-        if tok.kind == "ident" and tok.value in _KINDS:
-            cls.kind = _KINDS[tok.value]
-            self.advance()
-        if self.at_punct(":"):
-            self.advance()
-            cls.generals = [self.expect_ident("class name").value]
-        self.expect_punct("{")
-        while not self.at_punct("}"):
-            if self.peek().kind == "eof":
-                self.fail("class body is not closed", "'}'")
+    def class_decl(self, pos: int) -> tuple[Class, int]:
+        tokens = self.tokens
+        name_tok = tokens[pos]
+        if name_tok[0] != "ident":
+            self.expected(pos, "class name")
+        cls = Class(name=name_tok[1], span=self.span(name_tok))
+        pos += 1
+        kind = _KINDS.get(tokens[pos][1])
+        if kind is not None:
+            cls.kind = kind
+            pos += 1
+        if tokens[pos][1] == ":":
+            if tokens[pos + 1][0] != "ident":
+                self.expected(pos + 1, "class name")
+            cls.generals = [tokens[pos + 1][1]]
+            pos += 2
+        if tokens[pos][1] != "{":
+            self.expected(pos, "'{'")
+        pos += 1
+        while (value := tokens[pos][1]) != "}":
+            if not value:
+                self.fail(pos, "class body is not closed", "'}'")
             try:
-                self.class_member(cls)
-            except _StatementError:
-                self.sync_statement()
-        self.expect_punct("}")
-        return cls
+                pos = self.class_member(cls, pos)
+            except _StatementError as exc:
+                pos = self.sync_statement(exc.args[0])
+        return cls, pos + 1
 
-    def class_member(self, cls: Class) -> None:
-        if self.eat_keyword("realizes"):
-            cls.realizes.extend(self.name_list("interface name"))
-            self.end_statement()
-        elif self.eat_keyword("uses"):
-            cls.usages.extend(self.name_list("interface name"))
-            self.end_statement()
-        elif self.eat_keyword("part"):
-            name_tok = self.expect_ident("part name")
-            self.expect_punct(":")
-            type_tok = self.expect_ident("type name")
-            multiplicity = 1
-            nxt = self.peek()
-            if nxt.kind == "ident" and _MULT_RE.match(nxt.value):
-                multiplicity = int(_MULT_RE.match(nxt.value).group(1))
-                self.advance()
-            cls.parts.append(Part(name=name_tok.value, type=type_tok.value,
-                                  multiplicity=multiplicity, span=self.span(name_tok)))
-            self.end_statement()
-        elif self.eat_keyword("port"):
-            name_tok = self.expect_ident("port name")
-            self.expect_punct(":")
-            contract_tok = self.expect_ident("interface name")
-            is_reversed = self.eat_keyword("reversed")
-            cls.ports.append(Port(name=name_tok.value, contract=contract_tok.value,
-                                  reversed=is_reversed, span=self.span(name_tok)))
-            self.end_statement()
-        elif self.at_keyword("connector"):
-            conn_tok = self.advance()
-            end1 = self.connector_end()
-            self.expect_punct(",")
-            end2 = self.connector_end()
+    def class_member(self, cls: Class, pos: int) -> int:
+        tokens = self.tokens
+        keyword = tokens[pos][1]
+        if keyword == "part" or keyword == "port":
+            name_tok = tokens[pos + 1]
+            if name_tok[0] != "ident":
+                self.expected(pos + 1, f"{keyword} name")
+            if tokens[pos + 2][1] != ":":
+                self.expected(pos + 2, "':'")
+            if tokens[pos + 3][0] != "ident":
+                self.expected(pos + 3, "type name" if keyword == "part" else "interface name")
+            type_name = tokens[pos + 3][1]
+            pos += 4
+            nxt_kind, nxt = tokens[pos][:2]
+            if keyword == "port":
+                is_reversed = nxt == "reversed"
+                pos += is_reversed
+                cls.ports.append(Port(name=name_tok[1], contract=type_name,
+                                      reversed=is_reversed, span=self.span(name_tok)))
+            else:
+                match = _MULT_RE.match(nxt) if nxt_kind == "ident" else None
+                pos += match is not None
+                cls.parts.append(Part(name=name_tok[1], type=type_name,
+                                      multiplicity=int(match.group(1)) if match else 1,
+                                      span=self.span(name_tok)))
+        elif keyword == "connector":
+            conn_tok = tokens[pos]
+            end1, pos = self.connector_end(pos + 1)
+            if tokens[pos][1] != ",":
+                self.expected(pos, "','")
+            end2, pos = self.connector_end(pos + 1)
             association = None
-            if self.eat_keyword("via"):
-                association = self.expect_ident("association name").value
+            if tokens[pos][1] == "via":
+                if tokens[pos + 1][0] != "ident":
+                    self.expected(pos + 1, "association name")
+                association = tokens[pos + 1][1]
+                pos += 2
             cls.connectors.append(Connector(end1=end1, end2=end2, association=association,
                                             span=self.span(conn_tok)))
-            self.end_statement()
+        elif keyword == "realizes" or keyword == "uses":
+            names, pos = self.name_list(pos + 1, "interface name")
+            (cls.realizes if keyword == "realizes" else cls.usages).extend(names)
         else:
-            self.fail(f"expected a class member, found {self.peek().value!r}",
+            self.fail(pos, f"expected a class member, found {keyword!r}",
                       "'realizes', 'uses', 'part', 'port' or 'connector'")
+        return self.end_statement(pos)
 
-    def connector_end(self) -> EndRef:
-        head = self.expect_ident("part name, or 'self'")
-        if head.value == "self":
-            self.expect_punct(".")
-            port = self.expect_ident("port name")
-            return EndRef(part=None, port=port.value)
-        if self.at_punct("."):
-            self.advance()
-            port = self.expect_ident("port name")
-            return EndRef(part=head.value, port=port.value)
-        return EndRef(part=head.value, port=None)
+    def connector_end(self, pos: int) -> tuple[EndRef, int]:
+        tokens = self.tokens
+        head = tokens[pos][1]
+        if tokens[pos][0] != "ident":
+            self.expected(pos, "part name, or 'self'")
+        if head != "self" and tokens[pos + 1][1] != ".":
+            return EndRef(part=head, port=None), pos + 1
+        if tokens[pos + 1][1] != ".":
+            self.expected(pos + 1, "'.'")
+        if tokens[pos + 2][0] != "ident":
+            self.expected(pos + 2, "port name")
+        return EndRef(part=None if head == "self" else head, port=tokens[pos + 2][1]), pos + 3
 
-    def assoc_decl(self) -> Association:
-        name_tok = self.expect_ident("association name")
-        self.expect_punct("(")
-        end1 = self.assoc_end()
-        self.expect_punct(",")
-        end2 = self.assoc_end()
-        self.expect_punct(")")
-        if self.at_punct(";"):
-            self.advance()
-        return Association(name=name_tok.value, end1=end1, end2=end2, span=self.span(name_tok))
+    def assoc_decl(self, pos: int) -> tuple[Association, int]:
+        tokens = self.tokens
+        name_tok = tokens[pos]
+        if name_tok[0] != "ident":
+            self.expected(pos, "association name")
+        if tokens[pos + 1][1] != "(":
+            self.expected(pos + 1, "'('")
+        end1, pos = self.assoc_end(pos + 2)
+        if tokens[pos][1] != ",":
+            self.expected(pos, "','")
+        end2, pos = self.assoc_end(pos + 1)
+        if tokens[pos][1] != ")":
+            self.expected(pos, "')'")
+        pos += 1
+        if tokens[pos][1] == ";":
+            pos += 1
+        return Association(name=name_tok[1], end1=end1, end2=end2,
+                           span=self.span(name_tok)), pos
 
-    def assoc_end(self) -> AssociationEnd:
-        type_tok = self.expect_ident("classifier name")
-        navigable = self.eat_keyword("nav")
-        return AssociationEnd(type=type_tok.value, navigable=navigable)
+    def assoc_end(self, pos: int) -> tuple[AssociationEnd, int]:
+        tok = self.tokens[pos]
+        if tok[0] != "ident":
+            self.expected(pos, "classifier name")
+        navigable = self.tokens[pos + 1][1] == "nav"
+        return AssociationEnd(type=tok[1], navigable=navigable), pos + 1 + navigable
 
 
 def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
@@ -377,10 +372,13 @@ class _JsonReader:
         self.filename = filename
         self.errors: list[ParseError] = []
 
-    def err(self, path: str, message: str) -> None:
-        self.errors.append(ParseError(SourceSpan(self.filename, 1, 1), f"{path}: {message}"))
+    def err(self, path: tuple, message: str) -> None:
+        """Report ``message`` at an element path such as ``("classes", 0, "parts", 1)``,
+        written out as ``$.classes[0].parts[1]`` only here."""
+        where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)
+        self.errors.append(ParseError(SourceSpan(self.filename, 1, 1), f"${where}: {message}"))
 
-    def str_field(self, obj: dict, key: str, path: str, default: str | None = None) -> str | None:
+    def str_field(self, obj: dict, key: str, path: tuple, default: str | None = None) -> str | None:
         value = obj.get(key, default)
         if value is default:
             if default is None and key not in obj:
@@ -391,20 +389,20 @@ class _JsonReader:
             return default
         return value
 
-    def list_field(self, obj: dict, key: str, path: str) -> list:
+    def list_field(self, obj: dict, key: str, path: tuple) -> list:
         value = obj.get(key, [])
         if not isinstance(value, list):
             self.err(path, f"field '{key}' must be an array")
             return []
         return value
 
-    def str_list(self, obj: dict, key: str, path: str) -> list[str]:
+    def str_list(self, obj: dict, key: str, path: tuple) -> list[str]:
         out = []
         for i, item in enumerate(self.list_field(obj, key, path)):
             if isinstance(item, str):
                 out.append(item)
             else:
-                self.err(f"{path}.{key}[{i}]", "must be a string")
+                self.err((*path, key, i), "must be a string")
         return out
 
 
@@ -423,10 +421,10 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
                                        "top level must be an object")])
     version = data.get("formatVersion", FORMAT_VERSION)
     if version != FORMAT_VERSION:
-        reader.err("$", f"unsupported formatVersion {version!r} (expected {FORMAT_VERSION})")
+        reader.err((), f"unsupported formatVersion {version!r} (expected {FORMAT_VERSION})")
     model = Model()
-    for i, raw in enumerate(reader.list_field(data, "interfaces", "$")):
-        path = f"$.interfaces[{i}]"
+    for i, raw in enumerate(reader.list_field(data, "interfaces", ())):
+        path = ("interfaces", i)
         if not isinstance(raw, dict):
             reader.err(path, "must be an object")
             continue
@@ -443,8 +441,8 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             is_group=group,
             operations=reader.str_list(raw, "operations", path),
         ))
-    for i, raw in enumerate(reader.list_field(data, "classes", "$")):
-        path = f"$.classes[{i}]"
+    for i, raw in enumerate(reader.list_field(data, "classes", ())):
+        path = ("classes", i)
         if not isinstance(raw, dict):
             reader.err(path, "must be an object")
             continue
@@ -460,7 +458,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
                     realizes=reader.str_list(raw, "realizes", path),
                     usages=reader.str_list(raw, "uses", path))
         for j, attr in enumerate(reader.list_field(raw, "attributes", path)):
-            apath = f"{path}.attributes[{j}]"
+            apath = ("classes", i, "attributes", j)
             if not isinstance(attr, dict):
                 reader.err(apath, "must be an object")
                 continue
@@ -469,7 +467,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if aname is not None and atype is not None:
                 cls.attributes.append(Attribute(aname, atype))
         for j, part in enumerate(reader.list_field(raw, "parts", path)):
-            ppath = f"{path}.parts[{j}]"
+            ppath = ("classes", i, "parts", j)
             if not isinstance(part, dict):
                 reader.err(ppath, "must be an object")
                 continue
@@ -482,7 +480,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if pname is not None and ptype is not None:
                 cls.parts.append(Part(name=pname, type=ptype, multiplicity=mult))
         for j, port in enumerate(reader.list_field(raw, "ports", path)):
-            ppath = f"{path}.ports[{j}]"
+            ppath = ("classes", i, "ports", j)
             if not isinstance(port, dict):
                 reader.err(ppath, "must be an object")
                 continue
@@ -495,7 +493,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if pname is not None and contract is not None:
                 cls.ports.append(Port(name=pname, contract=contract, reversed=rev))
         for j, conn in enumerate(reader.list_field(raw, "connectors", path)):
-            cpath = f"{path}.connectors[{j}]"
+            cpath = ("classes", i, "connectors", j)
             if not isinstance(conn, dict):
                 reader.err(cpath, "must be an object")
                 continue
@@ -520,8 +518,8 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
                 association = None
             cls.connectors.append(Connector(end1=ends[0], end2=ends[1], association=association))
         model.classes.append(cls)
-    for i, raw in enumerate(reader.list_field(data, "associations", "$")):
-        path = f"$.associations[{i}]"
+    for i, raw in enumerate(reader.list_field(data, "associations", ())):
+        path = ("associations", i)
         if not isinstance(raw, dict):
             reader.err(path, "must be an object")
             continue
@@ -536,7 +534,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if not isinstance(raw_end, dict):
                 reader.err(path, f"field '{key}' must be an object")
                 raw_end = {"type": "?"}
-            etype = reader.str_field(raw_end, "type", f"{path}.{key}")
+            etype = reader.str_field(raw_end, "type", (*path, key))
             nav = raw_end.get("navigable", False)
             if not isinstance(nav, bool):
                 reader.err(path, f"'{key}.navigable' must be a boolean")
@@ -548,7 +546,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
         if isinstance(root, str):
             model.root = root
         else:
-            reader.err("$", "field 'root' must be a string")
+            reader.err((), "field 'root' must be a string")
     if reader.errors:
         raise ParseFailure(reader.errors)
     return model

@@ -194,20 +194,43 @@ def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set
     if root_cls is None:
         raise SimError(f"root '{root_name}' is not a class of the model")
     graph = InstanceGraph(model, root_id=root_cls.name, typing=index)
-    _create(graph, root_cls, root_cls.name, None)
+    _create(graph, root_cls)
     return graph
 
 
-def _create(graph: InstanceGraph, cls: Class, instance_id: str, parent: str | None) -> None:
-    """Create an instance, its ports, its parts (depth first) and its bindings.
-    Not a closure: one that calls itself is a reference cycle, which keeps each
-    finished graph alive until the next full garbage collection."""
+def _create(graph: InstanceGraph, root: Class) -> None:
+    """Create the root instance and everything below it: each instance, then
+    its ports, then its parts depth first, and its bindings once its parts
+    have theirs. Composite instances whose parts are still being created wait
+    on an explicit stack, so nesting depth is not bounded by the recursion
+    limit."""
+    _add_instance(graph, root, root.name, None)
+    stack = [(root, root.name, _part_instances(graph, root, root.name))]
+    while stack:
+        cls, instance_id, children = stack[-1]
+        for child_cls, child_id in children:
+            _add_instance(graph, child_cls, child_id, instance_id)
+            if child_cls.parts:  # descend; this level resumes after the child is done
+                stack.append((child_cls, child_id, _part_instances(graph, child_cls, child_id)))
+                break
+            _bind_connectors(graph, child_cls, child_id)
+        else:
+            stack.pop()
+            _bind_connectors(graph, cls, instance_id)
+
+
+def _add_instance(graph: InstanceGraph, cls: Class, instance_id: str, parent: str | None) -> None:
     graph.components[instance_id] = ComponentInstance(
         id=instance_id, class_name=cls.name, parent=parent, seq=graph.next_seq())
     for port in cls.ports:
         pid = f"{instance_id}.{port.name}"
         graph.ports[pid] = PortInstance(id=pid, owner=instance_id,
                                         declaration=port, seq=graph.next_seq())
+
+
+def _part_instances(graph: InstanceGraph, cls: Class, instance_id: str):
+    """Record the instance ids of each part of an instance, part by part, and
+    yield ``(class, id)`` for each of them."""
     for part in cls.parts:
         part_cls = graph.typing.classes.get(part.type)
         assert part_cls is not None
@@ -216,8 +239,7 @@ def _create(graph: InstanceGraph, cls: Class, instance_id: str, parent: str | No
             [f"{base}[{i}]" for i in range(part.multiplicity)]
         graph.part_instances[(instance_id, part.name)] = child_ids
         for child_id in child_ids:
-            _create(graph, part_cls, child_id, instance_id)
-    _bind_connectors(graph, cls, instance_id)
+            yield part_cls, child_id
 
 
 def _site_holder_ids(graph: InstanceGraph, composite_id: str, site) -> list[str]:

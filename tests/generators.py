@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import json
 import random
+import re
 
 from compocheck.model import (
     Association,
@@ -424,3 +426,187 @@ def corrupt_names(rng: random.Random, model: Model, mutations: int) -> Model:
     for _ in range(mutations):
         rng.choice(ops)()
     return model
+
+
+_DSL_PIECE = re.compile(r"//[^\n]*|[ \t\r\n]+|[A-Za-z_][A-Za-z0-9_]*|.", re.S)
+_SEPARATORS = [" ", " ", " ", "  ", "\t", "\n", "\n  ", "\r\n", " // note\n", "\n// é\n"]
+_STRAYS = ["@", "#", "é", "\x00", "\r", "\t", "/", "$", "9", "\x0b", "\x0c", "\x1c", "\x85",
+           " ", "{", "}", ";", ":", ".", "x3", "self", "class"]
+
+
+def _interleave(rng: random.Random, runs: list[list]) -> list:
+    """Merge several lists at random, keeping each list's own order."""
+    runs = [list(run) for run in runs if run]
+    out = []
+    while runs:
+        run = rng.choice(runs)
+        out.append(run.pop(0))
+        if not run:
+            runs.remove(run)
+    return out
+
+
+def model_to_dsl(rng: random.Random, model: Model) -> str:
+    """Write ``model`` as DSL text with a seeded layout: declarations of
+    different kinds interleaved, random whitespace, ``\\r\\n`` line ends and
+    comments between tokens, and optional statement terminators. Parsing the
+    text gives back the model without its root (the DSL has no root)."""
+    def end_tokens(ref: EndRef) -> list[str]:
+        if ref.part is None:
+            return ["self", ".", ref.port]
+        return [ref.part] if ref.port is None else [ref.part, ".", ref.port]
+
+    def body(statements: list[list[str]]) -> list[str]:
+        out = ["{"]
+        for k, statement in enumerate(statements):
+            last = k == len(statements) - 1
+            out += statement if last and rng.random() < 0.3 else statement + [";"]
+        return out + ["}"]
+
+    def interface_tokens(iface: Interface) -> list[str]:
+        out = ["interface", iface.name] + (["group"] if iface.is_group else [])
+        if iface.generals:
+            out += [":"] + _comma_list(iface.generals)
+        return out + body([["op", op] for op in iface.operations])
+
+    def class_tokens(cls: Class) -> list[str]:
+        out = ["class", cls.name]
+        if cls.kind is not ClassKind.PASSIVE or rng.random() < 0.3:
+            out.append(cls.kind.value)
+        if cls.generals:
+            out += [":", cls.generals[0]]
+        statements = []
+        for keyword, names in (("realizes", cls.realizes), ("uses", cls.usages)):
+            if names and rng.random() < 0.5:
+                statements += [[keyword, name] for name in names]
+            elif names:
+                statements.append([keyword] + _comma_list(names))
+        parts = [["part", p.name, ":", p.type]
+                 + ([f"x{p.multiplicity}"] if p.multiplicity != 1 or rng.random() < 0.2 else [])
+                 for p in cls.parts]
+        ports = [["port", p.name, ":", p.contract] + (["reversed"] if p.reversed else [])
+                 for p in cls.ports]
+        connectors = [["connector"] + end_tokens(c.end1) + [","] + end_tokens(c.end2)
+                      + (["via", c.association] if c.association is not None else [])
+                      for c in cls.connectors]
+        return out + body(statements + _interleave(rng, [parts, ports, connectors]))
+
+    def assoc_tokens(assoc: Association) -> list[str]:
+        ends = [[end.type] + (["nav"] if end.navigable else []) for end in (assoc.end1, assoc.end2)]
+        return (["assoc", assoc.name, "("] + ends[0] + [","] + ends[1] + [")"]
+                + ([";"] if rng.random() < 0.7 else []))
+
+    declarations = _interleave(rng, [[interface_tokens(i) for i in model.interfaces],
+                                     [class_tokens(c) for c in model.classes],
+                                     [assoc_tokens(a) for a in model.associations]])
+    pieces = []
+    for tokens in declarations:
+        for token in tokens:
+            pieces += [token, rng.choice(_SEPARATORS)]
+        pieces.append("\n" if rng.random() < 0.8 else "\n\n")
+    return "".join(pieces)
+
+
+def _comma_list(names: list[str]) -> list[str]:
+    out = [names[0]]
+    for name in names[1:]:
+        out += [",", name]
+    return out
+
+
+def corrupt_dsl(rng: random.Random, text: str, mutations: int) -> str:
+    """Apply ``mutations`` seeded corruptions to DSL text: delete, duplicate or
+    swap tokens, insert stray characters (including the line breaks that
+    ``str.splitlines`` knows but the DSL does not), end with a ``//`` comment
+    and no final newline, or cut the text short inside a body."""
+    pieces = _DSL_PIECE.findall(text)
+    for _ in range(mutations):
+        tokens = [k for k, piece in enumerate(pieces) if not piece.isspace()]
+        choice = rng.randrange(7)
+        if choice == 0 and tokens:
+            del pieces[rng.choice(tokens)]
+        elif choice == 1 and tokens:
+            k = rng.choice(tokens)
+            pieces.insert(k, pieces[k] + rng.choice(["", " "]))
+        elif choice == 2 and len(tokens) >= 2:
+            k = rng.randrange(len(tokens) - 1)
+            a, b = rng.sample(tokens, 2) if rng.random() < 0.5 else (tokens[k], tokens[k + 1])
+            pieces[a], pieces[b] = pieces[b], pieces[a]
+        elif choice == 3:
+            joined = "".join(pieces)
+            at = rng.randint(0, len(joined))
+            pieces = _DSL_PIECE.findall(joined[:at] + rng.choice(_STRAYS) + joined[at:])
+        elif choice == 4:
+            pieces = _DSL_PIECE.findall("".join(pieces).rstrip("\n")
+                                        + rng.choice([" // tail", "//", "\t// é"]))
+        elif choice == 5 and tokens:
+            del pieces[rng.choice(tokens[len(tokens) // 2:]):]
+        else:
+            closers = [k for k in tokens if pieces[k] == "}"]
+            if closers:
+                del pieces[rng.choice(closers)]
+    return "".join(pieces)
+
+
+_SOUP_WORDS = ["interface", "class", "assoc", "op", "group", "realizes", "uses", "part", "port",
+               "connector", "via", "self", "nav", "reversed", "active", "passive", "observer",
+               "protected", "A", "B", "I", "J", "x2", "x0", "x1", "_q", "a1", "deleg_I"]
+_SOUP_MARKS = list("{}():,;.") + ["//", "// c", "// é\x0b", "/"]
+_SOUP_GAPS = ["", " ", " ", "\t", "\r", "\n", "\r\n", "\n\n", "\x0b", "\x0c", "\x1c", "\x85",
+              " ", "@", "#", "é", "\x00", "$", "-", "9", "42"]
+
+
+def token_soup(rng: random.Random, length: int) -> str:
+    """``length`` random DSL words and marks with random gaps, comments and
+    stray characters between them; two words may run together."""
+    pieces = []
+    for _ in range(length):
+        pieces.append(rng.choice(_SOUP_WORDS) if rng.random() < 0.6 else rng.choice(_SOUP_MARKS))
+        pieces.append(rng.choice(_SOUP_GAPS))
+    return "".join(pieces)
+
+
+def mutate_json_document(rng: random.Random, text: str, mutations: int) -> str:
+    """Apply ``mutations`` seeded schema violations to a canonical JSON model:
+    a value of the wrong type, a deleted or added field, a bogus format
+    version or class kind, or a document cut short."""
+    doc = json.loads(text)
+    junk = [None, 3, 2.5, True, "s", [], {}, ["x", 1], {"name": 1}]
+
+    def containers(value, out):
+        if isinstance(value, (dict, list)):
+            out.append(value)
+            for child in (value.values() if isinstance(value, dict) else value):
+                containers(child, out)
+        return out
+
+    for _ in range(mutations):
+        targets = containers(doc, [])
+        target = rng.choice(targets)
+        choice = rng.randrange(6)
+        if choice == 0 and target:
+            key = rng.choice(list(target)) if isinstance(target, dict) else \
+                rng.randrange(len(target))
+            target[key] = rng.choice(junk)
+        elif choice == 1 and target:
+            if isinstance(target, dict):
+                del target[rng.choice(list(target))]
+            else:
+                del target[rng.randrange(len(target))]
+        elif choice == 2 and isinstance(target, dict):
+            target[rng.choice(["name", "type", "kind", "group", "multiplicity", "reversed",
+                               "navigable", "synthesized", "part", "port", "association",
+                               "end1", "end2", "root", "extra"])] = rng.choice(junk + ["A"])
+        elif choice == 3:
+            doc["formatVersion"] = rng.choice([0, 2, "1", None, 1])
+        elif choice == 4:
+            classes = [c for c in doc.get("classes", []) if isinstance(c, dict)] \
+                if isinstance(doc.get("classes"), list) else []
+            if classes:
+                rng.choice(classes)["kind"] = rng.choice(["bogus", "Active", 1, "observer"])
+        elif isinstance(target, list):
+            target.append(rng.choice(junk))
+    out = json.dumps(doc, indent=rng.choice([None, 2]))
+    if rng.random() < 0.1:
+        out = out[:rng.randint(0, len(out))]
+    return out

@@ -16,13 +16,22 @@ what the package produced for it:
   well-formed seeds;
 * ``integrity/...``: ``validate_integrity`` diagnostics of models with
   ``corrupt_names`` applied and, where those pass, the E004 conflicts that
-  ``synthesize_deleg_associations`` raises or the association names it leaves.
+  ``synthesize_deleg_associations`` raises or the association names it leaves;
+* ``parse/...``: what ``parse_dsl`` makes of the fixtures, of 200
+  ``random_wellformed_model`` seeds written by ``model_to_dsl``, of 600
+  ``corrupt_dsl`` corruptions of such texts and of 300 token soups: the
+  ``serialize_json`` text and every element span of the model, or the full
+  ``ParseError`` list as (file, line, column, message, expected);
+* ``parse-json/...``: the same for ``parse_json`` on the JSON fixture and on
+  500 ``mutate_json_document`` mutations of well-formed models.
 
 ``golden_digests.json`` holds the ``check``, ``explain`` and ``simulate``
 digests recorded before connector typing moved into one index per check, the
 ``bindings`` digests recorded before the simulator kept its part-instance
 table and run queue, and the ``integrity`` digests recorded while integrity
-checks and deleg synthesis still looked names up with ``Model.find_*``;
+checks and deleg synthesis still looked names up with ``Model.find_*``, and
+the ``parse`` and ``parse-json`` digests recorded with the character-by-character
+DSL scanner and the JSON reader that formatted every element path up front;
 ``test_golden.py`` recomputes them. To record them again,
 only when an output change is intended::
 
@@ -39,7 +48,7 @@ import random
 from pathlib import Path
 
 from compocheck import cli
-from compocheck.ingest import ParseFailure, parse_dsl, parse_json
+from compocheck.ingest import ParseFailure, parse_dsl, parse_json, serialize_json
 from compocheck.model import (
     DelegConflictError,
     Model,
@@ -56,10 +65,14 @@ from compocheck.simulator import (
     run_to_quiescence,
 )
 from generators import (
+    corrupt_dsl,
     corrupt_names,
+    model_to_dsl,
+    mutate_json_document,
     random_classifier_dag,
     random_fanout_port_model,
     random_wellformed_model,
+    token_soup,
 )
 from mutants import MUTATION_PAIRS
 
@@ -69,6 +82,9 @@ GOLDEN = HERE / "golden_digests.json"
 WELLFORMED_SEEDS = range(200)
 FANOUT_SEEDS = range(100)
 INTEGRITY_SEEDS = range(1000)
+PARSE_CORRUPT_SEEDS = range(600)
+PARSE_SOUP_SEEDS = range(300)
+PARSE_JSON_SEEDS = range(500)
 
 
 def _digest(value) -> str:
@@ -142,6 +158,61 @@ def _integrity(model: Model) -> dict:
     return out
 
 
+def _spans(model: Model) -> list:
+    def at(path: str, element) -> list:
+        span = element.span
+        return [path, None] if span is None else [path, span.file, span.line, span.column]
+
+    out = [at(i.name, i) for i in model.interfaces] + [at(a.name, a) for a in model.associations]
+    for cls in model.classes:
+        out.append(at(cls.name, cls))
+        out += [at(f"{cls.name}.{m.name}", m) for m in cls.parts + cls.ports]
+        out += [at(f"{cls.name}#{k}", c) for k, c in enumerate(cls.connectors)]
+    return out
+
+
+def _parsed(parse, text: str, filename: str) -> dict:
+    """The model a parser builds, with its spans, or every error it reports."""
+    try:
+        model = parse(text, filename)
+    except ParseFailure as failure:
+        return {"errors": [[e.span.file, e.span.line, e.span.column, e.message, e.expected]
+                           for e in failure.errors]}
+    return {"model": serialize_json(model), "spans": _spans(model)}
+
+
+def _dsl_text(seed: int) -> str:
+    rng = random.Random(seed)
+    return model_to_dsl(rng, random_wellformed_model(rng))
+
+
+def _parse_digests() -> dict[str, str]:
+    digests = {}
+    for path in sorted(FIXTURES.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        digests[f"parse/fixture/{path.name}"] = _digest(_parsed(parse_dsl, text, path.name))
+        if path.name.endswith(".json"):
+            digests[f"parse-json/fixture/{path.name}"] = \
+                _digest(_parsed(parse_json, text, path.name))
+    for seed in WELLFORMED_SEEDS:
+        digests[f"parse/wellformed/{seed}"] = \
+            _digest(_parsed(parse_dsl, _dsl_text(seed), f"w{seed}.csm"))
+    for seed in PARSE_CORRUPT_SEEDS:
+        rng = random.Random(seed)
+        text = corrupt_dsl(rng, _dsl_text(seed % 200), rng.randint(1, 4))
+        digests[f"parse/corrupt/{seed}"] = _digest(_parsed(parse_dsl, text, f"c{seed}.csm"))
+    for seed in PARSE_SOUP_SEEDS:
+        rng = random.Random(seed)
+        text = token_soup(rng, rng.randint(0, 60))
+        digests[f"parse/soup/{seed}"] = _digest(_parsed(parse_dsl, text, f"s{seed}.csm"))
+    for seed in PARSE_JSON_SEEDS:
+        rng = random.Random(seed)
+        text = mutate_json_document(rng, serialize_json(random_wellformed_model(rng)),
+                                    rng.randint(1, 4))
+        digests[f"parse-json/{seed}"] = _digest(_parsed(parse_json, text, f"j{seed}.csm.json"))
+    return digests
+
+
 def compute_digests() -> dict[str, str]:
     digests: dict[str, str] = {}
     for name, model in _fixture_models().items():
@@ -166,6 +237,7 @@ def compute_digests() -> dict[str, str]:
         digests[f"check/fanout/{seed}"] = _digest(check_model(model).to_dict())
     for seed in INTEGRITY_SEEDS:
         digests[f"integrity/{seed}"] = _digest(_integrity(_corrupted_model(seed)))
+    digests.update(_parse_digests())
     return digests
 
 

@@ -8,7 +8,10 @@ intersection, plain DFS) and never calls the code paths it checks.
 from __future__ import annotations
 
 import itertools
+import re
 
+from compocheck.diagnostics import SourceSpan
+from compocheck.ingest import ParseError
 from compocheck.model import Class, Model, Part, Port
 
 
@@ -185,3 +188,50 @@ def next_request_oracle(graph) -> int | None:
     pending = [(created(r.location), r.id) for r in graph.requests.values()
                if r.status.value == "inTransit"]
     return min(pending)[1] if pending else None
+
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def tokenize_oracle(text: str, filename: str) -> tuple[list[tuple], list[ParseError]]:
+    """The DSL tokens ``(kind, value, line, column)`` and lexical errors, from a
+    walk over the text one character at a time. A ``//`` comment runs to the
+    next newline without moving the column, so an ``eof`` after a trailing
+    comment sits where the comment starts."""
+    tokens: list[tuple] = []
+    errors: list[ParseError] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "{}():,;.":
+            tokens.append(("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        match = _IDENT_RE.match(text, i)
+        if match:
+            word = match.group(0)
+            tokens.append(("ident", word, line, col))
+            i = match.end()
+            col += len(word)
+            continue
+        errors.append(ParseError(SourceSpan(filename, line, col), f"unexpected character {ch!r}"))
+        i += 1
+        col += 1
+    tokens.append(("eof", "", line, col))
+    return tokens, errors

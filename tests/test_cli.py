@@ -5,15 +5,26 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compocheck import cli
 from compocheck.cli import main
 
-from conftest import ATM, BROKEN, DELEGATION, LEAF, MIXED_CONCURRENCY
+from conftest import ATM, BROKEN, DELEGATION, FIXTURES, LEAF, MIXED_CONCURRENCY
+from generators import (
+    corrupt_dsl,
+    model_to_dsl,
+    mutate_json_document,
+    relay_chain_model,
+    token_soup,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -235,3 +246,51 @@ def test_format_override(tmp_path):
 def test_outputs_are_byte_stable(fixture, args):
     runs = {run_cli(args[0], str(fixture), "--output", "json", *args[1:]) for _ in range(3)}
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize("command,args,last_line", [
+    ("check", (), "check: PASSED (0 error(s), 0 warning(s))"),
+    ("explain", ("R1#0",), "association: None"),
+    ("simulate", ("--root", "R1"), "routing safety: PASSED"),
+])
+def test_deep_nesting_runs_under_the_default_recursion_limit(tmp_path, command, args, last_line):
+    depth = 3000
+    assert sys.getrecursionlimit() < depth
+    path = tmp_path / "deep.csm"
+    path.write_text(model_to_dsl(random.Random(0), relay_chain_model(depth)), encoding="utf-8")
+    code, out = run_cli(command, str(path), *args)
+    assert (code, out.splitlines()[-1]) == (0, last_line)
+
+
+def _fuzzed_input(seed: int) -> tuple[str, str]:
+    """A token soup, or a fixture with seeded corruptions: (file name, text)."""
+    rng = random.Random(seed)
+    fixture = rng.choice([None] + sorted(FIXTURES.iterdir()))
+    if fixture is None:
+        return "soup.csm", token_soup(rng, rng.randint(0, 80))
+    text = fixture.read_text(encoding="utf-8")
+    if fixture.name.endswith(".json"):
+        return fixture.name, mutate_json_document(rng, text, rng.randint(0, 3))
+    return fixture.name, corrupt_dsl(rng, text, rng.randint(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       command=st.sampled_from(["check", "explain", "simulate"]),
+       output=st.sampled_from(["text", "json"]))
+def test_main_never_crashes_on_fuzzed_inputs(tmp_path_factory, seed, command, output):
+    name, text = _fuzzed_input(seed)
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_text(text, encoding="utf-8")
+    extra = {"explain": ["A"], "simulate": [] if name.endswith(".json") else ["--root", "A"]}
+    argv = [command, str(path), "--output", output, *extra.get(command, [])]
+    runs = []
+    for _ in range(2):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        runs.append((code, stdout.getvalue(), stderr.getvalue()))
+    code, out, err = runs[0]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    assert runs[1] == runs[0]

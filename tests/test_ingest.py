@@ -17,8 +17,10 @@ from compocheck import (
     without_synthesized,
 )
 
-from conftest import ATM, BROKEN, DELEGATION
-from generators import random_wellformed_model
+from compocheck.ingest import _tokenize
+from conftest import ATM, BROKEN, DELEGATION, FIXTURES
+from generators import corrupt_dsl, model_to_dsl, random_wellformed_model, token_soup
+from oracles import tokenize_oracle
 
 
 def test_minimal_realization_parses():
@@ -176,3 +178,22 @@ def test_round_trip_on_generated_models(seed):
 def test_broken_fixture_fails_to_parse():
     with pytest.raises(ParseFailure):
         parse_dsl(BROKEN.read_text(encoding="utf-8"), "broken_syntax.csm")
+
+
+def _scanner_inputs():
+    for path in sorted(FIXTURES.iterdir()):
+        yield path.read_text(encoding="utf-8")
+    for seed in range(2000):
+        rng = random.Random(seed)
+        yield token_soup(rng, rng.randint(0, 60))
+    for seed in range(300):
+        rng = random.Random(seed)
+        yield corrupt_dsl(rng, model_to_dsl(rng, random_wellformed_model(rng)), rng.randint(1, 5))
+    # ends with comments and blanks (eof position), and the line breaks
+    # str.splitlines knows but the DSL does not
+    yield from ["", "//", "a //", "a\n  // c", "a \t\r", "a\x0bb\x1cc\u2028d\x85e", "\r\n\r"]
+
+
+def test_scanner_matches_the_character_walk_oracle():
+    for text in _scanner_inputs():
+        assert _tokenize(text, "f.csm") == tokenize_oracle(text, "f.csm"), repr(text)
