@@ -20,6 +20,7 @@ from .model import (
     Connector,
     DelegConflictError,
     EndRef,
+    IntegrityError,
     Interface,
     Model,
     ModelError,
@@ -62,7 +63,7 @@ __all__ = [
     "__version__",
     "Association", "AssociationEnd", "Attribute", "Class", "ClassKind", "Connector",
     "Diagnostic", "Severity", "SourceSpan", "EndRef", "Interface", "Model", "Part", "Port",
-    "ModelError", "DelegConflictError", "UnknownPathError",
+    "ModelError", "IntegrityError", "DelegConflictError", "UnknownPathError",
     "ParseError", "ParseFailure", "parse_dsl", "parse_json", "serialize_json",
     "deleg_name", "resolve", "synthesize_deleg_associations", "validate_integrity",
     "without_synthesized",

@@ -23,29 +23,33 @@ from .ingest import ParseFailure, parse_auto
 from .model import (
     Class,
     Connector,
+    DelegConflictError,
+    IntegrityError,
     Interface,
     Model,
-    ModelError,
     Part,
     Port,
     UnknownPathError,
     resolve,
-    synthesize_deleg_associations,
-    validate_integrity,
+    synthesize_deleg_associations,  # unused: perfbench's tracer patches it
+    validate_integrity,  # unused: perfbench's tracer patches it
 )
 from .rules import (
     CheckReport,
     _fmt_set,
-    check_model,
+    check_model,  # unused: perfbench's tracer patches it
     code_counts,
     pairwise_disjoint_by_cardinality,
+    prepare,
+    run_rules,
 )
 from .simulator import (
     SimError,
+    build_graph,
     check_type_safety,
     default_injection_suite,
     inject,
-    instantiate,
+    instantiate,  # unused: perfbench's tracer patches it
     run_to_quiescence,
 )
 from .type_system import TypingIndex
@@ -90,8 +94,9 @@ def _print_parse_failure(path: str, failure: ParseFailure, out) -> None:
 
 
 def _load(path: str, fmt: str) -> Model:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_auto(text, path, fmt)
+    # Decoded bytes, not read_text: its newline translation turns a lone "\r"
+    # into a line break, and the parsers would report other positions.
+    return parse_auto(Path(path).read_bytes().decode("utf-8"), path, fmt)
 
 
 def _print_report_json(args, report: CheckReport, out) -> None:
@@ -113,24 +118,24 @@ def _reject(args, diagnostics: list, out, summary: str | None = None) -> tuple[N
     return None, EXIT_INPUT
 
 
-def _prepare(args, out) -> tuple[Model, None] | tuple[None, int]:
-    """Parse, integrity-check and synthesize; returns (model, None) or (None, exit code)."""
+def _prepare(args, out) -> tuple[TypingIndex, None] | tuple[None, int]:
+    """Parse and run the front stages; returns (index, None) or (None, exit code)."""
     try:
         model = _load(args.input, args.format)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc.strerror or exc}", file=out)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.input}: {getattr(exc, 'strerror', None) or exc}",
+              file=out)
         return None, EXIT_INPUT
     except ParseFailure as failure:
         _print_parse_failure(args.input, failure, out)
         return None, EXIT_INPUT
-    integrity = validate_integrity(model)
-    if integrity:
-        return _reject(args, integrity, out, f"{args.input}: {len(integrity)} integrity error(s)")
     try:
-        model = synthesize_deleg_associations(model)
-    except ModelError as exc:
+        return prepare(model), None
+    except IntegrityError as exc:
+        return _reject(args, exc.diagnostics, out,
+                       f"{args.input}: {len(exc.diagnostics)} integrity error(s)")
+    except DelegConflictError as exc:
         return _reject(args, exc.diagnostics, out)
-    return model, None
 
 
 def _downgrade_codes(args) -> set[str]:
@@ -157,10 +162,10 @@ def _render_check_text(report: CheckReport, out, palette: _Palette) -> None:
 
 
 def cmd_check(args, out) -> int:
-    model, code = _prepare(args, out)
-    if model is None:
+    index, code = _prepare(args, out)
+    if index is None:
         return code
-    report = check_model(model, downgrade=_downgrade_codes(args))
+    report = run_rules(index, downgrade=_downgrade_codes(args))
     if args.output == "json":
         _print_report_json(args, report, out)
     else:
@@ -208,12 +213,10 @@ def _describe_port(index: TypingIndex, cls: Class, port: Port) -> dict:
     }
 
 
-def _describe_element(model: Model, path: str, element) -> dict:
-    index = TypingIndex(model)
+def _describe_element(index: TypingIndex, path: str, element) -> dict:
     if isinstance(element, Connector):
-        cls = index.classes[path.partition("#")[0]]
-        position = next(i for i, conn in enumerate(cls.connectors) if conn is element)
-        return _describe_connector(index, cls, position, element)
+        cls_name, _, position = path.partition("#")  # resolve() checked the position
+        return _describe_connector(index, index.classes[cls_name], int(position), element)
     if isinstance(element, Port):
         return _describe_port(index, index.classes[path.partition(".")[0]], element)
     if isinstance(element, Part):
@@ -242,16 +245,16 @@ def _describe_element(model: Model, path: str, element) -> dict:
 
 
 def cmd_explain(args, out) -> int:
-    model, code = _prepare(args, out)
-    if model is None:
+    index, code = _prepare(args, out)
+    if index is None:
         return code
     try:
-        element = resolve(model, args.element)
+        element = resolve(index.model, args.element)
     except UnknownPathError as exc:
         for diag in exc.diagnostics:
             print(diag.render(), file=out)
         return EXIT_FINDINGS
-    info = _describe_element(model, args.element, element)
+    info = _describe_element(index, args.element, element)
     if args.output == "json":
         print(json.dumps(info, indent=2), file=out)
     else:
@@ -280,10 +283,10 @@ def _parse_injections(specs: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_simulate(args, out) -> int:
-    model, code = _prepare(args, out)
-    if model is None:
+    index, code = _prepare(args, out)
+    if index is None:
         return code
-    root = args.root or model.root
+    root = args.root or index.model.root
     if root is None:
         print("error: simulate needs a root class (--root NAME or a 'root' in the model)",
               file=out)
@@ -292,7 +295,7 @@ def cmd_simulate(args, out) -> int:
     # they are downgraded here and the simulation is allowed to demonstrate them.
     downgrade = _downgrade_codes(args) | {"W008"}
     try:
-        graph = instantiate(model, root, downgrade=downgrade)
+        graph = build_graph(index, root, downgrade=downgrade)
         injections = (_parse_injections(args.inject) if args.inject
                       else default_injection_suite(graph))
         for location, interface in injections:

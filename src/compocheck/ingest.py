@@ -285,10 +285,15 @@ class _Parser:
                                       reversed=is_reversed, span=self.span(name_tok)))
             else:
                 match = _MULT_RE.match(nxt) if nxt_kind == "ident" else None
-                pos += match is not None
+                multiplicity = 1
+                if match:
+                    try:
+                        multiplicity = int(match.group(1))
+                    except ValueError:  # more digits than int() converts
+                        self.fail(pos, "multiplicity has too many digits")
+                    pos += 1
                 cls.parts.append(Part(name=name_tok[1], type=type_name,
-                                      multiplicity=int(match.group(1)) if match else 1,
-                                      span=self.span(name_tok)))
+                                      multiplicity=multiplicity, span=self.span(name_tok)))
         elif keyword == "connector":
             conn_tok = tokens[pos]
             end1, pos = self.connector_end(pos + 1)
@@ -406,12 +411,26 @@ class _JsonReader:
         return out
 
 
+class _LongInteger:
+    """A JSON integer literal with more digits than ``int()`` converts."""
+
+    def __repr__(self) -> str:
+        return "<integer with too many digits>"
+
+
+def _json_int(digits: str) -> int | _LongInteger:
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInteger()
+
+
 def parse_json(text: str, filename: str = "<json>") -> Model:
     """Parse the canonical JSON format; raises :class:`ParseFailure` on
     malformed JSON or schema violations. Synthesized associations present in
     the input are skipped (re-synthesis recreates them)."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseFailure([ParseError(SourceSpan(filename, exc.lineno, exc.colno),
                                        f"malformed JSON: {exc.msg}")]) from exc
@@ -474,7 +493,10 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             pname = reader.str_field(part, "name", ppath)
             ptype = reader.str_field(part, "type", ppath)
             mult = part.get("multiplicity", 1)
-            if not isinstance(mult, int) or isinstance(mult, bool):
+            if isinstance(mult, _LongInteger):
+                reader.err(ppath, "field 'multiplicity' has too many digits")
+                mult = 1
+            elif not isinstance(mult, int) or isinstance(mult, bool):
                 reader.err(ppath, "field 'multiplicity' must be an integer")
                 mult = 1
             if pname is not None and ptype is not None:

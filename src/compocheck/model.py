@@ -215,6 +215,10 @@ class ModelError(Exception):
         super().__init__("; ".join(d.render() for d in diagnostics))
 
 
+class IntegrityError(ModelError, ValueError):
+    """The model fails integrity validation (codes E001-E010)."""
+
+
 class DelegConflictError(ModelError):
     """A user element occupies a ``deleg_`` name a synthesized association needs."""
 

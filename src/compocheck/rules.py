@@ -16,10 +16,12 @@ Codes:
 * W011 - observer composites may contain only observer parts.
 
 Each rule, and the report notes, read connector typing and closures from the
-:class:`~compocheck.type_system.TypingIndex` passed to them; :func:`check_model`
-builds it once (or takes the caller's), runs the rules in order and returns a
-deterministic report (diagnostics sorted by element path then code). To run
-one rule alone, pass it ``TypingIndex(model)``.
+:class:`~compocheck.type_system.TypingIndex` passed to them. :func:`prepare`
+runs the front stages once per verdict (integrity validation, deleg synthesis,
+then the index of the synthesized model); :func:`run_rules` runs the rules in
+order over that index and returns a deterministic report (diagnostics sorted
+by element path then code); :func:`check_model` does both. To run one rule
+alone, pass it ``TypingIndex(model)``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Severity, error
-from .model import Class, ClassKind, Model, Port, validate_integrity
+from .model import (Class, ClassKind, IntegrityError, Model, Port, synthesize_deleg_associations,
+                    validate_integrity)
 from .type_system import PORT_ORIGINS, LinkKind, OriginKind, TypingIndex
 
 
@@ -518,30 +521,32 @@ def _report_notes(model: Model, index: TypingIndex) -> list[str]:
     return sorted(notes)
 
 
-def check_model(model: Model, downgrade: Iterable[str] = (),
-                index: TypingIndex | None = None) -> CheckReport:
-    """Run every rule and build a deterministic report.
-
-    ``downgrade`` lists codes whose findings become warnings instead of
-    errors; warnings never fail the report. The model must already satisfy
-    :func:`validate_integrity` and have its deleg associations synthesized.
-    The rules share one typing index: ``index`` when the caller built one for
-    this model, a fresh one otherwise.
-    """
+def prepare(model: Model) -> TypingIndex:
+    """The front stages, run once per verdict: integrity validation (raising
+    ``IntegrityError``), deleg synthesis (raising ``DelegConflictError``), then
+    the typing index of the synthesized model, which is ``index.model``."""
     integrity = validate_integrity(model)
     if integrity:
-        raise ValueError(
-            "check_model requires a model that passes integrity validation; found: "
-            + "; ".join(d.render() for d in integrity))
-    index = index or TypingIndex(model)
+        raise IntegrityError(integrity)
+    return TypingIndex(synthesize_deleg_associations(model))
+
+
+def run_rules(index: TypingIndex, downgrade: Iterable[str] = ()) -> CheckReport:
+    """Run every rule and build a deterministic report. Findings with a code
+    in ``downgrade`` become warnings, which never fail the report."""
     downgraded = set(downgrade)
     diagnostics: list[Diagnostic] = []
     for rule in RULES:
-        diagnostics.extend(rule(model, index))
+        diagnostics.extend(rule(index.model, index))
     for diag in diagnostics:
         if diag.code in downgraded:
             diag.severity = Severity.WARNING
     diagnostics.sort(key=Diagnostic.sort_key)
     passed = not any(d.severity is Severity.ERROR for d in diagnostics)
     return CheckReport(diagnostics=diagnostics, stats=code_counts(diagnostics),
-                       passed=passed, notes=_report_notes(model, index))
+                       passed=passed, notes=_report_notes(index.model, index))
+
+
+def check_model(model: Model, downgrade: Iterable[str] = ()) -> CheckReport:
+    """:func:`prepare` the model, then :func:`run_rules`; raises what ``prepare`` raises."""
+    return run_rules(prepare(model), downgrade)

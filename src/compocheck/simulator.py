@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import Class, Model, Port, deleg_name
-from .rules import check_model
+from .rules import check_model, prepare, run_rules  # check_model: perfbench's tracer patches it
 from .type_system import LinkKind, TypingIndex
 
 ENVIRONMENT = "environment"
@@ -126,8 +126,8 @@ class SafetyReport:
 class InstanceGraph:
     """Mutable runtime state: instances, bindings and in-flight requests.
 
-    ``typing`` is the model's typing index, built once when the graph is
-    created; the model must not change while the graph is in use.
+    ``typing`` is the typing index the graph was built from; the model must
+    not change while the graph is in use.
     ``part_instances`` lists the component ids of each part, keyed by
     (parent id, part name), in creation order.
 
@@ -136,9 +136,8 @@ class InstanceGraph:
     (holder seq, request id) pairs; its head is the next request to move.
     """
 
-    def __init__(self, model: Model, root_id: str, typing: TypingIndex | None = None):
-        self.model = model
-        self.typing = typing or TypingIndex(model)
+    def __init__(self, typing: TypingIndex, root_id: str):
+        self.typing = typing
         self.root_id = root_id
         self.components: dict[str, ComponentInstance] = {}
         self.part_instances: dict[tuple[str, str], list[str]] = {}
@@ -178,14 +177,11 @@ class InstanceGraph:
         return cls
 
 
-def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set[str] = frozenset()) -> InstanceGraph:
-    """Build the instance graph for a root class.
-
-    The model must pass :func:`~compocheck.rules.check_model` with no
-    error-severity findings (codes in ``downgrade`` count as warnings).
-    """
-    index = TypingIndex(model)
-    report = check_model(model, downgrade=downgrade, index=index)
+def build_graph(index: TypingIndex, root: str | Class,
+                downgrade: frozenset[str] | set[str] = frozenset()) -> InstanceGraph:
+    """Build the instance graph for a root class of a prepared model, which must
+    pass the rules with no error-severity findings (``downgrade`` as in ``run_rules``)."""
+    report = run_rules(index, downgrade)
     if not report.passed:
         raise SimError("model check failed: "
                        + "; ".join(d.render() for d in report.errors()))
@@ -193,9 +189,14 @@ def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set
     root_cls = index.classes.get(root_name)
     if root_cls is None:
         raise SimError(f"root '{root_name}' is not a class of the model")
-    graph = InstanceGraph(model, root_id=root_cls.name, typing=index)
+    graph = InstanceGraph(index, root_id=root_cls.name)
     _create(graph, root_cls)
     return graph
+
+
+def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set[str] = frozenset()) -> InstanceGraph:
+    """:func:`~compocheck.rules.prepare` the model, then :func:`build_graph`."""
+    return build_graph(prepare(model), root, downgrade)
 
 
 def _create(graph: InstanceGraph, root: Class) -> None:

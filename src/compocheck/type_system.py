@@ -13,12 +13,13 @@ the simulator need to know about a model's typing:
   the connector is statically typed with an association;
 * compatibility predicates between link ends and association ends.
 
-:class:`~compocheck.model.Model` is mutable, so an index is a snapshot: it is
-built once per ``check_model``, ``instantiate`` or ``explain`` call and read
-for the rest of that call (an instance graph keeps the one ``instantiate``
-built). Nothing is cached on the model or across calls. To ask about a model,
-build one index and call its methods; :func:`parents_of` is the one
-module-level shortcut, and it builds a fresh index per call.
+:class:`~compocheck.model.Model` is mutable, so an index is a snapshot:
+:func:`compocheck.rules.prepare` builds one per verdict on the synthesized
+model, and the rules, ``explain`` and the simulator read it for the rest of
+that verdict (an instance graph keeps the one it was built from). Nothing is
+cached on the model or across calls. To ask about a model, build one index
+and call its methods; :func:`parents_of` is the one module-level shortcut,
+and it builds a fresh index per call.
 """
 
 from __future__ import annotations

@@ -4,13 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from compocheck import (
-    Model,
-    parse_dsl,
-    parse_json,
-    synthesize_deleg_associations,
-    validate_integrity,
-)
+from compocheck import Model, parse_dsl, parse_json
+from compocheck.rules import prepare as prepare_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,16 +18,12 @@ BROKEN = FIXTURES / "broken_syntax.csm"
 
 def prepare(text: str, filename: str = "<test>") -> Model:
     """Parse DSL text and run it through integrity + deleg synthesis."""
-    model = parse_dsl(text, filename)
-    problems = validate_integrity(model)
-    assert problems == [], [d.render() for d in problems]
-    return synthesize_deleg_associations(model)
+    return prepare_model(parse_dsl(text, filename))
 
 
 def prepare_model(model: Model) -> Model:
-    problems = validate_integrity(model)
-    assert problems == [], [d.render() for d in problems]
-    return synthesize_deleg_associations(model)
+    """The synthesized model; raises IntegrityError with every diagnostic."""
+    return prepare_index(model).model
 
 
 @pytest.fixture(scope="session")

@@ -59,6 +59,24 @@ def test_check_exits_2_on_missing_files(tmp_path):
     assert code == 2
 
 
+def test_check_reports_the_positions_the_parser_sees_in_the_bytes(tmp_path):
+    path = tmp_path / "cr.csm"
+    path.write_bytes(b"class A {\r  part d:\r}\r")
+    code, out = run_cli("check", str(path))
+    assert code == 2
+    assert out.splitlines() == [f"{path}:1:21: expected type name, found '}}' (expected type name)",
+                                f"{path}: 1 parse error(s)"]
+
+
+def test_check_exits_2_on_input_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csm"
+    path.write_bytes("class Caf\u00e9 {}".encode("latin-1"))
+    code, out = run_cli("check", str(path))
+    assert code == 2
+    assert out.splitlines() == [f"error: cannot read {path}: 'utf-8' codec can't decode byte "
+                                f"0xe9 in position 9: invalid continuation byte"]
+
+
 def test_check_exits_2_on_integrity_errors(tmp_path):
     path = tmp_path / "dangling.csm"
     path.write_text("class A { part d: Missing; }", encoding="utf-8")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from compocheck import (
     ClassKind,
     ParseFailure,
+    check_model,
     parse_dsl,
     parse_json,
     serialize_json,
@@ -19,7 +20,8 @@ from compocheck import (
 
 from compocheck.ingest import _tokenize
 from conftest import ATM, BROKEN, DELEGATION, FIXTURES
-from generators import corrupt_dsl, model_to_dsl, random_wellformed_model, token_soup
+from generators import (corrupt_dsl, model_to_dsl, provided_origin_connectors,
+                        random_wellformed_model, token_soup)
 from oracles import tokenize_oracle
 
 
@@ -74,6 +76,14 @@ def test_missing_part_type_is_a_positioned_error():
     assert failure.errors[0].span.file == "f.csm"
     assert failure.errors[0].span.line == 3
     assert "type name" in (failure.errors[0].expected or "")
+
+
+def test_multiplicity_beyond_int_conversion_is_a_positioned_error():
+    text = "class L {}\nclass A {\n  part a: L x" + "9" * 5000 + ";\n}\n"
+    with pytest.raises(ParseFailure) as err:
+        parse_dsl(text, "f.csm")
+    assert [e.render() for e in err.value.errors] == [
+        "f.csm:3:13: multiplicity has too many digits"]
 
 
 def test_recovery_collects_multiple_errors():
@@ -143,6 +153,16 @@ def test_json_schema_violations_are_collected():
     assert len(err.value.errors) >= 3
 
 
+def test_json_multiplicity_beyond_int_conversion_is_a_positioned_error():
+    doc = {"classes": [{"name": "L"},
+                       {"name": "A", "parts": [{"name": "a", "type": "L", "multiplicity": 0}]}]}
+    text = json.dumps(doc).replace('"multiplicity": 0', '"multiplicity": ' + "9" * 5000)
+    with pytest.raises(ParseFailure) as err:
+        parse_json(text, "x.csm.json")
+    assert [e.render() for e in err.value.errors] == [
+        "x.csm.json:1:1: $.classes[1].parts[0]: field 'multiplicity' has too many digits"]
+
+
 def test_round_trip_of_fixtures():
     for path in (DELEGATION,):
         model = parse_dsl(path.read_text(encoding="utf-8"), path.name)
@@ -171,8 +191,15 @@ def test_synthesized_associations_round_trip_as_omittable():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_round_trip_on_generated_models(seed):
-    model = random_wellformed_model(random.Random(seed))
-    assert parse_json(serialize_json(model)) == model
+    rng = random.Random(seed)
+    model = random_wellformed_model(rng)
+    origins = provided_origin_connectors(model)
+    if origins and rng.random() < 0.5:  # a missing delivery path gives the check findings
+        cls, idx = rng.choice(origins)
+        del cls.connectors[idx]
+    reparsed = parse_json(serialize_json(model))
+    assert reparsed == model
+    assert check_model(reparsed).to_dict() == check_model(model).to_dict()
 
 
 def test_broken_fixture_fails_to_parse():
