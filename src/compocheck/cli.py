@@ -52,7 +52,7 @@ from .simulator import (
     instantiate,  # unused: perfbench's tracer patches it
     run_to_quiescence,
 )
-from .type_system import TypingIndex
+from .type_system import ConnectorTyping, TypingIndex
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -96,7 +96,8 @@ def _print_parse_failure(path: str, failure: ParseFailure, out) -> None:
 def _load(path: str, fmt: str) -> Model:
     # Decoded bytes, not read_text: its newline translation turns a lone "\r"
     # into a line break, and the parsers would report other positions.
-    return parse_auto(Path(path).read_bytes().decode("utf-8"), path, fmt)
+    # "utf-8-sig" drops a leading byte-order mark.
+    return parse_auto(Path(path).read_bytes().decode("utf-8-sig"), path, fmt)
 
 
 def _print_report_json(args, report: CheckReport, out) -> None:
@@ -173,50 +174,40 @@ def cmd_check(args, out) -> int:
     return EXIT_OK if report.passed else EXIT_FINDINGS
 
 
-def _describe_connector(index: TypingIndex, cls: Class, position: int, conn: Connector) -> dict:
-    link = index.connector(cls, conn)
+def _describe_connector(link: ConnectorTyping) -> dict:
     ts = link.transported
     return {
-        "element": index.model.connector_path(cls, position),
-        "ends": [conn.end1.describe(), conn.end2.describe()],
+        "element": link.path,
+        "ends": [site.describe() for site in link.ends],
         "kind": link.kind.value,
         "origin": link.origin.describe(),
         "transported": sorted(ts.interfaces) if ts.computable else None,
-        "association": conn.association,
+        "association": link.connector.association,
     }
 
 
 def _describe_port(index: TypingIndex, cls: Class, port: Port) -> dict:
-    outgoing = []
-    sets = []
-    untyped_sets = []
-    for owner, idx, conn in index.outgoing(port):
-        ts = index.connector(owner, conn).transported
-        outgoing.append(_describe_connector(index, owner, idx, conn))
-        if ts.computable:
-            sets.append(ts.interfaces)
-            if conn.association is None:
-                untyped_sets.append(ts.interfaces)
+    links = index.outgoing(port)
     closure = index.port_interfaces(port)
-    union = set().union(*sets) if sets else set()
-    disjoint, overlap = pairwise_disjoint_by_cardinality(untyped_sets)
+    union = set().union(*(link.transported.interfaces for link in links))
+    disjoint, overlap = pairwise_disjoint_by_cardinality(
+        [link.transported.interfaces for link in links if link.connector.association is None])
     return {
         "element": f"{cls.name}.{port.name}",
         "contract": port.contract,
         "reversed": port.reversed,
         "closure": sorted(closure),
-        "outgoing": outgoing,
+        "outgoing": [_describe_connector(link) for link in links],
         "disjoint": disjoint,
         "overlap": sorted(overlap),
-        "complete": union == closure if outgoing else None,
-        "missing": sorted(closure - union) if outgoing else [],
+        "complete": union == closure if links else None,
+        "missing": sorted(closure - union) if links else [],
     }
 
 
 def _describe_element(index: TypingIndex, path: str, element) -> dict:
     if isinstance(element, Connector):
-        cls_name, _, position = path.partition("#")  # resolve() checked the position
-        return _describe_connector(index, index.classes[cls_name], int(position), element)
+        return _describe_connector(index.connector(index.classes[path.partition("#")[0]], element))
     if isinstance(element, Port):
         return _describe_port(index, index.classes[path.partition(".")[0]], element)
     if isinstance(element, Part):
@@ -308,7 +299,7 @@ def cmd_simulate(args, out) -> int:
     if args.output == "json":
         for event in trace.events:
             print(json.dumps(event.to_dict()), file=out)
-        print(json.dumps({"summary": trace.status_counts()}), file=out)
+        print(json.dumps({"summary": trace.status_counts(), "safety": safety.to_dict()}), file=out)
     else:
         palette = _palette(out)
         counts = trace.status_counts()

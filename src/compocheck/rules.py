@@ -15,13 +15,15 @@ Codes:
 * W010 - active composites need all-passive or all active/protected parts.
 * W011 - observer composites may contain only observer parts.
 
-Each rule, and the report notes, read connector typing and closures from the
-:class:`~compocheck.type_system.TypingIndex` passed to them. :func:`prepare`
-runs the front stages once per verdict (integrity validation, deleg synthesis,
-then the index of the synthesized model); :func:`run_rules` runs the rules in
-order over that index and returns a deterministic report (diagnostics sorted
-by element path then code); :func:`check_model` does both. To run one rule
-alone, pass it ``TypingIndex(model)``.
+Each rule, and the report notes, take one
+:class:`~compocheck.type_system.TypingIndex` and read the model
+(``index.model``), its closures and its connector records
+(``index.links()``) from it. :func:`prepare` runs the front stages once per
+verdict (integrity validation, deleg synthesis, then the index of the
+synthesized model); :func:`run_rules` runs the rules in order over that index
+and returns a deterministic report (diagnostics sorted by element path then
+code); :func:`check_model` does both. To run one rule alone, call it as
+``rule(TypingIndex(model))``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _port_path(cls: Class, port: Port) -> str:
     return f"{cls.name}.{port.name}"
 
 
-def rule_unidirectional(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_unidirectional(index: TypingIndex) -> list[Diagnostic]:
     """W000: a port may carry one direction only.
 
     Flags a port when some interface in its closure is both provided and used
@@ -78,7 +80,7 @@ def rule_unidirectional(model: Model, index: TypingIndex) -> list[Diagnostic]:
     them (which presses the provided ports into bidirectional service).
     """
     diags: list[Diagnostic] = []
-    for cls in model.classes:
+    for cls in index.model.classes:
         used = index.used_interfaces(cls.name)
         realized = index.class_interfaces(cls.name)
         covered: set[str] = set()
@@ -110,15 +112,14 @@ def rule_unidirectional(model: Model, index: TypingIndex) -> list[Diagnostic]:
     return diags
 
 
-def rule_link_type(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_link_type(index: TypingIndex) -> list[Diagnostic]:
     """W001/W002: forbidden direction combinations of port ends."""
     diags: list[Diagnostic] = []
-    for cls, idx, conn in model.iter_connectors():
-        link = index.connector(cls, conn)
+    for link in index.links():
         if link.kind is not LinkKind.FORBIDDEN:
             continue
         s1, s2 = link.ends
-        subject = model.connector_path(cls, idx)
+        subject = link.path
         dir1 = "required" if s1.port is not None and s1.port.reversed else "provided"
         dir2 = "required" if s2.port is not None and s2.port.reversed else "provided"
         if s1.on_composite != s2.on_composite:
@@ -166,7 +167,7 @@ def _admissible_association(index: TypingIndex, kind: LinkKind, origin_kind: Ori
                    "interfaces (class ends cannot govern the port side)")
 
 
-def rule_association_direction(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_association_direction(index: TypingIndex) -> list[Diagnostic]:
     """W003: the typing association's direction and ends must fit the link.
 
     Checks navigability (at least one navigable end; bidirectional only on
@@ -175,20 +176,13 @@ def rule_association_direction(model: Model, index: TypingIndex) -> list[Diagnos
     the compatibility of the link ends with the association ends.
     """
     diags: list[Diagnostic] = []
-    for cls, idx, conn in model.iter_connectors():
-        if conn.association is None:
+    for link in index.links():
+        kind, assoc = link.kind, link.association
+        if kind is LinkKind.FORBIDDEN or assoc is None:
             continue
-        link = index.connector(cls, conn)
-        kind = link.kind
-        if kind is LinkKind.FORBIDDEN:
-            continue
-        assoc = index.associations.get(conn.association)
-        if assoc is None:
-            continue
-        subject = model.connector_path(cls, idx)
 
         def emit(message: str) -> None:
-            diags.append(error("W003", subject, message, [assoc.name]))
+            diags.append(error("W003", link.path, message, [assoc.name]))
 
         if assoc.is_non_navigable:
             emit(f"association '{assoc.name}' is not navigable at either end, so the "
@@ -237,7 +231,7 @@ def rule_association_direction(model: Model, index: TypingIndex) -> list[Diagnos
                 problems.append(
                     f"start end '{start.type}' does not match part '{start_site.part.name}' "
                     f"of type '{start_site.part.type}'")
-            far = s2 if start_site.index == 1 else s1
+            far = link.far
             if far.port is not None:
                 if not index.port_compatible(far.port, pointed.type):
                     problems.append(
@@ -254,21 +248,15 @@ def rule_association_direction(model: Model, index: TypingIndex) -> list[Diagnos
     return diags
 
 
-def rule_typed_from_port(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_typed_from_port(index: TypingIndex) -> list[Diagnostic]:
     """W004: a typed link out of a port must point inside its transported set,
     and both link ends must cover the association ends."""
     diags: list[Diagnostic] = []
-    for cls, idx, conn in model.iter_connectors():
-        if conn.association is None:
+    for link in index.links():
+        kind, origin, assoc = link.kind, link.origin, link.association
+        if kind is LinkKind.FORBIDDEN or origin.kind not in PORT_ORIGINS or assoc is None:
             continue
-        link = index.connector(cls, conn)
-        kind, origin = link.kind, link.origin
-        if kind is LinkKind.FORBIDDEN:
-            continue
-        if origin.kind not in PORT_ORIGINS:
-            continue
-        assoc = index.associations.get(conn.association)
-        if assoc is None or assoc.is_non_navigable or assoc.is_bidirectional:
+        if assoc.is_non_navigable or assoc.is_bidirectional:
             continue  # navigability problems are W003's
         ok, _ = _admissible_association(index, kind, origin.kind, assoc)
         if not ok:
@@ -288,8 +276,7 @@ def rule_typed_from_port(model: Model, index: TypingIndex) -> list[Diagnostic]:
             problems.append(
                 f"start end '{start.type}' is not covered by the originating port "
                 f"(closure {_fmt_set(index.port_interfaces(origin_port))})")
-        s1, s2 = link.ends
-        far = s2 if origin.site is not None and origin.site.index == 1 else s1
+        far = link.far
         if far.port is not None:
             if not index.port_compatible(far.port, pointed.type):
                 problems.append(
@@ -302,39 +289,38 @@ def rule_typed_from_port(model: Model, index: TypingIndex) -> list[Diagnostic]:
                     f"'{far.part.name}' of type '{far.part.type}'")
         if problems:
             diags.append(error(
-                "W004", model.connector_path(cls, idx),
+                "W004", link.path,
                 f"association '{assoc.name}' mis-types this link: " + "; ".join(problems),
                 [assoc.name],
             ))
     return diags
 
 
-def rule_typed_from_part(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_typed_from_part(index: TypingIndex) -> list[Diagnostic]:
     """W005: every link starting from a part must carry an association,
     because the component needs a name under which to address the channel."""
     diags: list[Diagnostic] = []
-    for cls, idx, conn in model.iter_connectors():
-        origin = index.connector(cls, conn).origin
-        if origin.kind is OriginKind.FROM_PART and conn.association is None:
+    for link in index.links():
+        origin = link.origin
+        if origin.kind is OriginKind.FROM_PART and link.connector.association is None:
             part_name = origin.site.part.name if origin.site and origin.site.part else "?"
             diags.append(error(
-                "W005", model.connector_path(cls, idx),
+                "W005", link.path,
                 f"link starting from part '{part_name}' must be statically typed with an "
                 f"association; without one the component cannot refer to the channel",
             ))
     return diags
 
 
-def rule_nonvoid(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_nonvoid(index: TypingIndex) -> list[Diagnostic]:
     """W006: a link whose transported set is computable must carry something."""
     diags: list[Diagnostic] = []
-    for cls, idx, conn in model.iter_connectors():
-        link = index.connector(cls, conn)
+    for link in index.links():
         ts = link.transported
         if ts.computable and not ts.interfaces:
             s1, s2 = link.ends
             diags.append(error(
-                "W006", model.connector_path(cls, idx),
+                "W006", link.path,
                 f"link {s1.describe()} -- {s2.describe()} transports no interfaces: "
                 f"the interface sets at its two ends are disjoint",
             ))
@@ -356,54 +342,41 @@ def pairwise_disjoint_by_cardinality(sets: list[frozenset[str]] | list[set[str]]
     return len(union) == total, seen_twice
 
 
-def rule_pairwise_disjoint(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_pairwise_disjoint(index: TypingIndex) -> list[Diagnostic]:
     """W007: untyped links out of one port must not overlap, or the default
     per-interface forwarding destination would be ambiguous."""
     diags: list[Diagnostic] = []
-    for cls in model.classes:
+    for cls in index.model.classes:
         for port in cls.ports:
-            untyped = [(owner, idx, conn) for owner, idx, conn in index.outgoing(port)
-                       if conn.association is None]
+            untyped = [link for link in index.outgoing(port) if link.connector.association is None]
             if len(untyped) < 2:
                 continue
-            sets = []
-            related = []
-            for owner, idx, conn in untyped:
-                ts = index.connector(owner, conn).transported
-                if ts.computable:
-                    sets.append(ts.interfaces)
-                    related.append(model.connector_path(owner, idx))
-            disjoint, overlap = pairwise_disjoint_by_cardinality(sets)
+            disjoint, overlap = pairwise_disjoint_by_cardinality(
+                [link.transported.interfaces for link in untyped])
             if not disjoint:
                 diags.append(error(
                     "W007", _port_path(cls, port),
                     f"untyped links out of this port transport overlapping interfaces "
                     f"{_fmt_set(overlap)}; type all but one of the overlapping links with "
                     f"an explicit association",
-                    related,
+                    [link.path for link in untyped],
                 ))
     return diags
 
 
-def rule_completeness(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_completeness(index: TypingIndex) -> list[Diagnostic]:
     """W008: the links out of a port must together transport its whole closure.
 
     Ports that originate no link are skipped (see the stub notes in the report
     header for ports that are not wired at all).
     """
     diags: list[Diagnostic] = []
-    for cls in model.classes:
+    for cls in index.model.classes:
         for port in cls.ports:
             outgoing = index.outgoing(port)
             if not outgoing:
                 continue
-            union: set[str] = set()
-            related = []
-            for owner, idx, conn in outgoing:
-                ts = index.connector(owner, conn).transported
-                if ts.computable:
-                    union |= ts.interfaces
-                related.append(model.connector_path(owner, idx))
+            union = set().union(*(link.transported.interfaces for link in outgoing))
             want = index.port_interfaces(port)
             missing = want - union
             excess = union - want
@@ -417,12 +390,12 @@ def rule_completeness(model: Model, index: TypingIndex) -> list[Diagnostic]:
                     "W008", _port_path(cls, port),
                     f"links out of this port transport {_fmt_set(union)} but its contract "
                     f"closure is {_fmt_set(want)}: " + ", ".join(details),
-                    related,
+                    [link.path for link in outgoing],
                 ))
     return diags
 
 
-def rule_concurrency(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_concurrency(index: TypingIndex) -> list[Diagnostic]:
     """W009/W010: composites must not mix their parts' activity groups.
 
     Passive composites may hold only passive parts; active composites may hold
@@ -430,7 +403,7 @@ def rule_concurrency(model: Model, index: TypingIndex) -> list[Diagnostic]:
     observer composites are exempt here.
     """
     diags: list[Diagnostic] = []
-    for cls in model.classes:
+    for cls in index.model.classes:
         if not cls.is_composite:
             continue
         part_kinds: list[tuple[str, ClassKind]] = []
@@ -465,10 +438,10 @@ def rule_concurrency(model: Model, index: TypingIndex) -> list[Diagnostic]:
     return diags
 
 
-def rule_observer(model: Model, index: TypingIndex) -> list[Diagnostic]:
+def rule_observer(index: TypingIndex) -> list[Diagnostic]:
     """W011: composite observers may contain only observer parts."""
     diags: list[Diagnostic] = []
-    for cls in model.classes:
+    for cls in index.model.classes:
         if cls.kind is not ClassKind.OBSERVER or not cls.is_composite:
             continue
         offenders = []
@@ -499,22 +472,15 @@ RULES = [
 ]
 
 
-def _report_notes(model: Model, index: TypingIndex) -> list[str]:
+def _report_notes(index: TypingIndex) -> list[str]:
     notes: list[str] = []
-    touched: set[tuple[str, str]] = set()
-    for cls, _, conn in model.iter_connectors():
-        for ref in (conn.end1, conn.end2):
-            if ref.part is not None and ref.port is not None:
-                part = index.part(cls, ref.part)
-                if part is not None:
-                    touched.add((part.type, ref.port))
-            elif ref.port is not None:
-                touched.add((cls.name, ref.port))
-    for cls in model.classes:
+    touched = {id(site.port) for link in index.links() for site in link.ends
+               if site.port is not None}
+    for cls in index.model.classes:
         for port in cls.ports:
-            if (cls.name, port.name) not in touched:
+            if id(port) not in touched:
                 notes.append(f"port {cls.name}.{port.name} is not connected to any link")
-    for cls in model.classes:
+    for cls in index.model.classes:
         if cls.kind is ClassKind.PROTECTED and cls.is_composite:
             notes.append(f"composite {cls.name} is protected; no concurrency rule constrains "
                          f"its parts")
@@ -537,14 +503,14 @@ def run_rules(index: TypingIndex, downgrade: Iterable[str] = ()) -> CheckReport:
     downgraded = set(downgrade)
     diagnostics: list[Diagnostic] = []
     for rule in RULES:
-        diagnostics.extend(rule(index.model, index))
+        diagnostics.extend(rule(index))
     for diag in diagnostics:
         if diag.code in downgraded:
             diag.severity = Severity.WARNING
     diagnostics.sort(key=Diagnostic.sort_key)
     passed = not any(d.severity is Severity.ERROR for d in diagnostics)
     return CheckReport(diagnostics=diagnostics, stats=code_counts(diagnostics),
-                       passed=passed, notes=_report_notes(index.model, index))
+                       passed=passed, notes=_report_notes(index))
 
 
 def check_model(model: Model, downgrade: Iterable[str] = ()) -> CheckReport:

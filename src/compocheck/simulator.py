@@ -258,20 +258,18 @@ def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str) -> None
         link = index.connector(cls, conn)
         if link.kind is LinkKind.FORBIDDEN:
             continue
-        s1, s2 = link.ends
-        assoc = index.associations.get(conn.association) if conn.association else None
+        assoc = link.association
         if assoc is not None and assoc.is_bidirectional and link.kind is LinkKind.ASSEMBLY_PART_PART:
+            s1, s2 = link.ends
             directions = [(s1, s2, index.provided_interfaces(assoc.end2.type)),
                           (s2, s1, index.provided_interfaces(assoc.end1.type))]
         else:
-            origin_site = link.origin.site if link.origin.site is not None else s1
-            far_site = s2 if origin_site.index == 1 else s1
             if assoc is not None and assoc.pointed_end() is None:
                 continue
             ts = link.transported
             interfaces = ts.interfaces if assoc is None or ts.computable \
                 else index.provided_interfaces(assoc.pointed_end().type)
-            directions = [(origin_site, far_site, interfaces)]
+            directions = [(link.origin.site, link.far, interfaces)]
         for origin_site, far_site, interfaces in directions:
             holders = _site_holder_ids(graph, instance_id, origin_site)
             targets = _site_holder_ids(graph, instance_id, far_site)

@@ -5,12 +5,13 @@ the simulator need to know about a model's typing:
 
 * generalization closures (``parents``) and the provided-interface sets of
   ports, classes and interfaces (interface groups never appear in a result);
-* the classification of a connector into delegation/assembly kinds, including
-  the forbidden direction combinations;
-* the origin of a link (the end requests flow away from);
-* the set of interfaces a connector transports: the intersection of the
-  interface sets at its two ends, narrowed to the pointed type's closure when
-  the connector is statically typed with an association;
+* one :class:`ConnectorTyping` record per connector (:meth:`TypingIndex.links`):
+  its element path and resolved ends; its classification into
+  delegation/assembly kinds, including the forbidden direction combinations;
+  its origin (the end requests flow away from) and the end opposite it; its
+  typing association; and the set of interfaces it transports, the
+  intersection of the interface sets at its two ends, narrowed to the pointed
+  type's closure when the connector is statically typed with an association;
 * compatibility predicates between link ends and association ends.
 
 :class:`~compocheck.model.Model` is mutable, so an index is a snapshot:
@@ -28,7 +29,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Class, Connector, EndRef, Model, Part, Port, _by_name
+from .model import Association, Class, Connector, EndRef, Model, Part, Port, _by_name
 
 
 class LinkKind(Enum):
@@ -64,7 +65,6 @@ class EndSite:
     to the class owning the connector.
     """
 
-    index: int
     ref: EndRef
     part: Part | None
     part_class: Class | None
@@ -100,10 +100,14 @@ class TransportedSet:
 
 # A named tuple rather than a dataclass: defining a dataclass costs about a
 # millisecond at import, and every CLI call pays for it.
-class ConnectorTyping(namedtuple("ConnectorTyping", "kind ends origin transported")):
-    """Everything derived about one connector, in terms of its owning class: its
-    :class:`LinkKind`, both :class:`EndSite` s, its :class:`LinkOrigin` and its
-    :class:`TransportedSet`."""
+class ConnectorTyping(namedtuple("ConnectorTyping",
+                                 "connector path kind ends origin far association transported")):
+    """Everything derived about one connector, in terms of its owning class: the
+    connector, its element path (``A#0``), its :class:`LinkKind`, both
+    :class:`EndSite` s, its :class:`LinkOrigin`, the end opposite the origin
+    (``far``, None for forbidden links), its typing association (the first
+    declared of that name, None when the connector is untyped or the name is
+    undeclared) and its :class:`TransportedSet`."""
 
     __slots__ = ()
 
@@ -178,9 +182,10 @@ def _origin(kind: LinkKind, s1: EndSite, s2: EndSite) -> LinkOrigin:
 class TypingIndex:
     """Name lookups, closures and connector typing of one model, each derived once.
 
-    Closures and connector records are computed on first use and kept as
-    frozensets and frozen records, so every reader shares one result. The
-    model must not change while the index is in use.
+    Closures are computed on first use, and the connector records all at once
+    the first time one is asked for; they are kept as frozensets and frozen
+    records, so every reader shares one result. The model must not change
+    while the index is in use.
     """
 
     def __init__(self, model: Model):
@@ -193,8 +198,9 @@ class TypingIndex:
         self._class_interfaces: dict[str, frozenset[str]] = {}
         self._used_interfaces: dict[str, frozenset[str]] = {}
         self._members: dict[int, tuple[dict[str, Part], dict[str, Port]]] = {}
+        self._links: list[ConnectorTyping] | None = None
         self._connectors: dict[tuple[int, int], ConnectorTyping] = {}
-        self._outgoing: dict[int, list[tuple[Class, int, Connector]]] | None = None
+        self._outgoing: dict[int, list[ConnectorTyping]] | None = None
 
     # --- closures ------------------------------------------------------------
 
@@ -326,7 +332,7 @@ class TypingIndex:
     def port(self, cls: Class, name: str) -> Port | None:
         return self._members_of(cls)[1].get(name)
 
-    def resolve_end(self, owner: Class, ref: EndRef, index: int) -> EndSite:
+    def resolve_end(self, owner: Class, ref: EndRef) -> EndSite:
         part = self.part(owner, ref.part) if ref.part else None
         part_class = self.classes.get(part.type) if part else None
         if ref.port is None:
@@ -338,21 +344,32 @@ class TypingIndex:
         else:
             port = self.port(owner, ref.port) if ref.part is None else None
             on_composite = ref.part is None
-        return EndSite(index=index, ref=ref, part=part, part_class=part_class,
+        return EndSite(ref=ref, part=part, part_class=part_class,
                        port=port, on_composite=on_composite)
 
+    def links(self) -> list[ConnectorTyping]:
+        """The record of every connector of the model, in ``Model.iter_connectors``
+        order, each built once. Do not mutate."""
+        if self._links is None:
+            links = []
+            for owner, idx, conn in self.model.iter_connectors():
+                s1 = self.resolve_end(owner, conn.end1)
+                s2 = self.resolve_end(owner, conn.end2)
+                kind = _classify(s1, s2)
+                origin = _origin(kind, s1, s2)
+                far = None if origin.site is None else s2 if origin.site is s1 else s1
+                assoc = self.associations.get(conn.association)
+                link = self._connectors[id(owner), id(conn)] = ConnectorTyping(
+                    conn, self.model.connector_path(owner, idx), kind, (s1, s2), origin, far,
+                    assoc, self._transported(assoc, kind, s1, s2, origin))
+                links.append(link)
+            self._links = links
+        return self._links
+
     def connector(self, owner: Class, conn: Connector) -> ConnectorTyping:
-        """Kind, resolved ends, origin and transported set of a connector of ``owner``."""
-        key = (id(owner), id(conn))
-        found = self._connectors.get(key)
-        if found is None:
-            s1 = self.resolve_end(owner, conn.end1, 1)
-            s2 = self.resolve_end(owner, conn.end2, 2)
-            kind = _classify(s1, s2)
-            origin = _origin(kind, s1, s2)
-            found = self._connectors[key] = ConnectorTyping(
-                kind, (s1, s2), origin, self._transported(conn, kind, s1, s2, origin))
-        return found
+        """The record of a connector of ``owner`` (see :meth:`links`)."""
+        self.links()
+        return self._connectors[id(owner), id(conn)]
 
     def _end_interface_set(self, site: EndSite) -> frozenset[str]:
         if site.port is not None:
@@ -361,8 +378,8 @@ class TypingIndex:
             return self.class_interfaces(site.part.type)
         return _EMPTY
 
-    def _transported(self, conn: Connector, kind: LinkKind, s1: EndSite, s2: EndSite,
-                     origin: LinkOrigin) -> TransportedSet:
+    def _transported(self, assoc: Association | None, kind: LinkKind, s1: EndSite,
+                     s2: EndSite, origin: LinkOrigin) -> TransportedSet:
         """The set of interfaces a connector can carry.
 
         Untyped: intersection of the two end interface sets (a port contributes
@@ -373,7 +390,6 @@ class TypingIndex:
         """
         if kind in (LinkKind.ASSEMBLY_PART_PART, LinkKind.FORBIDDEN):
             return TransportedSet(frozenset(), False)
-        assoc = self.associations.get(conn.association) if conn.association else None
         if assoc is not None:
             pointed = assoc.pointed_end()
             if pointed is None:
@@ -387,15 +403,15 @@ class TypingIndex:
             return TransportedSet(base & self.provided_interfaces(pointed.type), True)
         return TransportedSet(self._end_interface_set(s1) & self._end_interface_set(s2), True)
 
-    def outgoing(self, port: Port) -> list[tuple[Class, int, Connector]]:
-        """Connectors anywhere in the model that originate at this port
-        declaration, in ``Model.iter_connectors`` order. Do not mutate."""
+    def outgoing(self, port: Port) -> list[ConnectorTyping]:
+        """The records of the connectors anywhere in the model that originate at
+        this port declaration, in ``Model.iter_connectors`` order. Do not mutate."""
         if self._outgoing is None:
             self._outgoing = {}
-            for owner, idx, conn in self.model.iter_connectors():
-                origin = self.connector(owner, conn).origin
+            for link in self.links():
+                origin = link.origin
                 if origin.kind in PORT_ORIGINS and origin.site.port is not None:
-                    self._outgoing.setdefault(id(origin.site.port), []).append((owner, idx, conn))
+                    self._outgoing.setdefault(id(origin.site.port), []).append(link)
         return self._outgoing.get(id(port), [])
 
 

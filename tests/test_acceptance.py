@@ -103,7 +103,7 @@ def test_criterion_4_w007_agrees_with_the_pairwise_oracle():
     disagreements = 0
     for _ in range(1000):
         model, _, _, subsets = random_fanout_port_model(rng, universe=10)
-        fired = any(d.code == "W007" for d in rule_pairwise_disjoint(model, TypingIndex(model)))
+        fired = any(d.code == "W007" for d in rule_pairwise_disjoint(TypingIndex(model)))
         if fired != (not oracles.pairwise_disjoint_direct(subsets)):
             disagreements += 1
     report(4, disagreements == 0,

@@ -77,6 +77,19 @@ def test_check_exits_2_on_input_that_is_not_utf8(tmp_path):
                                 f"0xe9 in position 9: invalid continuation byte"]
 
 
+@pytest.mark.parametrize("fixture", [DELEGATION, ATM], ids=lambda p: p.name)
+def test_check_reads_input_that_starts_with_a_byte_order_mark(tmp_path, fixture):
+    path = tmp_path / fixture.name
+    path.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+    plain_code, plain = run_cli("check", str(fixture), "--output", "json")
+    code, out = run_cli("check", str(path), "--output", "json")
+    assert code == plain_code
+    report, expected = json.loads(out), json.loads(plain)
+    assert report.pop("input") == str(path)
+    expected.pop("input")
+    assert report == expected
+
+
 def test_check_exits_2_on_integrity_errors(tmp_path):
     path = tmp_path / "dangling.csm"
     path.write_text("class A { part d: Missing; }", encoding="utf-8")
@@ -236,6 +249,31 @@ def test_simulate_json_trace_lines():
     for line in lines[:-1]:
         event = json.loads(line)
         assert set(event) == {"step", "request", "from", "to", "via"}
+
+
+def test_simulate_json_summary_carries_the_safety_report(tmp_path):
+    path = tmp_path / "unlinked.csm"
+    path.write_text(
+        "interface I { op opI; }\n"
+        "class D active { realizes I; port p: I; }\n"
+        "class A active { part d: D; port pin: I; port pout: I; connector self.pin , d.p; }\n",
+        encoding="utf-8")
+    code, out = run_cli("simulate", str(path), "--root", "A", "--output", "json")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 3  # two trace events, then the one final object
+    assert json.loads(lines[-1]) == {
+        "summary": {"inTransit": 0, "delivered": 1, "stuck": 1},
+        "safety": {"passed": False, "violations": [{
+            "request": 2,
+            "reason": "not delivered: no forwarding destination for interface 'I' "
+                      "inside composite 'A'",
+            "path": ["A.pout"],
+        }]},
+    }
+    _, text = run_cli("simulate", str(path), "--root", "A")
+    assert ("request 2: not delivered: no forwarding destination for interface 'I' "
+            "inside composite 'A' (path: A.pout)") in text.splitlines()
 
 
 def test_color_env_var_controls_ansi(monkeypatch):

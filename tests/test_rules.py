@@ -88,14 +88,14 @@ def test_typed_relay_link_pointing_inside_its_set_satisfies_w004(delegation_text
                                    "connector self.pIJL , e.pJL via jchan;")
     text += "assoc jchan ( J , J nav );\n"
     model = prepare(text)
-    assert rule_typed_from_port(model, TypingIndex(model)) == []
+    assert rule_typed_from_port(TypingIndex(model)) == []
 
     # pointing outside the transported set of the same link is rejected
     off = delegation_text.replace("connector self.pIJL , e.pJL;",
                                   "connector self.pIJL , e.pJL via kchan;")
     off += "assoc kchan ( K , K nav );\n"
     bad = prepare(off)
-    findings = rule_typed_from_port(bad, TypingIndex(bad))
+    findings = rule_typed_from_port(TypingIndex(bad))
     assert [d.code for d in findings] == ["W004"]
     assert findings[0].subject == "A#1"
 
@@ -106,7 +106,7 @@ def test_untyped_part_origin_link_needs_an_association(delegation_text):
     text = delegation_text.replace("connector d , self.rA_K via itsK;",
                                    "connector d , self.rA_K;")
     model = prepare(text)
-    findings = rule_typed_from_part(model, TypingIndex(model))
+    findings = rule_typed_from_part(TypingIndex(model))
     assert [d.code for d in findings] == ["W005"]
     assert findings[0].subject == "A#4"
 
@@ -216,5 +216,5 @@ def test_cardinality_identity_equals_direct_pairwise_check(sets):
 @pytest.mark.parametrize("seed", range(80))
 def test_w007_agrees_with_direct_oracle_through_real_models(seed):
     model, _, _, subsets = random_fanout_port_model(random.Random(seed))
-    fired = any(d.code == "W007" for d in rule_pairwise_disjoint(model, TypingIndex(model)))
+    fired = any(d.code == "W007" for d in rule_pairwise_disjoint(TypingIndex(model)))
     assert fired == (not oracles.pairwise_disjoint_direct(subsets))

@@ -21,11 +21,19 @@ from compocheck import (
     Port,
     TypingIndex,
     parents_of,
+    validate_integrity,
 )
+from compocheck.ingest import parse_auto
+from compocheck.type_system import PORT_ORIGINS
 
 import oracles
-from generators import random_classifier_dag, random_wellformed_model
-from conftest import prepare_model
+from generators import (
+    corrupt_names,
+    random_classifier_dag,
+    random_fanout_port_model,
+    random_wellformed_model,
+)
+from conftest import ATM, DELEGATION, LEAF, MIXED_CONCURRENCY, prepare_model
 
 
 # --- closures ---------------------------------------------------------------
@@ -248,6 +256,59 @@ def test_no_transported_set_contains_a_group(seed):
     for cls, _, conn in model.iter_connectors():
         ts = TypingIndex(model).connector(cls, conn).transported
         assert not (set(ts.interfaces) & groups)
+
+
+# --- connector records -------------------------------------------------------
+
+def _record_models():
+    """(case id, model) pairs: the classification table's links (forbidden ones
+    included), the parseable fixtures, well-formed and fan-out seeds (all
+    synthesized), and ``corrupt_names`` seeds that still pass integrity,
+    unsynthesized, so some connectors name undeclared associations."""
+    for shape, rev1, rev2, _ in CLASSIFICATION_TABLE:
+        yield f"{shape}-{rev1}-{rev2}", link_fixture(shape, rev1, rev2)[0]
+    for fixture in (DELEGATION, MIXED_CONCURRENCY, ATM, LEAF):
+        yield fixture.name, prepare_model(parse_auto(fixture.read_text(encoding="utf-8"),
+                                                     fixture.name))
+    for seed in range(40):
+        yield f"wellformed-{seed}", prepare_model(random_wellformed_model(random.Random(seed)))
+        yield f"fanout-{seed}", prepare_model(random_fanout_port_model(random.Random(seed))[0])
+    kept = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        model = random_classifier_dag(rng) if seed % 4 == 3 else random_wellformed_model(rng)
+        corrupt_names(rng, model, rng.randint(1, 4))
+        if not validate_integrity(model):
+            kept += 1
+            yield f"corrupt-{seed}", model
+    assert kept >= 10
+
+
+def test_connector_records_match_the_linear_lookups():
+    for case, model in _record_models():
+        index = TypingIndex(model)
+        links = index.links()
+        triples = list(model.iter_connectors())
+        assert len(links) == len(triples), case
+        for link, (cls, idx, conn) in zip(links, triples):
+            assert link.connector is conn and index.connector(cls, conn) is link, case
+            assert link.path == model.connector_path(cls, idx), case
+            expected = None if conn.association is None else model.find_association(conn.association)
+            assert link.association is expected, case
+            s1, s2 = link.ends
+            assert s1.ref is conn.end1 and s2.ref is conn.end2, case
+            if link.kind is LinkKind.FORBIDDEN:
+                assert link.far is None, case
+            else:
+                others = [site for site in link.ends if site is not link.origin.site]
+                assert len(others) == 1 and link.far is others[0], case
+        for cls in model.classes:
+            for port in cls.ports:
+                expected = [link for link in links if link.origin.kind in PORT_ORIGINS
+                            and link.origin.site.port is port]
+                got = index.outgoing(port)
+                assert len(got) == len(expected), (case, cls.name, port.name)
+                assert all(a is b for a, b in zip(got, expected)), (case, cls.name, port.name)
 
 
 # --- compatibility ----------------------------------------------------------
