@@ -277,7 +277,7 @@ def cmd_simulate(args, out) -> int:
     index, code = _prepare(args, out)
     if index is None:
         return code
-    root = args.root or index.model.root
+    root = args.root if args.root is not None else index.model.root
     if root is None:
         print("error: simulate needs a root class (--root NAME or a 'root' in the model)",
               file=out)

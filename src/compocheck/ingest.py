@@ -394,6 +394,14 @@ class _JsonReader:
             return default
         return value
 
+    def name_field(self, obj: dict, path: tuple) -> str | None:
+        """The required, non-empty ``name`` of an element."""
+        name = self.str_field(obj, "name", path)
+        if name == "":
+            self.err(path, "field 'name' must not be empty")
+            return None
+        return name
+
     def list_field(self, obj: dict, key: str, path: tuple) -> list:
         value = obj.get(key, [])
         if not isinstance(value, list):
@@ -447,7 +455,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
         if not isinstance(raw, dict):
             reader.err(path, "must be an object")
             continue
-        name = reader.str_field(raw, "name", path)
+        name = reader.name_field(raw, path)
         if name is None:
             continue
         group = raw.get("group", False)
@@ -465,7 +473,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
         if not isinstance(raw, dict):
             reader.err(path, "must be an object")
             continue
-        name = reader.str_field(raw, "name", path)
+        name = reader.name_field(raw, path)
         if name is None:
             continue
         kind_text = reader.str_field(raw, "kind", path, ClassKind.PASSIVE.value)
@@ -481,7 +489,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if not isinstance(attr, dict):
                 reader.err(apath, "must be an object")
                 continue
-            aname = reader.str_field(attr, "name", apath)
+            aname = reader.name_field(attr, apath)
             atype = reader.str_field(attr, "type", apath)
             if aname is not None and atype is not None:
                 cls.attributes.append(Attribute(aname, atype))
@@ -490,7 +498,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if not isinstance(part, dict):
                 reader.err(ppath, "must be an object")
                 continue
-            pname = reader.str_field(part, "name", ppath)
+            pname = reader.name_field(part, ppath)
             ptype = reader.str_field(part, "type", ppath)
             mult = part.get("multiplicity", 1)
             if isinstance(mult, _LongInteger):
@@ -506,7 +514,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if not isinstance(port, dict):
                 reader.err(ppath, "must be an object")
                 continue
-            pname = reader.str_field(port, "name", ppath)
+            pname = reader.name_field(port, ppath)
             contract = reader.str_field(port, "contract", ppath)
             rev = port.get("reversed", False)
             if not isinstance(rev, bool):
@@ -547,7 +555,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             continue
         if raw.get("synthesized") is True:
             continue
-        name = reader.str_field(raw, "name", path)
+        name = reader.name_field(raw, path)
         if name is None:
             continue
         ends = []

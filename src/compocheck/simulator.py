@@ -14,6 +14,12 @@ deterministic. A request arriving at a component is delivered when the
 component's class provides its interface and stuck otherwise; a provided port
 of a structureless component hands requests to its owner; a required port of
 the root instance hands them to the environment.
+
+Where a hop out of a holder goes depends only on the holder, the interface and
+the binding table, so each (holder, interface) hop is routed once, the first
+time a step needs it, and kept in the graph's hop table together with what
+happens on arrival at each target. :meth:`InstanceGraph.add_binding` clears
+the table.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ class DelegBinding:
     interface: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     id: int
     interface: str
@@ -76,7 +82,7 @@ class Request:
     path: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     step: int
     request: int
@@ -134,6 +140,12 @@ class InstanceGraph:
     Only :func:`inject` and :func:`step` change a request's status or
     location, and the run queue holds exactly the in-transit requests, as
     (holder seq, request id) pairs; its head is the next request to move.
+
+    The hop table maps (holder id, interface) to the stuck reason of a request
+    that cannot leave the holder, or to ``(via, [(target, arrival), ...])``.
+    An arrival is ``RequestStatus.DELIVERED``, a component's stuck reason, or
+    the target port's creation seq (the request stays in transit). Hops are
+    routed when a step first needs them; :meth:`add_binding` clears the table.
     """
 
     def __init__(self, typing: TypingIndex, root_id: str):
@@ -144,6 +156,7 @@ class InstanceGraph:
         self.ports: dict[str, PortInstance] = {}
         self.bindings: list[DelegBinding] = []
         self._bindings_by_holder: dict[str, list[DelegBinding]] = {}
+        self._hops: dict[tuple[str, str], tuple | str] = {}
         self.requests: dict[int, Request] = {}
         self._run_queue: list[tuple[int, int]] = []
         self._next_request = 1
@@ -157,6 +170,7 @@ class InstanceGraph:
     def add_binding(self, binding: DelegBinding) -> None:
         self.bindings.append(binding)
         self._bindings_by_holder.setdefault(binding.holder, []).append(binding)
+        self._hops.clear()
 
     def bindings_of(self, holder: str) -> list[DelegBinding]:
         return self._bindings_by_holder.get(holder, [])
@@ -305,44 +319,42 @@ def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None 
     return request.id
 
 
-def _route_from_port(graph: InstanceGraph, request: Request) -> tuple[list[str], str | None] | str:
-    """Targets and binding name for the next hop, or a stuck reason."""
-    port = graph.ports[request.location]
-    candidates = [b for b in graph.bindings_of(port.id) if b.interface == request.interface]
-    deleg = [b for b in candidates if b.association == deleg_name(request.interface)]
-    chosen = deleg or candidates
-    if chosen:
-        name = chosen[0].association
-        targets = [b.target for b in chosen if b.association == name]
-        return targets, name
-    decl = port.declaration
-    if not decl.reversed:
+def _route(graph: InstanceGraph, source: str,
+           interface: str) -> tuple[str | None, list[tuple[str, RequestStatus | str | int]]] | str:
+    """The hop table entry for ``interface`` leaving ``source``: the binding
+    name and each target with its arrival, or a stuck reason."""
+    candidates = [b for b in graph.bindings_of(source) if b.interface == interface]
+    port = graph.ports.get(source)
+    if port is not None:
+        candidates = [b for b in candidates if b.association == deleg_name(interface)] or candidates
+    if candidates:
+        via = candidates[0].association
+        targets = [b.target for b in candidates if b.association == via]
+    elif port is None:
+        return f"component '{source}' has no channel for interface '{interface}'"
+    elif not port.declaration.reversed:
         owner_cls = graph.component_class(port.owner)
-        if not owner_cls.is_composite:
-            return [port.owner], None
-        return (f"no forwarding destination for interface '{request.interface}' "
-                f"inside composite '{owner_cls.name}'")
-    if port.owner == graph.root_id:
-        return [ENVIRONMENT], None
-    return (f"required port has no outgoing channel for interface '{request.interface}'")
+        if owner_cls.is_composite:
+            return (f"no forwarding destination for interface '{interface}' "
+                    f"inside composite '{owner_cls.name}'")
+        via, targets = None, [port.owner]
+    elif port.owner == graph.root_id:
+        via, targets = None, [ENVIRONMENT]
+    else:
+        return f"required port has no outgoing channel for interface '{interface}'"
+    return via, [(target, _arrival(graph, target, interface)) for target in targets]
 
 
-def _arrive(graph: InstanceGraph, request: Request, target: str) -> None:
+def _arrival(graph: InstanceGraph, target: str, interface: str) -> RequestStatus | str | int:
     if target == ENVIRONMENT:
-        request.status = RequestStatus.DELIVERED
-        return
+        return RequestStatus.DELIVERED
     if target in graph.components:
         cls = graph.component_class(target)
-        if request.interface in graph.typing.class_interfaces(cls.name):
-            request.status = RequestStatus.DELIVERED
-        else:
-            request.status = RequestStatus.STUCK
-            request.stuck_reason = (f"component '{target}' of class '{cls.name}' does not "
-                                    f"provide interface '{request.interface}'")
-        return
-    if target in request.visited_ports:
-        raise SimError(f"delegation cycle: request {request.id} revisited port '{target}'")
-    request.visited_ports.add(target)
+        if interface in graph.typing.class_interfaces(cls.name):
+            return RequestStatus.DELIVERED
+        return (f"component '{target}' of class '{cls.name}' does not "
+                f"provide interface '{interface}'")
+    return graph.holder_seq(target)
 
 
 def step(graph: InstanceGraph) -> list[TraceEvent]:
@@ -351,45 +363,45 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
     Returns the trace events it produced (several when a request fans out to a
     multi-instance part), or an empty list when the graph is quiescent.
     """
-    if not graph._run_queue:
+    queue = graph._run_queue
+    if not queue:
         return []
-    request = graph.requests[heapq.heappop(graph._run_queue)[1]]
+    request = graph.requests[heapq.heappop(queue)[1]]
     source = request.location
-    if source in graph.ports:
-        routed = _route_from_port(graph, request)
-        if isinstance(routed, str):
-            request.status = RequestStatus.STUCK
-            request.stuck_reason = routed
-            return []
-        targets, via = routed
-    else:
-        candidates = [b for b in graph.bindings_of(source) if b.interface == request.interface]
-        if not candidates:
-            request.status = RequestStatus.STUCK
-            request.stuck_reason = (f"component '{source}' has no channel for interface "
-                                    f"'{request.interface}'")
-            return []
-        via = candidates[0].association
-        targets = [b.target for b in candidates if b.association == via]
+    key = (source, request.interface)
+    hop = graph._hops.get(key)
+    if hop is None:
+        hop = graph._hops[key] = _route(graph, source, request.interface)
+    if isinstance(hop, str):
+        request.status = RequestStatus.STUCK
+        request.stuck_reason = hop
+        return []
+    via, arrivals = hop
     events: list[TraceEvent] = []
     movers = [request]
-    for _ in targets[1:]:
-        clone = Request(id=graph._next_request, interface=request.interface,
-                        operation=request.operation, location=source, hops=request.hops,
-                        visited_ports=set(request.visited_ports), path=list(request.path))
+    for _ in arrivals[1:]:
+        clone = Request(graph._next_request, request.interface, request.operation, source,
+                        request.hops, RequestStatus.IN_TRANSIT, None,
+                        set(request.visited_ports), request.path.copy())
         graph._next_request += 1
         graph.requests[clone.id] = clone
         movers.append(clone)
-    for mover, target in zip(movers, targets):
-        events.append(TraceEvent(step=graph._next_step, request=mover.id,
-                                 from_=source, to=target, via=via))
+    for mover, (target, arrival) in zip(movers, arrivals):
+        events.append(TraceEvent(graph._next_step, mover.id, source, target, via))
         graph._next_step += 1
         mover.hops += 1
         mover.location = target
         mover.path.append(target)
-        _arrive(graph, mover, target)
-        if mover.status is RequestStatus.IN_TRANSIT:
-            graph.enqueue(mover)
+        if arrival is RequestStatus.DELIVERED:
+            mover.status = arrival
+        elif isinstance(arrival, str):
+            mover.status = RequestStatus.STUCK
+            mover.stuck_reason = arrival
+        elif target in mover.visited_ports:
+            raise SimError(f"delegation cycle: request {mover.id} revisited port '{target}'")
+        else:
+            mover.visited_ports.add(target)
+            heapq.heappush(queue, (arrival, mover.id))
     return events
 
 

@@ -223,8 +223,9 @@ class TypingIndex:
             found = self._parents[name] = frozenset(seen)
         return found
 
-    def _fold(self, name: str, memo: dict[str, frozenset[str]], own) -> frozenset[str]:
-        """The union of ``own(c)`` over the classifier ``name`` and all its ancestors.
+    def _fold(self, name: str, memo: dict[str, frozenset[str]], attribute: str) -> frozenset[str]:
+        """The union of ``_expanded(c, attribute)`` over the classifier ``name``
+        and all its ancestors, kept in ``memo``, which does not hold ``name`` yet.
 
         Generals are walked in post-order with an explicit stack, so every
         ancestor's union is built once from its generals' unions and deep
@@ -232,9 +233,7 @@ class TypingIndex:
         unlike the ancestor sets themselves. A cycle, which only a model
         failing integrity has, falls back to a walk over :meth:`parents`.
         """
-        found = memo.get(name)
-        if found is not None:
-            return found
+        expanded = self._expanded
         on_path = {name}
         stack = [(name, iter(self._generals(name)))]
         while stack:
@@ -243,7 +242,8 @@ class TypingIndex:
                 if general in memo:
                     continue
                 if general in on_path:
-                    found = memo[name] = _EMPTY.union(*map(own, (name, *self.parents(name))))
+                    found = memo[name] = _EMPTY.union(
+                        *(expanded(c, attribute) for c in (name, *self.parents(name))))
                     return found
                 on_path.add(general)
                 stack.append((general, iter(self._generals(general))))
@@ -251,7 +251,8 @@ class TypingIndex:
             else:
                 stack.pop()
                 on_path.discard(node)
-                memo[node] = own(node).union(*(memo[g] for g in self._generals(node)))
+                memo[node] = expanded(node, attribute).union(
+                    *(memo[g] for g in self._generals(node)))
         return memo[name]
 
     def interface_closure(self, name: str) -> frozenset[str]:
@@ -273,12 +274,14 @@ class TypingIndex:
     def class_interfaces(self, name: str) -> frozenset[str]:
         """Interfaces a class provides: realized directly or via any ancestor class,
         expanded to the realized interfaces' ancestors, groups rejected."""
-        return self._fold(name, self._class_interfaces, lambda c: self._expanded(c, "realizes"))
+        found = self._class_interfaces.get(name)
+        return found if found is not None else self._fold(name, self._class_interfaces, "realizes")
 
     def used_interfaces(self, name: str) -> frozenset[str]:
         """Interfaces a class uses, directly or via any ancestor class, expanded
         to the used interfaces' ancestors, groups rejected."""
-        return self._fold(name, self._used_interfaces, lambda c: self._expanded(c, "usages"))
+        found = self._used_interfaces.get(name)
+        return found if found is not None else self._fold(name, self._used_interfaces, "usages")
 
     def port_interfaces(self, port: Port) -> frozenset[str]:
         """The interfaces a port provides (or requires, when reversed)."""

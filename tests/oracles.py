@@ -190,6 +190,56 @@ def next_request_oracle(graph) -> int | None:
     return min(pending)[1] if pending else None
 
 
+def hop_oracle(graph, request) -> tuple[str | None, list[str], list[tuple[str, str | None]]]:
+    """Where ``request`` goes on its next step, by rescanning the whole binding
+    list: the binding name, the targets, and per target the status and stuck
+    reason the request (or its clone) has on arrival. A request that cannot
+    leave its holder gives no targets and one ``("stuck", reason)`` outcome.
+
+    Out of a port, ``deleg_I`` bindings win over typed ones; out of a
+    component, the first matching binding's name wins. Only bindings with the
+    winning name are followed, in binding order. Component receivers are
+    judged by :func:`class_interfaces_oracle`.
+    """
+    source, interface = request.location, request.interface
+    candidates = [b for b in graph.bindings if b.holder == source and b.interface == interface]
+    port = graph.ports.get(source)
+    if port is not None:
+        deleg = [b for b in candidates if b.association == "deleg_" + interface]
+        candidates = deleg or candidates
+    if candidates:
+        via = candidates[0].association
+        targets = [b.target for b in candidates if b.association == via]
+    elif port is None:
+        return None, [], [("stuck", f"component '{source}' has no channel for interface "
+                                    f"'{interface}'")]
+    elif not port.declaration.reversed:
+        owner_cls = graph.typing.model.find_class(graph.components[port.owner].class_name)
+        if owner_cls.parts:
+            return None, [], [("stuck", f"no forwarding destination for interface "
+                                        f"'{interface}' inside composite '{owner_cls.name}'")]
+        via, targets = None, [port.owner]
+    elif port.owner == graph.root_id:
+        via, targets = None, ["environment"]
+    else:
+        return None, [], [("stuck", "required port has no outgoing channel for interface "
+                                    f"'{interface}'")]
+    outcomes: list[tuple[str, str | None]] = []
+    for target in targets:
+        if target == "environment":
+            outcomes.append(("delivered", None))
+        elif target in graph.components:
+            class_name = graph.components[target].class_name
+            if interface in class_interfaces_oracle(graph.typing.model, class_name):
+                outcomes.append(("delivered", None))
+            else:
+                outcomes.append(("stuck", f"component '{target}' of class '{class_name}' "
+                                          f"does not provide interface '{interface}'"))
+        else:
+            outcomes.append(("inTransit", None))
+    return via, targets, outcomes
+
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 

@@ -173,6 +173,22 @@ def test_simulate_uses_the_model_root_when_present():
     assert code == 0
 
 
+def test_simulate_rejects_an_empty_root_name():
+    code, out = run_cli("simulate", str(ATM), "--root", "")
+    assert code == 2
+    assert out == "error: root '' is not a class of the model\n"
+
+
+def test_check_exits_2_on_an_empty_class_name(tmp_path):
+    doc = json.loads(ATM.read_text(encoding="utf-8"))
+    doc["classes"][1]["name"] = ""
+    path = tmp_path / "empty.csm.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli("check", str(path))
+    assert code == 2
+    assert "$.classes[1]: field 'name' must not be empty" in out
+
+
 def test_simulate_requires_a_root():
     code, out = run_cli("simulate", str(DELEGATION))
     assert code == 2

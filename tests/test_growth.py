@@ -4,8 +4,9 @@ The bounds are on call counts, which are deterministic, rather than on time,
 which is not on shared hosts: linear name scans (``Model.find_*`` and
 ``Class.find_*``), of which integrity validation, deleg synthesis and
 ``check_model`` make none, reads of a holder's creation order
-(``InstanceGraph.holder_seq``) for routing, and runs of the front stages,
-which each command makes once per verdict.
+(``InstanceGraph.holder_seq``) and hop derivations (``simulator._route``) for
+routing, and runs of the front stages, which each command makes once per
+verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from compocheck.simulator import (
 )
 from compocheck.type_system import TypingIndex
 
-from conftest import DELEGATION, prepare_model
+from conftest import DELEGATION, prepare, prepare_model
 from generators import flat_model, gen_chain_model
 
 FINDERS = [(model_layer.Model, name) for name in
@@ -66,6 +67,35 @@ def holder_seq_calls(monkeypatch, model) -> int:
             inject(graph, location, interface)
         run_to_quiescence(graph)
     return counter.calls
+
+
+POOL = """
+interface I { op f; }
+class W active { realizes I; }
+class Group active { part w: W x5; port p: I; connector self.p , w; }
+class Pool active { part g: Group x8; port p: I; connector self.p , g.p; }
+"""
+
+
+def routed_hops(monkeypatch, model, root: str, rounds: int) -> int:
+    """``_route`` calls while the default suite, injected ``rounds`` times, is routed."""
+    graph = instantiate(model, root)
+    counter = Counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_route", counter.wrap(simulator._route))
+        for _ in range(rounds):
+            for location, interface in default_injection_suite(graph):
+                inject(graph, location, interface)
+        run_to_quiescence(graph)
+    return counter.calls
+
+
+@pytest.mark.parametrize("root", ["Flat", "Pool"])
+def test_each_hop_is_routed_once_however_many_requests_take_it(monkeypatch, root):
+    model = prepare_model(flat_model(50)) if root == "Flat" else prepare(POOL)
+    once = routed_hops(monkeypatch, model, root, 1)
+    assert once > 0
+    assert routed_hops(monkeypatch, model, root, 3) == once
 
 
 @pytest.mark.parametrize("n", [50, 200])

@@ -163,6 +163,30 @@ def test_json_multiplicity_beyond_int_conversion_is_a_positioned_error():
         "x.csm.json:1:1: $.classes[1].parts[0]: field 'multiplicity' has too many digits"]
 
 
+def _atm_document() -> dict:
+    doc = json.loads(ATM.read_text(encoding="utf-8"))
+    doc["classes"][0]["attributes"] = [{"name": "itsDisplay", "type": "Display"}]
+    return doc
+
+
+@pytest.mark.parametrize("path", [
+    ("interfaces", 0), ("classes", 0), ("classes", 0, "attributes", 0),
+    ("classes", 6, "parts", 0), ("classes", 4, "ports", 0), ("associations", 0),
+], ids=lambda path: path[-2])
+def test_json_rejects_an_empty_element_name(path):
+    doc = _atm_document()
+    parse_json(json.dumps(doc), "atm.csm.json")
+    element = doc
+    for step in path:
+        element = element[step]
+    element["name"] = ""
+    with pytest.raises(ParseFailure) as err:
+        parse_json(json.dumps(doc), "atm.csm.json")
+    where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)
+    assert [e.render() for e in err.value.errors] == [
+        f"atm.csm.json:1:1: ${where}: field 'name' must not be empty"]
+
+
 def test_round_trip_of_fixtures():
     for path in (DELEGATION,):
         model = parse_dsl(path.read_text(encoding="utf-8"), path.name)

@@ -20,7 +20,7 @@ from compocheck import (
 from compocheck.simulator import ENVIRONMENT
 
 import oracles
-from conftest import prepare, prepare_model
+from conftest import DELEGATION, prepare, prepare_model
 from generators import (
     drop_connector,
     flat_model,
@@ -228,6 +228,16 @@ def test_delegation_cycle_is_detected_by_the_guard(delegation_model):
         run_to_quiescence(graph)
 
 
+def test_a_binding_added_after_routing_takes_effect(delegation_model):
+    graph = instantiate(delegation_model, "A")
+    inject(graph, "A.pIJL", "I")
+    assert [e.to for e in step(graph)] == ["A.d"]
+    # the hop (A.pIJL, I) has been routed; the new binding must still count
+    graph.add_binding(DelegBinding("A.pIJL", "deleg_I", "A.e.pJL", "I"))
+    inject(graph, "A.pIJL", "I")
+    assert [e.to for e in step(graph)] == ["A.d", "A.e.pJL"]
+
+
 def test_stuck_at_component_when_receiver_lacks_the_interface():
     # the leaf provides nothing that matches the boundary port contract of its
     # sibling channel: force it by grafting a binding to the wrong component
@@ -259,9 +269,21 @@ def test_stuck_at_component_when_receiver_lacks_the_interface():
 
 def _stepping_graph(case: str, seed: int):
     """A well-formed model, the same model with one connector dropped so that
-    some requests get stuck, or a flat fan-out."""
+    some requests get stuck, a flat fan-out, or the delegation fixture. The
+    grafted fixture has its binding table reversed, so that a typed binding
+    precedes the ``deleg_K`` one at ``A.e.rK``, and a binding that also sends J
+    to a component that does not provide it."""
     if case == "flat":
         return instantiate(prepare_model(flat_model(30)), "Flat")
+    if case in ("delegation", "grafted"):
+        graph = instantiate(prepare(DELEGATION.read_text(encoding="utf-8")), "A")
+        if case == "grafted":
+            bindings = graph.bindings[::-1] + [DelegBinding("A.pIJL", "deleg_J", "A.d", "J")]
+            graph.bindings.clear()
+            graph._bindings_by_holder.clear()
+            for binding in bindings:
+                graph.add_binding(binding)
+        return graph
     model = prepare_model(random_wellformed_model(random.Random(seed)))
     if case == "dropped":
         cls, index = random.Random(seed).choice(provided_origin_connectors(model))
@@ -269,25 +291,48 @@ def _stepping_graph(case: str, seed: int):
     return instantiate(model, model.root, downgrade={"W008"})
 
 
+def _inner_injections(graph) -> list[tuple[str, str]]:
+    """Every port instance with each interface of its closure, and every
+    component with every interface of the model."""
+    index = graph.typing
+    return [(pid, iface) for pid, port in graph.ports.items()
+            for iface in sorted(index.port_interfaces(port.declaration))] + \
+        [(cid, iface) for cid in graph.components for iface in sorted(index.interfaces)]
+
+
 @pytest.mark.parametrize("case,seed", [("wellformed", s) for s in range(60)]
-                         + [("dropped", s) for s in range(60)] + [("flat", 0)])
+                         + [("dropped", s) for s in range(60)]
+                         + [("flat", 0), ("delegation", 0), ("grafted", 0)])
 def test_each_step_moves_the_oracles_pick(case, seed):
+    """Each step moves the request the scheduler oracle picks, along the hop
+    the hop oracle derives, with the statuses, stuck reasons and paths it
+    predicts."""
     graph = _stepping_graph(case, seed)
     rng = random.Random(seed)
 
     def checked_step() -> bool:
         expected = oracles.next_request_oracle(graph)
-        events = step(graph)
         if expected is None:
-            assert events == []
+            assert step(graph) == []
             return False
-        if events:
-            assert events[0].request == expected
-        else:
-            assert graph.requests[expected].status is RequestStatus.STUCK
+        request = graph.requests[expected]
+        source, path = request.location, list(request.path)
+        via, targets, outcomes = oracles.hop_oracle(graph, request)
+        movers = [expected] + list(range(graph._next_request,
+                                         graph._next_request + len(targets) - 1))
+        events = step(graph)
+        assert [(e.request, e.from_, e.to, e.via) for e in events] == \
+            [(rid, source, target, via) for rid, target in zip(movers, targets)]
+        if not targets:  # stuck where it is
+            assert (request.status.value, request.stuck_reason, request.path) == \
+                (*outcomes[0], path)
+        for rid, target, (status, reason) in zip(movers, targets, outcomes):
+            mover = graph.requests[rid]
+            assert (mover.status.value, mover.stuck_reason, mover.location, mover.path) == \
+                (status, reason, target, path + [target])
         return True
 
-    for location, interface in default_injection_suite(graph) * 2:
+    for location, interface in default_injection_suite(graph) * 2 + _inner_injections(graph):
         inject(graph, location, interface)
         for _ in range(rng.randint(0, 3)):
             checked_step()
