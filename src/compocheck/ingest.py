@@ -442,6 +442,9 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
     except json.JSONDecodeError as exc:
         raise ParseFailure([ParseError(SourceSpan(filename, exc.lineno, exc.colno),
                                        f"malformed JSON: {exc.msg}")]) from exc
+    except RecursionError as exc:
+        raise ParseFailure([ParseError(SourceSpan(filename, 1, 1),
+                                       "malformed JSON: nesting is too deep")]) from exc
     reader = _JsonReader(filename)
     if not isinstance(data, dict):
         raise ParseFailure([ParseError(SourceSpan(filename, 1, 1),

@@ -15,11 +15,13 @@ component's class provides its interface and stuck otherwise; a provided port
 of a structureless component hands requests to its owner; a required port of
 the root instance hands them to the environment.
 
-Where a hop out of a holder goes depends only on the holder, the interface and
-the binding table, so each (holder, interface) hop is routed once, the first
-time a step needs it, and kept in the graph's hop table together with what
-happens on arrival at each target. :meth:`InstanceGraph.add_binding` clears
-the table.
+Bindings are filed by (holder, interface), the key a hop is routed by. Where
+a hop out of a holder goes depends only on that key's bindings, so each
+(holder, interface) hop is routed once, the first time a step needs it, and
+kept in the graph's hop table together with what happens on arrival at each
+target. :meth:`InstanceGraph.add_binding` clears the table. Routing alone
+judges whether a component receiver provides a request's interface; the
+safety check re-reads only the requests that left to the environment.
 """
 
 from __future__ import annotations
@@ -137,9 +139,14 @@ class InstanceGraph:
     ``part_instances`` lists the component ids of each part, keyed by
     (parent id, part name), in creation order.
 
+    ``bindings`` lists every binding in creation order; the binding index
+    files the same bindings by (holder id, interface), in the same order.
+
     Only :func:`inject` and :func:`step` change a request's status or
     location, and the run queue holds exactly the in-transit requests, as
     (holder seq, request id) pairs; its head is the next request to move.
+    Request ids are assigned in insertion order, so ``requests`` iterates in
+    id order.
 
     The hop table maps (holder id, interface) to the stuck reason of a request
     that cannot leave the holder, or to ``(via, [(target, arrival), ...])``.
@@ -155,7 +162,7 @@ class InstanceGraph:
         self.part_instances: dict[tuple[str, str], list[str]] = {}
         self.ports: dict[str, PortInstance] = {}
         self.bindings: list[DelegBinding] = []
-        self._bindings_by_holder: dict[str, list[DelegBinding]] = {}
+        self._bindings_by_hop: dict[tuple[str, str], list[DelegBinding]] = {}
         self._hops: dict[tuple[str, str], tuple | str] = {}
         self.requests: dict[int, Request] = {}
         self._run_queue: list[tuple[int, int]] = []
@@ -169,11 +176,8 @@ class InstanceGraph:
 
     def add_binding(self, binding: DelegBinding) -> None:
         self.bindings.append(binding)
-        self._bindings_by_holder.setdefault(binding.holder, []).append(binding)
+        self._bindings_by_hop.setdefault((binding.holder, binding.interface), []).append(binding)
         self._hops.clear()
-
-    def bindings_of(self, holder: str) -> list[DelegBinding]:
-        return self._bindings_by_holder.get(holder, [])
 
     def enqueue(self, request: Request) -> None:
         heapq.heappush(self._run_queue, (self.holder_seq(request.location), request.id))
@@ -323,7 +327,7 @@ def _route(graph: InstanceGraph, source: str,
            interface: str) -> tuple[str | None, list[tuple[str, RequestStatus | str | int]]] | str:
     """The hop table entry for ``interface`` leaving ``source``: the binding
     name and each target with its arrival, or a stuck reason."""
-    candidates = [b for b in graph.bindings_of(source) if b.interface == interface]
+    candidates = graph._bindings_by_hop.get((source, interface), [])
     port = graph.ports.get(source)
     if port is not None:
         candidates = [b for b in candidates if b.association == deleg_name(interface)] or candidates
@@ -410,36 +414,28 @@ def run_to_quiescence(graph: InstanceGraph) -> Trace:
     events: list[TraceEvent] = []
     while graph._run_queue:
         events.extend(step(graph))
-    statuses = {rid: r.status.value for rid, r in sorted(graph.requests.items())}
+    statuses = {rid: r.status.value for rid, r in graph.requests.items()}
     return Trace(events=events, final_statuses=statuses)
 
 
 def check_type_safety(trace: Trace, graph: InstanceGraph) -> SafetyReport:
-    """Every request must be delivered, and any component receiver must
-    provide the request's interface (environment exits are checked against
-    the closure of the port they left through)."""
+    """Every request must be delivered, and a request that left to the
+    environment must carry an interface in the closure of the port it left
+    through. Routing delivers a request at a component only if the
+    component's class provides its interface, so component receivers are not
+    judged again here."""
     violations: list[SafetyViolation] = []
-    for rid in sorted(graph.requests):
-        request = graph.requests[rid]
+    for rid, request in graph.requests.items():
         if request.status is not RequestStatus.DELIVERED:
             reason = request.stuck_reason or "request still in transit"
             violations.append(SafetyViolation(rid, f"not delivered: {reason}", list(request.path)))
-            continue
-        if request.location == ENVIRONMENT:
-            if len(request.path) >= 2:
-                exit_port = request.path[-2]
-                if exit_port in graph.ports:
-                    closure = graph.typing.port_interfaces(graph.ports[exit_port].declaration)
-                    if request.interface not in closure:
-                        violations.append(SafetyViolation(
-                            rid, f"left through port '{exit_port}' that does not carry "
-                                 f"'{request.interface}'", list(request.path)))
-            continue
-        cls = graph.component_class(request.location)
-        if request.interface not in graph.typing.class_interfaces(cls.name):
-            violations.append(SafetyViolation(
-                rid, f"delivered to '{request.location}' ({cls.name}), which does not "
-                     f"provide '{request.interface}'", list(request.path)))
+        elif request.location == ENVIRONMENT:
+            exit_port = request.path[-2]  # only a port hands a request to the environment
+            closure = graph.typing.port_interfaces(graph.ports[exit_port].declaration)
+            if request.interface not in closure:
+                violations.append(SafetyViolation(
+                    rid, f"left through port '{exit_port}' that does not carry "
+                         f"'{request.interface}'", list(request.path)))
     return SafetyReport(passed=not violations, violations=violations)
 
 

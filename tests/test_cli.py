@@ -292,6 +292,37 @@ def test_simulate_json_summary_carries_the_safety_report(tmp_path):
             "inside composite 'A' (path: A.pout)") in text.splitlines()
 
 
+def test_simulate_flags_a_request_leaving_through_a_port_that_does_not_carry_it(tmp_path):
+    path = tmp_path / "exit.csm"
+    path.write_text(
+        "interface I { op f; }\n"
+        "interface J { op g; }\n"
+        "class Inner active { uses I; port r: I reversed; }\n"
+        "class Root active { part x: Inner; port out: J reversed; "
+        "connector x.r , self.out via itsI; }\n"
+        "assoc itsI ( I , I nav );\n",
+        encoding="utf-8")
+    args = ("simulate", str(path), "--root", "Root", "--downgrade", "W004",
+            "--inject", "Root.x.r:I")
+    code, text = run_cli(*args)
+    assert code == 1
+    assert text.splitlines()[-2:] == [
+        "request 1: left through port 'Root.out' that does not carry 'I' "
+        "(path: Root.x.r -> Root.out -> environment)",
+        "routing safety: FAILED",
+    ]
+    code, out = run_cli(*args, "--output", "json")
+    assert code == 1
+    assert json.loads(out.strip().splitlines()[-1])["safety"] == {
+        "passed": False,
+        "violations": [{
+            "request": 1,
+            "reason": "left through port 'Root.out' that does not carry 'I'",
+            "path": ["Root.x.r", "Root.out", "environment"],
+        }],
+    }
+
+
 def test_color_env_var_controls_ansi(monkeypatch):
     monkeypatch.setenv("COMPOCHECK_COLOR", "always")
     _, colored = run_cli("check", str(DELEGATION))
@@ -332,6 +363,15 @@ def test_deep_nesting_runs_under_the_default_recursion_limit(tmp_path, command, 
     path.write_text(model_to_dsl(random.Random(0), relay_chain_model(depth)), encoding="utf-8")
     code, out = run_cli(command, str(path), *args)
     assert (code, out.splitlines()[-1]) == (0, last_line)
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path):
+    path = tmp_path / "deep.csm.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out = run_cli("check", str(path))
+    assert code == 2
+    assert out.splitlines()[-1].endswith("1 parse error(s)")
+    assert "internal error" not in out
 
 
 def _fuzzed_input(seed: int) -> tuple[str, str]:

@@ -4,9 +4,9 @@ The bounds are on call counts, which are deterministic, rather than on time,
 which is not on shared hosts: linear name scans (``Model.find_*`` and
 ``Class.find_*``), of which integrity validation, deleg synthesis and
 ``check_model`` make none, reads of a holder's creation order
-(``InstanceGraph.holder_seq``) and hop derivations (``simulator._route``) for
-routing, and runs of the front stages, which each command makes once per
-verdict.
+(``InstanceGraph.holder_seq``), hop derivations (``simulator._route``) and
+attribute reads of bindings for routing, and runs of the front stages, which
+each command makes once per verdict.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from compocheck import cli, rules, simulator
 from compocheck import model as model_layer
 from compocheck.rules import check_model
 from compocheck.simulator import (
+    DelegBinding,
     InstanceGraph,
     default_injection_suite,
     inject,
@@ -108,6 +109,31 @@ def test_routing_reads_creation_order_near_linearly(monkeypatch):
     small = holder_seq_calls(monkeypatch, prepare_model(flat_model(50)))
     large = holder_seq_calls(monkeypatch, prepare_model(flat_model(200)))
     assert large <= 5 * small
+
+
+def binding_reads(monkeypatch, model) -> int:
+    """Attribute reads on bindings while the default suite is routed."""
+    graph = instantiate(model, model.root)
+    for location, interface in default_injection_suite(graph):
+        inject(graph, location, interface)
+    reads = 0
+    read = DelegBinding.__getattribute__
+
+    def counted(binding, name):
+        nonlocal reads
+        reads += 1
+        return read(binding, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DelegBinding, "__getattribute__", counted)
+        run_to_quiescence(graph)
+    return reads
+
+
+def test_routing_reads_each_hops_bindings_only(monkeypatch):
+    small = binding_reads(monkeypatch, prepare_model(flat_model(500)))
+    large = binding_reads(monkeypatch, prepare_model(flat_model(2000)))
+    assert 0 < small and large <= 5 * small
 
 
 @pytest.mark.parametrize("argv", [

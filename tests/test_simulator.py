@@ -20,7 +20,7 @@ from compocheck import (
 from compocheck.simulator import ENVIRONMENT
 
 import oracles
-from conftest import DELEGATION, prepare, prepare_model
+from conftest import DELEGATION, prepare, prepare_model, regraft
 from generators import (
     drop_connector,
     flat_model,
@@ -257,9 +257,7 @@ def test_stuck_at_component_when_receiver_lacks_the_interface():
     """
     model = prepare(text)
     graph = instantiate(model, "Duo")
-    graph.bindings.clear()
-    graph._bindings_by_holder.clear()
-    graph.add_binding(DelegBinding("Duo.pi", "deleg_I", "Duo.wj", "I"))
+    regraft(graph, [DelegBinding("Duo.pi", "deleg_I", "Duo.wj", "I")])
     rid = inject(graph, "Duo.pi", "I")
     trace = run_to_quiescence(graph)
     assert graph.requests[rid].status is RequestStatus.STUCK
@@ -278,11 +276,7 @@ def _stepping_graph(case: str, seed: int):
     if case in ("delegation", "grafted"):
         graph = instantiate(prepare(DELEGATION.read_text(encoding="utf-8")), "A")
         if case == "grafted":
-            bindings = graph.bindings[::-1] + [DelegBinding("A.pIJL", "deleg_J", "A.d", "J")]
-            graph.bindings.clear()
-            graph._bindings_by_holder.clear()
-            for binding in bindings:
-                graph.add_binding(binding)
+            regraft(graph, graph.bindings[::-1] + [DelegBinding("A.pIJL", "deleg_J", "A.d", "J")])
         return graph
     model = prepare_model(random_wellformed_model(random.Random(seed)))
     if case == "dropped":
