@@ -450,7 +450,7 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
         raise ParseFailure([ParseError(SourceSpan(filename, 1, 1),
                                        "top level must be an object")])
     version = data.get("formatVersion", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
         reader.err((), f"unsupported formatVersion {version!r} (expected {FORMAT_VERSION})")
     model = Model()
     for i, raw in enumerate(reader.list_field(data, "interfaces", ())):

@@ -96,10 +96,6 @@ class Connector:
     association: str | None = None
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
-    def describe(self) -> str:
-        via = f" via {self.association}" if self.association else ""
-        return f"{self.end1.describe()} -- {self.end2.describe()}{via}"
-
 
 @dataclass
 class AssociationEnd:

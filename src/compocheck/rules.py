@@ -155,16 +155,15 @@ def _admissible_association(index: TypingIndex, kind: LinkKind, origin_kind: Ori
         return False, "a link between two ports accepts only an association between two interfaces"
     # part-port shapes
     if origin_kind is OriginKind.FROM_PART:
-        if start_iface and pointed_iface:
-            return True, ""
-        if not start_iface and pointed_iface:
+        if pointed_iface:  # the start end may be an interface or a class
             return True, ""
         return False, ("a link from a part to a port accepts only an association between two "
                        "interfaces or a class-to-interface association pointing at the interface")
     if start_iface and pointed_iface:
         return True, ""
     return False, ("a link from a port to a part accepts only an association between two "
-                   "interfaces (class ends cannot govern the port side)")
+                   "interfaces (class ends cannot govern the port side) (accepted here in no "
+                   "other form; a port-to-part link admits only interface ends)")
 
 
 def rule_association_direction(index: TypingIndex) -> list[Diagnostic]:
@@ -212,12 +211,6 @@ def rule_association_direction(index: TypingIndex) -> list[Diagnostic]:
             continue
         ok, why = _admissible_association(index, kind, origin.kind, assoc)
         if not ok:
-            if origin.kind in PORT_ORIGINS \
-                    and kind not in (LinkKind.INBOUND_DELEGATION_PORT_PORT,
-                                     LinkKind.OUTBOUND_DELEGATION_PORT_PORT,
-                                     LinkKind.ASSEMBLY_PORT_PORT):
-                why += (" (accepted here in no other form; a port-to-part link admits only "
-                        "interface ends)")
             emit(f"association '{assoc.name}' cannot type this {kind.value}: {why}")
             continue
         if origin.kind is OriginKind.FROM_PART:
@@ -264,8 +257,7 @@ def rule_typed_from_port(index: TypingIndex) -> list[Diagnostic]:
         start = assoc.start_end()
         pointed = assoc.pointed_end()
         assert start is not None and pointed is not None
-        origin_port = origin.site.port if origin.site else None
-        assert origin_port is not None
+        origin_port = origin.site.port
         problems: list[str] = []
         ts = link.transported
         if pointed.type not in ts.interfaces:
@@ -367,6 +359,8 @@ def rule_pairwise_disjoint(index: TypingIndex) -> list[Diagnostic]:
 def rule_completeness(index: TypingIndex) -> list[Diagnostic]:
     """W008: the links out of a port must together transport its whole closure.
 
+    A link out of a port never transports more than the port's closure (see
+    :mod:`~compocheck.type_system`), so only missing interfaces are reported.
     Ports that originate no link are skipped (see the stub notes in the report
     header for ports that are not wired at all).
     """
@@ -379,17 +373,11 @@ def rule_completeness(index: TypingIndex) -> list[Diagnostic]:
             union = set().union(*(link.transported.interfaces for link in outgoing))
             want = index.port_interfaces(port)
             missing = want - union
-            excess = union - want
-            if missing or excess:
-                details = []
-                if missing:
-                    details.append(f"missing {_fmt_set(missing)}")
-                if excess:
-                    details.append(f"excess {_fmt_set(excess)}")
+            if missing:
                 diags.append(error(
                     "W008", _port_path(cls, port),
                     f"links out of this port transport {_fmt_set(union)} but its contract "
-                    f"closure is {_fmt_set(want)}: " + ", ".join(details),
+                    f"closure is {_fmt_set(want)}: missing {_fmt_set(missing)}",
                     [link.path for link in outgoing],
                 ))
     return diags

@@ -49,15 +49,12 @@ class RequestStatus(str, Enum):
 
 @dataclass
 class ComponentInstance:
-    id: str
     class_name: str
-    parent: str | None
     seq: int
 
 
 @dataclass
 class PortInstance:
-    id: str
     owner: str
     declaration: Port
     seq: int
@@ -77,11 +74,15 @@ class Request:
     interface: str
     operation: str
     location: str
-    hops: int = 0
     status: RequestStatus = RequestStatus.IN_TRANSIT
     stuck_reason: str | None = None
     visited_ports: set[str] = field(default_factory=set)
     path: list[str] = field(default_factory=list)
+
+    @property
+    def hops(self) -> int:
+        """Hops taken so far: every hop appends its target to ``path``."""
+        return len(self.path) - 1
 
 
 @dataclass(slots=True)
@@ -223,12 +224,12 @@ def _create(graph: InstanceGraph, root: Class) -> None:
     have theirs. Composite instances whose parts are still being created wait
     on an explicit stack, so nesting depth is not bounded by the recursion
     limit."""
-    _add_instance(graph, root, root.name, None)
+    _add_instance(graph, root, root.name)
     stack = [(root, root.name, _part_instances(graph, root, root.name))]
     while stack:
         cls, instance_id, children = stack[-1]
         for child_cls, child_id in children:
-            _add_instance(graph, child_cls, child_id, instance_id)
+            _add_instance(graph, child_cls, child_id)
             if child_cls.parts:  # descend; this level resumes after the child is done
                 stack.append((child_cls, child_id, _part_instances(graph, child_cls, child_id)))
                 break
@@ -238,13 +239,11 @@ def _create(graph: InstanceGraph, root: Class) -> None:
             _bind_connectors(graph, cls, instance_id)
 
 
-def _add_instance(graph: InstanceGraph, cls: Class, instance_id: str, parent: str | None) -> None:
-    graph.components[instance_id] = ComponentInstance(
-        id=instance_id, class_name=cls.name, parent=parent, seq=graph.next_seq())
+def _add_instance(graph: InstanceGraph, cls: Class, instance_id: str) -> None:
+    graph.components[instance_id] = ComponentInstance(class_name=cls.name, seq=graph.next_seq())
     for port in cls.ports:
-        pid = f"{instance_id}.{port.name}"
-        graph.ports[pid] = PortInstance(id=pid, owner=instance_id,
-                                        declaration=port, seq=graph.next_seq())
+        graph.ports[f"{instance_id}.{port.name}"] = PortInstance(
+            owner=instance_id, declaration=port, seq=graph.next_seq())
 
 
 def _part_instances(graph: InstanceGraph, cls: Class, instance_id: str):
@@ -385,15 +384,14 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
     movers = [request]
     for _ in arrivals[1:]:
         clone = Request(graph._next_request, request.interface, request.operation, source,
-                        request.hops, RequestStatus.IN_TRANSIT, None,
-                        set(request.visited_ports), request.path.copy())
+                        RequestStatus.IN_TRANSIT, None, set(request.visited_ports),
+                        request.path.copy())
         graph._next_request += 1
         graph.requests[clone.id] = clone
         movers.append(clone)
     for mover, (target, arrival) in zip(movers, arrivals):
         events.append(TraceEvent(graph._next_step, mover.id, source, target, via))
         graph._next_step += 1
-        mover.hops += 1
         mover.location = target
         mover.path.append(target)
         if arrival is RequestStatus.DELIVERED:

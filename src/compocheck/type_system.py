@@ -6,12 +6,14 @@ the simulator need to know about a model's typing:
 * generalization closures (``parents``) and the provided-interface sets of
   ports, classes and interfaces (interface groups never appear in a result);
 * one :class:`ConnectorTyping` record per connector (:meth:`TypingIndex.links`):
-  its element path and resolved ends; its classification into
-  delegation/assembly kinds, including the forbidden direction combinations;
-  its origin (the end requests flow away from) and the end opposite it; its
-  typing association; and the set of interfaces it transports, the
-  intersection of the interface sets at its two ends, narrowed to the pointed
-  type's closure when the connector is statically typed with an association;
+  its element path and resolved ends; its kind (delegation or assembly, or
+  one of the forbidden direction combinations) and its origin (the end
+  requests flow away from), both picked by one case analysis over the end
+  shapes and port directions, and the end opposite the origin; its typing
+  association; and the set of interfaces it transports, the intersection of
+  the interface sets at its two ends, narrowed to the pointed type's closure
+  when the connector is statically typed with an association. A link that
+  starts at a port therefore never transports more than that port's closure;
 * compatibility predicates between link ends and association ends.
 
 :class:`~compocheck.model.Model` is mutable, so an index is a snapshot:
@@ -67,7 +69,6 @@ class EndSite:
 
     ref: EndRef
     part: Part | None
-    part_class: Class | None
     port: Port | None
     on_composite: bool
 
@@ -113,70 +114,50 @@ class ConnectorTyping(namedtuple("ConnectorTyping",
 
 
 _EMPTY: frozenset[str] = frozenset()
+_FORBIDDEN = (LinkKind.FORBIDDEN, LinkOrigin(OriginKind.UNDIRECTED, None))
 
 
-def _classify(s1: EndSite, s2: EndSite) -> LinkKind:
-    """Classify a connector by its end shapes and port directions.
+def _classify(s1: EndSite, s2: EndSite) -> tuple[LinkKind, LinkOrigin]:
+    """Classify a connector by its end shapes and port directions, and name the
+    end its requests flow away from (its origin); each case picks both.
 
     Port-port links with one port on the composite are delegations and need
-    matching directions. Port-port links between parts are assemblies and need
-    opposite directions. Part-port links are assemblies when the port sits on
-    a part and delegations when it sits on the composite. Two ports of the
-    composite itself fall under the assembly case.
+    matching directions: inbound ones start at the composite's provided port,
+    outbound ones at the inner component's required port. Port-port links
+    between parts are assemblies, need opposite directions and start at the
+    required port. Part-port links are assemblies when the port sits on a part
+    and delegations when it sits on the composite; they start at the port when
+    requests enter the link through it (a required port of a part, a provided
+    port of the composite) and at the part otherwise. Part-part links start at
+    their first end. Two ports of the composite itself fall under the assembly
+    case. Forbidden links are undirected.
     """
     p1, p2 = s1.port, s2.port
     if p1 is None and p2 is None:
-        return LinkKind.ASSEMBLY_PART_PART
+        return LinkKind.ASSEMBLY_PART_PART, LinkOrigin(OriginKind.FROM_PART, s1)
     if p1 is not None and p2 is not None:
         if s1.on_composite != s2.on_composite:
             if not p1.reversed and not p2.reversed:
-                return LinkKind.INBOUND_DELEGATION_PORT_PORT
+                return (LinkKind.INBOUND_DELEGATION_PORT_PORT,
+                        LinkOrigin(OriginKind.FROM_PROVIDED_PORT, s1 if s1.on_composite else s2))
             if p1.reversed and p2.reversed:
-                return LinkKind.OUTBOUND_DELEGATION_PORT_PORT
-            return LinkKind.FORBIDDEN
+                return (LinkKind.OUTBOUND_DELEGATION_PORT_PORT,
+                        LinkOrigin(OriginKind.FROM_REQUIRED_PORT, s2 if s1.on_composite else s1))
+            return _FORBIDDEN
         if p1.reversed != p2.reversed:
-            return LinkKind.ASSEMBLY_PORT_PORT
-        return LinkKind.FORBIDDEN
-    port_site = s1 if p1 is not None else s2
-    port = port_site.port
-    assert port is not None
+            return (LinkKind.ASSEMBLY_PORT_PORT,
+                    LinkOrigin(OriginKind.FROM_REQUIRED_PORT, s1 if p1.reversed else s2))
+        return _FORBIDDEN
+    port_site, part_site = (s1, s2) if p1 is not None else (s2, s1)
     if not port_site.on_composite:
-        return (LinkKind.ASSEMBLY_PART_REQUIRED_PORT if port.reversed
-                else LinkKind.ASSEMBLY_PART_PROVIDED_PORT)
-    return (LinkKind.OUTBOUND_DELEGATION_PART_PORT if port.reversed
-            else LinkKind.INBOUND_DELEGATION_PART_PORT)
-
-
-def _origin(kind: LinkKind, s1: EndSite, s2: EndSite) -> LinkOrigin:
-    """The end a connector's requests flow away from.
-
-    Inbound delegations start at the composite's provided port; outbound
-    delegations between ports start at the inner component's required port;
-    assemblies start at the required port when one exists, otherwise at the
-    part. Part-part links start at their first end.
-    """
-    if kind is LinkKind.FORBIDDEN:
-        return LinkOrigin(OriginKind.UNDIRECTED, None)
-    if kind is LinkKind.ASSEMBLY_PART_PART:
-        return LinkOrigin(OriginKind.FROM_PART, s1)
-    if kind is LinkKind.INBOUND_DELEGATION_PORT_PORT:
-        site = s1 if s1.on_composite else s2
-        return LinkOrigin(OriginKind.FROM_PROVIDED_PORT, site)
-    if kind is LinkKind.OUTBOUND_DELEGATION_PORT_PORT:
-        site = s1 if not s1.on_composite else s2
-        return LinkOrigin(OriginKind.FROM_REQUIRED_PORT, site)
-    if kind is LinkKind.ASSEMBLY_PORT_PORT:
-        site = s1 if (s1.port is not None and s1.port.reversed) else s2
-        return LinkOrigin(OriginKind.FROM_REQUIRED_PORT, site)
-    port_site = s1 if s1.port is not None else s2
-    part_site = s2 if s1.port is not None else s1
-    if kind is LinkKind.ASSEMBLY_PART_REQUIRED_PORT:
-        return LinkOrigin(OriginKind.FROM_REQUIRED_PORT, port_site)
-    if kind is LinkKind.ASSEMBLY_PART_PROVIDED_PORT:
-        return LinkOrigin(OriginKind.FROM_PART, part_site)
-    if kind is LinkKind.INBOUND_DELEGATION_PART_PORT:
-        return LinkOrigin(OriginKind.FROM_PROVIDED_PORT, port_site)
-    return LinkOrigin(OriginKind.FROM_PART, part_site)  # outbound delegation part-port
+        if port_site.port.reversed:
+            return (LinkKind.ASSEMBLY_PART_REQUIRED_PORT,
+                    LinkOrigin(OriginKind.FROM_REQUIRED_PORT, port_site))
+        return LinkKind.ASSEMBLY_PART_PROVIDED_PORT, LinkOrigin(OriginKind.FROM_PART, part_site)
+    if port_site.port.reversed:
+        return LinkKind.OUTBOUND_DELEGATION_PART_PORT, LinkOrigin(OriginKind.FROM_PART, part_site)
+    return (LinkKind.INBOUND_DELEGATION_PART_PORT,
+            LinkOrigin(OriginKind.FROM_PROVIDED_PORT, port_site))
 
 
 class TypingIndex:
@@ -347,8 +328,7 @@ class TypingIndex:
         else:
             port = self.port(owner, ref.port) if ref.part is None else None
             on_composite = ref.part is None
-        return EndSite(ref=ref, part=part, part_class=part_class,
-                       port=port, on_composite=on_composite)
+        return EndSite(ref=ref, part=part, port=port, on_composite=on_composite)
 
     def links(self) -> list[ConnectorTyping]:
         """The record of every connector of the model, in ``Model.iter_connectors``
@@ -358,13 +338,12 @@ class TypingIndex:
             for owner, idx, conn in self.model.iter_connectors():
                 s1 = self.resolve_end(owner, conn.end1)
                 s2 = self.resolve_end(owner, conn.end2)
-                kind = _classify(s1, s2)
-                origin = _origin(kind, s1, s2)
+                kind, origin = _classify(s1, s2)
                 far = None if origin.site is None else s2 if origin.site is s1 else s1
                 assoc = self.associations.get(conn.association)
                 link = self._connectors[id(owner), id(conn)] = ConnectorTyping(
                     conn, self.model.connector_path(owner, idx), kind, (s1, s2), origin, far,
-                    assoc, self._transported(assoc, kind, s1, s2, origin))
+                    assoc, self._transported(assoc, kind, origin, far))
                 links.append(link)
             self._links = links
         return self._links
@@ -381,14 +360,15 @@ class TypingIndex:
             return self.class_interfaces(site.part.type)
         return _EMPTY
 
-    def _transported(self, assoc: Association | None, kind: LinkKind, s1: EndSite,
-                     s2: EndSite, origin: LinkOrigin) -> TransportedSet:
+    def _transported(self, assoc: Association | None, kind: LinkKind, origin: LinkOrigin,
+                     far: EndSite | None) -> TransportedSet:
         """The set of interfaces a connector can carry.
 
         Untyped: intersection of the two end interface sets (a port contributes
         its contract closure, a part the interfaces its class provides). Typed:
-        the origin-side port closure intersected with the pointed type's closure,
-        so the association narrows the channel. Not computable for part-part
+        the closure of the port at the origin (or, for a link starting at a
+        part, at the far end) intersected with the pointed type's closure, so
+        the association narrows the channel. Not computable for part-part
         links, forbidden links, or associations with no navigable end.
         """
         if kind in (LinkKind.ASSEMBLY_PART_PART, LinkKind.FORBIDDEN):
@@ -397,14 +377,11 @@ class TypingIndex:
             pointed = assoc.pointed_end()
             if pointed is None:
                 return TransportedSet(frozenset(), False)
-            if origin.kind in PORT_ORIGINS:
-                base_site = origin.site
-            else:
-                base_site = s1 if s1.port is not None else s2
-            assert base_site is not None and base_site.port is not None
-            base = self.port_interfaces(base_site.port)
-            return TransportedSet(base & self.provided_interfaces(pointed.type), True)
-        return TransportedSet(self._end_interface_set(s1) & self._end_interface_set(s2), True)
+            base = origin.site if origin.site.port is not None else far
+            return TransportedSet(
+                self.port_interfaces(base.port) & self.provided_interfaces(pointed.type), True)
+        return TransportedSet(
+            self._end_interface_set(origin.site) & self._end_interface_set(far), True)
 
     def outgoing(self, port: Port) -> list[ConnectorTyping]:
         """The records of the connectors anywhere in the model that originate at
@@ -413,7 +390,7 @@ class TypingIndex:
             self._outgoing = {}
             for link in self.links():
                 origin = link.origin
-                if origin.kind in PORT_ORIGINS and origin.site.port is not None:
+                if origin.kind in PORT_ORIGINS:
                     self._outgoing.setdefault(id(origin.site.port), []).append(link)
         return self._outgoing.get(id(port), [])
 

@@ -156,6 +156,46 @@ def test_explain_connector_and_port():
     assert doc["complete"] is True and doc["disjoint"] is True
 
 
+def test_check_prints_notes_before_the_verdict(tmp_path):
+    path = tmp_path / "stub.csm"
+    path.write_text("interface I { op f; }\nclass A active { port stub: I; }\n",
+                    encoding="utf-8")
+    assert run_cli("check", str(path)) == (
+        0, "note: port A.stub is not connected to any link\n"
+           "check: PASSED (0 error(s), 0 warning(s))\n")
+
+
+def test_explain_port_in_text_mode():
+    code, out = run_cli("explain", str(DELEGATION), "A.pIJL")
+    assert code == 0
+    assert out.splitlines() == [
+        "element: A.pIJL",
+        "contract: IJL",
+        "reversed: False",
+        "closure: ['I', 'J', 'L']",
+        "outgoing:",
+        "  A#0: self.pIJL -- d [inbound delegation link between part and provided port] "
+        "transports {I}",
+        "  A#1: self.pIJL -- e.pJL [inbound delegation link between provided ports] "
+        "transports {J, L}",
+        "disjoint: True",
+        "overlap: []",
+        "complete: True",
+        "missing: []",
+    ]
+
+
+def test_explain_interface_association_and_part():
+    code, out = run_cli("explain", str(DELEGATION), "IJL", "--output", "json")
+    assert code == 0
+    assert json.loads(out) == {"element": "IJL", "group": True, "closure": ["I", "J", "L"],
+                               "operations": []}
+    assert run_cli("explain", str(DELEGATION), "itsK") == \
+        (0, "element: itsK\nkind: association\n")
+    assert run_cli("explain", str(DELEGATION), "A.d") == \
+        (0, "element: A.d\ntype: D\nmultiplicity: 1\nprovided: ['I']\n")
+
+
 def test_explain_unknown_path_reports_e005():
     code, out = run_cli("explain", str(DELEGATION), "Nope.x")
     assert code == 1
@@ -254,6 +294,24 @@ def test_simulate_explicit_injections():
 def test_simulate_rejects_bad_injections():
     code, out = run_cli("simulate", str(DELEGATION), "--root", "A", "--inject", "A.pIJL:K")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["A.pIJL", ":I", "A.pIJL:"])
+def test_simulate_rejects_malformed_injections(spec):
+    assert run_cli("simulate", str(DELEGATION), "--root", "A", "--inject", spec) == \
+        (2, f"error: --inject expects LOCATION:INTERFACE, got {spec!r}\n")
+
+
+@pytest.mark.parametrize("version", ["true", "1.0", "false", "0.0"])
+def test_format_version_must_be_the_integer_1(tmp_path, version):
+    # True and 1.0 compare equal to 1 in Python; neither is format version 1
+    path = tmp_path / "v.csm.json"
+    path.write_text(f'{{"formatVersion": {version}, "interfaces": [], "classes": [], '
+                    f'"associations": []}}', encoding="utf-8")
+    shown = {"true": "True", "false": "False"}.get(version, version)
+    assert run_cli("check", str(path)) == (
+        2, f"{path}:1:1: $: unsupported formatVersion {shown} (expected 1)\n"
+           f"{path}: 1 parse error(s)\n")
 
 
 def test_simulate_json_trace_lines():

@@ -157,6 +157,71 @@ def test_bidirectional_class_class_accepts_either_orientation():
     assert report.passed and not report.diagnostics
 
 
+_PART_PART = """
+class P active { realizes I; }
+class R active { realizes I; }
+class C active { part p: P; part r: R; connector p , r via %s; }
+"""
+
+_PORT_TO_PART = """
+class P active { realizes I; }
+class C active { port c: %s; part p: P; connector self.c , p via cp; }
+"""
+
+# Each model starts with "interface I { op f; }"; each pins the exact
+# findings of a rule branch no other test reaches.
+BRANCH_PINS = {
+    "w003-start-and-pointed-ends-misfit": (
+        """
+        class P active { realizes I; }
+        interface J { op g; }
+        class Q active { realizes J; port q: J; }
+        class C active { part p: P; part x: Q; connector p , x.q via pq; }
+        assoc pq ( Q , I nav );
+        """,
+        ["W003 error: C#0: association 'pq' does not fit the link: start end 'Q' does not "
+         "match part 'p' of type 'P'; pointed end 'I' is not covered by port 'x.q' "
+         "(contract closure {J}) (related: pq)",
+         "W006 error: C#0: link p -- x.q transports no interfaces: the interface sets at "
+         "its two ends are disjoint"]),
+    "w003-bidirectional-not-between-classes": (
+        _PART_PART % "both" + "assoc both ( I nav , P nav );",
+        ["W003 error: C#0: bidirectional association 'both' must connect two classes "
+         "(related: both)"]),
+    "w003-pointed-end-misses-the-far-part": (
+        "class S active { }" + _PART_PART % "pr" + "assoc pr ( P , S nav );",
+        ["W003 error: C#0: association 'pr' does not fit the link: pointed end 'S' does not "
+         "match part 'r' of type 'R' (related: pr)"]),
+    "w003-bidirectional-matches-neither-orientation": (
+        "class S active { }" + _PART_PART % "both" + "assoc both ( S nav , S nav );",
+        ["W003 error: C#0: neither orientation of bidirectional association 'both' "
+         "(S -- S) matches the part types (P, R) (related: both)"]),
+    "w003-port-to-part-admits-only-interface-ends": (
+        _PORT_TO_PART % "I" + "assoc cp ( I , C nav );",
+        ["W003 error: C#0: association 'cp' cannot type this inbound delegation link "
+         "between part and provided port: a link from a port to a part accepts only an "
+         "association between two interfaces (class ends cannot govern the port side) "
+         "(accepted here in no other form; a port-to-part link admits only interface ends) "
+         "(related: cp)",
+         "W006 error: C#0: link self.c -- p transports no interfaces: the interface sets "
+         "at its two ends are disjoint",
+         "W008 error: C.c: links out of this port transport {} but its contract closure is "
+         "{I}: missing {I} (related: C#0)"]),
+    "w004-pointed-type-misses-the-far-part": (
+        "interface K : I { op h; }" + _PORT_TO_PART % "K" + "assoc cp ( K , K nav );",
+        ["W004 error: C#0: association 'cp' mis-types this link: pointed type 'K' does not "
+         "match the far part 'p' of type 'P' (related: cp)"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_PINS))
+def test_rule_branch_messages(case):
+    body, expected = BRANCH_PINS[case]
+    report = check_model(prepare("interface I { op f; }\n" + body))
+    assert [d.render() for d in report.diagnostics] == expected
+    assert not report.passed
+
+
 def test_downgraded_codes_become_warnings():
     model = prepare(MUTATION_PAIRS["W008"][0])
     report = check_model(model, downgrade={"W008"})

@@ -238,6 +238,66 @@ def test_a_binding_added_after_routing_takes_effect(delegation_model):
     assert [e.to for e in step(graph)] == ["A.d", "A.e.pJL"]
 
 
+def test_bidirectional_part_part_link_binds_both_directions():
+    model = prepare("""
+    interface I { op f; }
+    interface J { op g; }
+    class P active { realizes I; uses J; }
+    class R active { realizes J; uses I; }
+    class C active { part p: P; part r: R; connector p , r via chan; }
+    assoc chan ( P nav , R nav );
+    """)
+    graph = instantiate(model, "C")
+    assert [(b.holder, b.association, b.target, b.interface) for b in graph.bindings] == \
+        [("C.p", "chan", "C.r", "J"), ("C.r", "chan", "C.p", "I")]
+    inject(graph, "C.p", "J")
+    inject(graph, "C.r", "I")
+    trace = run_to_quiescence(graph)
+    assert [(e.from_, e.to, e.via) for e in trace.events] == \
+        [("C.p", "C.r", "chan"), ("C.r", "C.p", "chan")]
+    assert trace.status_counts()["delivered"] == 2
+    assert check_type_safety(trace, graph).passed
+
+
+def test_non_navigable_typed_connector_binds_nothing():
+    model = prepare("""
+    interface I { op f; }
+    class P active { realizes I; }
+    class C active { port c: I; part p: P; connector self.c , p via nn; }
+    assoc nn ( I , I );
+    """)
+    graph = instantiate(model, "C", downgrade={"W003", "W006", "W008"})
+    assert graph.bindings == []
+
+
+def test_required_port_without_an_outgoing_channel_strands_the_request():
+    model = prepare("""
+    interface I { op f; }
+    class Leaf active { uses I; port r: I reversed; }
+    class Mid active { part l: Leaf; port out: I reversed; connector l.r , self.out; }
+    class Top active { part m: Mid; }
+    """)
+    graph = instantiate(model, "Top")
+    rid = inject(graph, "Top.m.l.r", "I")
+    trace = run_to_quiescence(graph)
+    request = graph.requests[rid]
+    assert request.status is RequestStatus.STUCK
+    assert request.stuck_reason == "required port has no outgoing channel for interface 'I'"
+    assert request.path == ["Top.m.l.r", "Top.m.out"] and request.hops == 1
+    assert not check_type_safety(trace, graph).passed
+
+
+def test_hops_are_read_from_the_path(delegation_model):
+    graph = instantiate(delegation_model, "A")
+    for location, interface in default_injection_suite(graph):
+        inject(graph, location, interface)
+    run_to_quiescence(graph)
+    for request in graph.requests.values():
+        assert request.hops == len(request.path) - 1
+    with pytest.raises(AttributeError):
+        request.hops = 0
+
+
 def test_stuck_at_component_when_receiver_lacks_the_interface():
     # the leaf provides nothing that matches the boundary port contract of its
     # sibling channel: force it by grafting a binding to the wrong component

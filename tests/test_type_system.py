@@ -33,7 +33,8 @@ from generators import (
     random_fanout_port_model,
     random_wellformed_model,
 )
-from conftest import ATM, DELEGATION, LEAF, MIXED_CONCURRENCY, prepare_model
+from conftest import ATM, DELEGATION, LEAF, MIXED_CONCURRENCY, prepare, prepare_model
+from mutants import MUTATION_PAIRS
 
 
 # --- closures ---------------------------------------------------------------
@@ -170,6 +171,51 @@ def test_origin_is_undirected_exactly_for_forbidden(shape, rev1, rev2, expected)
     model, comp, conn = link_fixture(shape, rev1, rev2)
     origin = TypingIndex(model).connector(comp, conn).origin
     assert (origin.kind is OriginKind.UNDIRECTED) == (expected is LinkKind.FORBIDDEN)
+
+
+# The origin of each CLASSIFICATION_TABLE row: its kind and the end it sits at,
+# written as that end describes itself (None for undirected links). "first"
+# stands for the connector's first end, where a part-part link starts.
+ORIGIN_TABLE = {
+    ("composite_port__part_port", True, True): (OriginKind.FROM_REQUIRED_PORT, "b.q2"),
+    ("composite_port__part_port", False, True): (OriginKind.UNDIRECTED, None),
+    ("composite_port__part_port", True, False): (OriginKind.UNDIRECTED, None),
+    ("composite_port__part_port", False, False): (OriginKind.FROM_PROVIDED_PORT, "self.c"),
+    ("part_port__part_port", True, True): (OriginKind.UNDIRECTED, None),
+    ("part_port__part_port", False, True): (OriginKind.FROM_REQUIRED_PORT, "b.q2"),
+    ("part_port__part_port", True, False): (OriginKind.FROM_REQUIRED_PORT, "a.q1"),
+    ("part_port__part_port", False, False): (OriginKind.UNDIRECTED, None),
+    ("part__part_port", False, False): (OriginKind.FROM_PART, "a"),
+    ("part__part_port", False, True): (OriginKind.FROM_REQUIRED_PORT, "b.q2"),
+    ("part__composite_port", False, False): (OriginKind.FROM_PROVIDED_PORT, "self.c"),
+    ("part__composite_port", False, True): (OriginKind.FROM_PART, "a"),
+    ("part__part", False, False): (OriginKind.FROM_PART, "first"),
+}
+
+
+def test_origin_table_covers_the_classification_table():
+    assert set(ORIGIN_TABLE) == {(shape, rev1, rev2) for shape, rev1, rev2, _ in CLASSIFICATION_TABLE}
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("shape,rev1,rev2,expected", CLASSIFICATION_TABLE)
+def test_origin_table(shape, rev1, rev2, expected, swapped):
+    model, comp, conn = link_fixture(shape, rev1, rev2)
+    if swapped:
+        conn.end1, conn.end2 = conn.end2, conn.end1
+    link = TypingIndex(model).connector(comp, conn)
+    origin_kind, end = ORIGIN_TABLE[shape, rev1, rev2]
+    if end == "first":
+        end = conn.end1.describe()
+    assert link.kind is expected
+    assert link.origin.kind is origin_kind
+    if end is None:
+        assert link.origin.site is None and link.far is None
+    else:
+        assert link.origin.describe() == end
+        s1, s2 = link.ends
+        assert link.far is (s2 if link.origin.site is s1 else s1)
+        assert link.far.describe() != end
 
 
 def test_link_origins_on_delegation_model(delegation_model):
@@ -309,6 +355,47 @@ def test_connector_records_match_the_linear_lookups():
                 got = index.outgoing(port)
                 assert len(got) == len(expected), (case, cls.name, port.name)
                 assert all(a is b for a, b in zip(got, expected)), (case, cls.name, port.name)
+
+
+def _port_origin_models():
+    """A typed link whose pointed type only its far end carries, synthesized
+    well-formed and fan-out seeds, both sides of every ``MUTATION_PAIRS``
+    entry, and ``corrupt_names`` seeds that still pass integrity
+    (unsynthesized)."""
+    yield "pointed-at-far-end-only", prepare("""
+    interface I { op f; }
+    interface J { op g; }
+    class Inner active { uses J; port r: J reversed; }
+    class Root active { part x: Inner; port out: I reversed; connector x.r , self.out via itsI; }
+    assoc itsI ( I , I nav );
+    """)
+    for seed in range(200):
+        yield f"wellformed-{seed}", prepare_model(random_wellformed_model(random.Random(seed)))
+    for seed in range(100):
+        yield f"fanout-{seed}", prepare_model(random_fanout_port_model(random.Random(seed))[0])
+    for code, texts in sorted(MUTATION_PAIRS.items()):
+        for side, text in zip(("violating", "fixed"), texts):
+            yield f"{code}-{side}", prepare(text, f"{code}-{side}.csm")
+    for seed in range(1000):
+        rng = random.Random(seed)
+        model = random_classifier_dag(rng) if seed % 4 == 3 else random_wellformed_model(rng)
+        corrupt_names(rng, model, rng.randint(0, 4))
+        if not validate_integrity(model):
+            yield f"corrupt-{seed}", model
+
+
+def test_links_out_of_a_port_stay_inside_its_closure():
+    # W008 reports only missing interfaces: no link out of a port, typed or
+    # untyped, transports an interface outside the port's contract closure
+    links = 0
+    for case, model in _port_origin_models():
+        index = TypingIndex(model)
+        for link in index.links():
+            if link.origin.kind in PORT_ORIGINS:
+                links += 1
+                closure = index.port_interfaces(link.origin.site.port)
+                assert link.transported.interfaces <= closure, (case, link.path)
+    assert links > 2000
 
 
 # --- compatibility ----------------------------------------------------------
