@@ -23,7 +23,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Diagnostic:
     """One finding: stable code, severity, offending element path and explanation.
 

@@ -54,10 +54,11 @@ from .model import (
 FORMAT_VERSION = 1
 
 _KINDS = {k.value: k for k in ClassKind}
+_PASSIVE = ClassKind.PASSIVE.value
 _MULT_RE = re.compile(r"^x(\d+)$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseError:
     span: SourceSpan
     message: str
@@ -212,16 +213,17 @@ class _Parser:
         name_tok = tokens[pos]
         if name_tok[0] != "ident":
             self.expected(pos, "interface name")
-        iface = Interface(name=name_tok[1], span=self.span(name_tok))
         pos += 1
-        if tokens[pos][1] == "group":
-            iface.is_group = True
-            pos += 1
+        is_group = tokens[pos][1] == "group"
+        pos += is_group
+        generals: list[str] = []
         if tokens[pos][1] == ":":
-            iface.generals, pos = self.name_list(pos + 1, "interface name")
+            generals, pos = self.name_list(pos + 1, "interface name")
         if tokens[pos][1] != "{":
             self.expected(pos, "'{'")
         pos += 1
+        operations: list[str] = []
+        iface = Interface(name_tok[1], generals, is_group, operations, self.span(name_tok))
         while (value := tokens[pos][1]) != "}":
             if not value:
                 self.fail(pos, "interface body is not closed", "'}'")
@@ -230,7 +232,7 @@ class _Parser:
                     self.fail(pos, f"expected an operation, found {value!r}", "'op'")
                 if tokens[pos + 1][0] != "ident":
                     self.expected(pos + 1, "operation name")
-                iface.operations.append(tokens[pos + 1][1])
+                operations.append(tokens[pos + 1][1])
                 pos = self.end_statement(pos + 2)
             except _StatementError as exc:
                 pos = self.sync_statement(exc.args[0])
@@ -241,20 +243,22 @@ class _Parser:
         name_tok = tokens[pos]
         if name_tok[0] != "ident":
             self.expected(pos, "class name")
-        cls = Class(name=name_tok[1], span=self.span(name_tok))
         pos += 1
         kind = _KINDS.get(tokens[pos][1])
-        if kind is not None:
-            cls.kind = kind
+        if kind is None:
+            kind = ClassKind.PASSIVE
+        else:
             pos += 1
+        generals: list[str] = []
         if tokens[pos][1] == ":":
             if tokens[pos + 1][0] != "ident":
                 self.expected(pos + 1, "class name")
-            cls.generals = [tokens[pos + 1][1]]
+            generals.append(tokens[pos + 1][1])
             pos += 2
         if tokens[pos][1] != "{":
             self.expected(pos, "'{'")
         pos += 1
+        cls = Class(name_tok[1], kind, generals, [], [], [], [], [], [], self.span(name_tok))
         while (value := tokens[pos][1]) != "}":
             if not value:
                 self.fail(pos, "class body is not closed", "'}'")
@@ -281,8 +285,7 @@ class _Parser:
             if keyword == "port":
                 is_reversed = nxt == "reversed"
                 pos += is_reversed
-                cls.ports.append(Port(name=name_tok[1], contract=type_name,
-                                      reversed=is_reversed, span=self.span(name_tok)))
+                cls.ports.append(Port(name_tok[1], type_name, is_reversed, self.span(name_tok)))
             else:
                 match = _MULT_RE.match(nxt) if nxt_kind == "ident" else None
                 multiplicity = 1
@@ -292,8 +295,7 @@ class _Parser:
                     except ValueError:  # more digits than int() converts
                         self.fail(pos, "multiplicity has too many digits")
                     pos += 1
-                cls.parts.append(Part(name=name_tok[1], type=type_name,
-                                      multiplicity=multiplicity, span=self.span(name_tok)))
+                cls.parts.append(Part(name_tok[1], type_name, multiplicity, self.span(name_tok)))
         elif keyword == "connector":
             conn_tok = tokens[pos]
             end1, pos = self.connector_end(pos + 1)
@@ -306,8 +308,7 @@ class _Parser:
                     self.expected(pos + 1, "association name")
                 association = tokens[pos + 1][1]
                 pos += 2
-            cls.connectors.append(Connector(end1=end1, end2=end2, association=association,
-                                            span=self.span(conn_tok)))
+            cls.connectors.append(Connector(end1, end2, association, self.span(conn_tok)))
         elif keyword == "realizes" or keyword == "uses":
             names, pos = self.name_list(pos + 1, "interface name")
             (cls.realizes if keyword == "realizes" else cls.usages).extend(names)
@@ -322,12 +323,12 @@ class _Parser:
         if tokens[pos][0] != "ident":
             self.expected(pos, "part name, or 'self'")
         if head != "self" and tokens[pos + 1][1] != ".":
-            return EndRef(part=head, port=None), pos + 1
+            return EndRef(head, None), pos + 1
         if tokens[pos + 1][1] != ".":
             self.expected(pos + 1, "'.'")
         if tokens[pos + 2][0] != "ident":
             self.expected(pos + 2, "port name")
-        return EndRef(part=None if head == "self" else head, port=tokens[pos + 2][1]), pos + 3
+        return EndRef(None if head == "self" else head, tokens[pos + 2][1]), pos + 3
 
     def assoc_decl(self, pos: int) -> tuple[Association, int]:
         tokens = self.tokens
@@ -345,15 +346,14 @@ class _Parser:
         pos += 1
         if tokens[pos][1] == ";":
             pos += 1
-        return Association(name=name_tok[1], end1=end1, end2=end2,
-                           span=self.span(name_tok)), pos
+        return Association(name_tok[1], end1, end2, False, self.span(name_tok)), pos
 
     def assoc_end(self, pos: int) -> tuple[AssociationEnd, int]:
         tok = self.tokens[pos]
         if tok[0] != "ident":
             self.expected(pos, "classifier name")
         navigable = self.tokens[pos + 1][1] == "nav"
-        return AssociationEnd(type=tok[1], navigable=navigable), pos + 1 + navigable
+        return AssociationEnd(tok[1], navigable), pos + 1 + navigable
 
 
 def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
@@ -419,6 +419,11 @@ class _JsonReader:
         return out
 
 
+def _strings(value) -> bool:
+    """Whether a JSON value is an array of strings."""
+    return type(value) is list and (not value or all(type(item) is str for item in value))
+
+
 class _LongInteger:
     """A JSON integer literal with more digits than ``int()`` converts."""
 
@@ -452,11 +457,20 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
     version = data.get("formatVersion", FORMAT_VERSION)
     if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
         reader.err((), f"unsupported formatVersion {version!r} (expected {FORMAT_VERSION})")
+    # Each element whose fields all have their expected types is built at
+    # once from the values read for that test; any other element goes through
+    # the per-field checks, which report what is wrong with it.
     model = Model()
     for i, raw in enumerate(reader.list_field(data, "interfaces", ())):
         path = ("interfaces", i)
         if not isinstance(raw, dict):
             reader.err(path, "must be an object")
+            continue
+        name, group = raw.get("name"), raw.get("group", False)
+        generals, operations = raw.get("generals", []), raw.get("operations", [])
+        if type(name) is str and name and type(group) is bool \
+                and _strings(generals) and _strings(operations):
+            model.interfaces.append(Interface(name, generals, group, operations))
             continue
         name = reader.name_field(raw, path)
         if name is None:
@@ -476,17 +490,23 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
         if not isinstance(raw, dict):
             reader.err(path, "must be an object")
             continue
-        name = reader.name_field(raw, path)
-        if name is None:
-            continue
-        kind_text = reader.str_field(raw, "kind", path, ClassKind.PASSIVE.value)
-        if kind_text not in _KINDS:
-            reader.err(path, f"unknown class kind {kind_text!r}")
-            kind_text = ClassKind.PASSIVE.value
-        cls = Class(name=name, kind=_KINDS[kind_text],
-                    generals=reader.str_list(raw, "generals", path),
-                    realizes=reader.str_list(raw, "realizes", path),
-                    usages=reader.str_list(raw, "uses", path))
+        name, kind = raw.get("name"), raw.get("kind", _PASSIVE)
+        generals, realizes, usages = raw.get("generals", []), raw.get("realizes", []), \
+            raw.get("uses", [])
+        if type(name) is str and name and type(kind) is str and kind in _KINDS \
+                and _strings(generals) and _strings(realizes) and _strings(usages):
+            cls = Class(name, _KINDS[kind], generals, realizes, usages, [], [], [], [])
+        else:
+            name = reader.name_field(raw, path)
+            if name is None:
+                continue
+            kind_text = reader.str_field(raw, "kind", path, _PASSIVE)
+            if kind_text not in _KINDS:
+                reader.err(path, f"unknown class kind {kind_text!r}")
+                kind_text = _PASSIVE
+            cls = Class(name, _KINDS[kind_text], reader.str_list(raw, "generals", path),
+                        reader.str_list(raw, "realizes", path), reader.str_list(raw, "uses", path),
+                        [], [], [], [])
         for j, attr in enumerate(reader.list_field(raw, "attributes", path)):
             apath = ("classes", i, "attributes", j)
             if not isinstance(attr, dict):
@@ -497,6 +517,11 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if aname is not None and atype is not None:
                 cls.attributes.append(Attribute(aname, atype))
         for j, part in enumerate(reader.list_field(raw, "parts", path)):
+            if type(part) is dict:
+                pname, ptype, mult = part.get("name"), part.get("type"), part.get("multiplicity", 1)
+                if type(pname) is str and pname and type(ptype) is str and type(mult) is int:
+                    cls.parts.append(Part(pname, ptype, mult))
+                    continue
             ppath = ("classes", i, "parts", j)
             if not isinstance(part, dict):
                 reader.err(ppath, "must be an object")
@@ -513,6 +538,12 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
             if pname is not None and ptype is not None:
                 cls.parts.append(Part(name=pname, type=ptype, multiplicity=mult))
         for j, port in enumerate(reader.list_field(raw, "ports", path)):
+            if type(port) is dict:
+                pname, contract = port.get("name"), port.get("contract")
+                rev = port.get("reversed", False)
+                if type(pname) is str and pname and type(contract) is str and type(rev) is bool:
+                    cls.ports.append(Port(pname, contract, rev))
+                    continue
             ppath = ("classes", i, "ports", j)
             if not isinstance(port, dict):
                 reader.err(ppath, "must be an object")
@@ -544,12 +575,12 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
                 if port_name is not None and not isinstance(port_name, str):
                     reader.err(cpath, f"'{key}.port' must be a string")
                     port_name = None
-                ends.append(EndRef(part=part_name, port=port_name))
+                ends.append(EndRef(part_name, port_name))
             association = conn.get("association")
             if association is not None and not isinstance(association, str):
                 reader.err(cpath, "'association' must be a string")
                 association = None
-            cls.connectors.append(Connector(end1=ends[0], end2=ends[1], association=association))
+            cls.connectors.append(Connector(ends[0], ends[1], association))
         model.classes.append(cls)
     for i, raw in enumerate(reader.list_field(data, "associations", ())):
         path = ("associations", i)

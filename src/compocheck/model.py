@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 
 from .diagnostics import Diagnostic, SourceSpan, error
 
@@ -34,7 +35,7 @@ class ClassKind(str, Enum):
     OBSERVER = "observer"
 
 
-@dataclass
+@dataclass(slots=True)
 class Interface:
     name: str
     generals: list[str] = field(default_factory=list)
@@ -43,13 +44,13 @@ class Interface:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Attribute:
     name: str
     type: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Part:
     """A role-named instance slot inside a composite class."""
 
@@ -59,7 +60,7 @@ class Part:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Port:
     name: str
     contract: str
@@ -67,7 +68,7 @@ class Port:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class EndRef:
     """One connector end: a part, a port of a part, or a port of the owner.
 
@@ -89,7 +90,7 @@ class EndRef:
         return "<empty>"
 
 
-@dataclass
+@dataclass(slots=True)
 class Connector:
     end1: EndRef
     end2: EndRef
@@ -97,13 +98,13 @@ class Connector:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class AssociationEnd:
     type: str
     navigable: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Association:
     name: str
     end1: AssociationEnd
@@ -135,7 +136,7 @@ class Association:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class Class:
     name: str
     kind: ClassKind = ClassKind.PASSIVE
@@ -165,7 +166,7 @@ class Class:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class Model:
     interfaces: list[Interface] = field(default_factory=list)
     classes: list[Class] = field(default_factory=list)
@@ -223,15 +224,19 @@ class UnknownPathError(ModelError):
     """An element path did not resolve (code E005)."""
 
 
-def _by_name(elements) -> dict:
+def _by_name(elements: list) -> dict:
     """Name -> element, the first declaration winning as in ``Model.find_*``."""
-    out: dict = {}
-    for element in elements:
-        out.setdefault(element.name, element)
+    out = {element.name: element for element in elements}
+    if len(out) < len(elements):  # a later declaration replaced an earlier one
+        out = {}
+        for element in elements:
+            out.setdefault(element.name, element)
     return out
 
 
 def _duplicates(names: list[str]) -> list[str]:
+    if len(set(names)) == len(names):
+        return []
     seen: set[str] = set()
     dups: list[str] = []
     for name in names:
@@ -246,31 +251,31 @@ def _cycles(pairs: list[tuple[str, list[str]]]) -> list[list[str]]:
 
     A depth-first search with an explicit stack, so arbitrarily deep
     hierarchies need no recursion. A cycle sharing a name with one already
-    reported is not reported again.
+    reported is not reported again. A name with no successor in the graph is
+    on no cycle, so it starts out done, as the search would leave it.
     """
     names = {name for name, _ in pairs}
+    if names.isdisjoint(chain.from_iterable(succs for _, succs in pairs)):
+        return []  # no edge stays inside the graph
     graph = {name: [s for s in succs if s in names] for name, succs in pairs}
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in graph}
+    done = {name for name, succs in graph.items() if not succs}
     cycles: list[list[str]] = []
     in_cycle: set[str] = set()
 
     for name, _ in pairs:
-        if color[name] != WHITE:
+        if name in done:
             continue
-        color[name] = GRAY
-        path = [name]                # the gray nodes, outermost first
-        depth = {name: 0}            # gray node -> its position in ``path``
+        path = [name]                # the names on the search path, outermost first
+        depth = {name: 0}            # name on the path -> its position in ``path``
         pending = [iter(graph[name])]
         while pending:
             for succ in pending[-1]:
-                if color[succ] == GRAY:
+                if succ in depth:
                     cycle = path[depth[succ]:]
                     if in_cycle.isdisjoint(cycle):
                         cycles.append(cycle)
                         in_cycle.update(cycle)
-                elif color[succ] == WHITE:
-                    color[succ] = GRAY
+                elif succ not in done:
                     depth[succ] = len(path)
                     path.append(succ)
                     pending.append(iter(graph[succ]))
@@ -279,7 +284,7 @@ def _cycles(pairs: list[tuple[str, list[str]]]) -> list[list[str]]:
                 pending.pop()
                 node = path.pop()
                 del depth[node]
-                color[node] = BLACK
+                done.add(node)
     return cycles
 
 
@@ -313,75 +318,88 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
     connector_types = {a.name for a in model.associations} | {
         deleg_name(i.name) for i in interfaces.values() if not i.is_group}
 
-    def expect(name: str, namespace, subject: str, wrong_kind: str, undeclared: str,
-               *fields: str) -> None:
-        """E009 when ``name`` names a classifier outside ``namespace``, E001 when it names none.
+    # Every check below tests membership first; subjects and messages are
+    # formatted only for what is reported.
+    def misplaced(name: str, subject: str, wrong_kind: str, undeclared: str, *fields: str) -> None:
+        """E009 when ``name``, found outside the namespace it must be in, names
+        another classifier, E001 when it names none.
 
-        The messages are formatted with ``name`` as ``{0}`` and ``fields`` after
-        it, only when a diagnostic is emitted.
+        The messages are formatted with ``name`` as ``{0}`` and ``fields`` after it.
         """
-        if name not in namespace:
-            if name in declared:
-                emit("E009", subject, wrong_kind.format(name, *fields))
-            else:
-                emit("E001", subject, undeclared.format(name, *fields))
+        if name in declared:
+            emit("E009", subject, wrong_kind.format(name, *fields))
+        else:
+            emit("E001", subject, undeclared.format(name, *fields))
 
     for iface in model.interfaces:
         for gen in iface.generals:
-            expect(gen, interfaces, iface.name, "general '{0}' of interface '{1}' is not an interface",
-                   "interface '{1}' inherits undeclared interface '{0}'", iface.name)
+            if gen not in interfaces:
+                misplaced(gen, iface.name, "general '{0}' of interface '{1}' is not an interface",
+                          "interface '{1}' inherits undeclared interface '{0}'", iface.name)
         if iface.is_group and len(iface.generals) < 2:
             emit("E008", iface.name, f"interface group '{iface.name}' must bundle at least two interfaces")
 
     for cls in model.classes:
-        member_names = [p.name for p in cls.parts] + [p.name for p in cls.ports]
-        for name in _duplicates(member_names):
-            emit("E002", f"{cls.name}.{name}", f"class '{cls.name}' declares '{name}' more than once")
+        if len(cls.parts) + len(cls.ports) > 1:
+            for name in _duplicates([p.name for p in cls.parts] + [p.name for p in cls.ports]):
+                emit("E002", f"{cls.name}.{name}", f"class '{cls.name}' declares '{name}' more than once")
         for gen in cls.generals:
-            expect(gen, classes, cls.name, "general '{0}' of class '{1}' is not a class",
-                   "class '{1}' inherits undeclared class '{0}'", cls.name)
-        for group_name, refs in (("realizes", cls.realizes), ("uses", cls.usages)):
-            for ref in refs:
-                expect(ref, interfaces, cls.name, "'{1}' {2} '{0}', which is not an interface",
-                       "'{1}' {2} undeclared interface '{0}'", cls.name, group_name)
+            if gen not in classes:
+                misplaced(gen, cls.name, "general '{0}' of class '{1}' is not a class",
+                          "class '{1}' inherits undeclared class '{0}'", cls.name)
+        for ref in cls.realizes:
+            if ref not in interfaces:
+                misplaced(ref, cls.name, "'{1}' realizes '{0}', which is not an interface",
+                          "'{1}' realizes undeclared interface '{0}'", cls.name)
+        for ref in cls.usages:
+            if ref not in interfaces:
+                misplaced(ref, cls.name, "'{1}' uses '{0}', which is not an interface",
+                          "'{1}' uses undeclared interface '{0}'", cls.name)
         for attr in cls.attributes:
             if attr.type not in declared:
                 emit("E001", f"{cls.name}.{attr.name}", f"attribute type '{attr.type}' is not declared")
         for part in cls.parts:
-            subject = f"{cls.name}.{part.name}"
-            expect(part.type, classes, subject, "part '{1}' is typed by '{0}', which is not a class",
-                   "part '{1}' is typed by undeclared class '{0}'", part.name)
+            if part.type not in classes:
+                misplaced(part.type, f"{cls.name}.{part.name}",
+                          "part '{1}' is typed by '{0}', which is not a class",
+                          "part '{1}' is typed by undeclared class '{0}'", part.name)
             if part.multiplicity < 1:
-                emit("E007", subject, f"part '{part.name}' has multiplicity {part.multiplicity}; it must be at least 1")
+                emit("E007", f"{cls.name}.{part.name}",
+                     f"part '{part.name}' has multiplicity {part.multiplicity}; it must be at least 1")
         for port in cls.ports:
-            expect(port.contract, interfaces, f"{cls.name}.{port.name}",
-                   "port contract '{0}' is not an interface",
-                   "port '{1}' has undeclared contract '{0}'", port.name)
+            if port.contract not in interfaces:
+                misplaced(port.contract, f"{cls.name}.{port.name}",
+                          "port contract '{0}' is not an interface",
+                          "port '{1}' has undeclared contract '{0}'", port.name)
         parts = _by_name(cls.parts) if cls.connectors else {}
         for idx, conn in enumerate(cls.connectors):
-            subject = model.connector_path(cls, idx)
             for ref in (conn.end1, conn.end2):
                 if ref.part is None and ref.port is None:
-                    emit("E006", subject, "connector end names neither a part nor a port")
+                    emit("E006", model.connector_path(cls, idx),
+                         "connector end names neither a part nor a port")
                 elif ref.part is not None:
                     part = parts.get(ref.part)
                     if part is None:
-                        emit("E001", subject, f"connector end names unknown part '{ref.part}'")
+                        emit("E001", model.connector_path(cls, idx),
+                             f"connector end names unknown part '{ref.part}'")
                     elif ref.port is not None:
                         part_cls = classes.get(part.type)
                         if part_cls is not None and (id(part_cls), ref.port) not in ports:
-                            emit("E001", subject,
+                            emit("E001", model.connector_path(cls, idx),
                                  f"part '{ref.part}' of type '{part.type}' has no port '{ref.port}'")
                 elif (id(cls), ref.port) not in ports:
-                    emit("E001", subject, f"class '{cls.name}' has no port '{ref.port}'")
+                    emit("E001", model.connector_path(cls, idx),
+                         f"class '{cls.name}' has no port '{ref.port}'")
             if conn.association is not None and conn.association not in connector_types:
-                emit("E001", subject, f"connector is typed with undeclared association '{conn.association}'")
+                emit("E001", model.connector_path(cls, idx),
+                     f"connector is typed with undeclared association '{conn.association}'")
 
     end_types = interfaces.keys() | classes.keys()
     for assoc in model.associations:
         for end in (assoc.end1, assoc.end2):
-            expect(end.type, end_types, assoc.name, "association end type '{0}' is an association",
-                   "association end type '{0}' is not declared")
+            if end.type not in end_types:
+                misplaced(end.type, assoc.name, "association end type '{0}' is an association",
+                          "association end type '{0}' is not declared")
 
     for cycle in _cycles([(i.name, i.generals) for i in model.interfaces]):
         emit("E003", cycle[0], "generalization cycle: " + " -> ".join(cycle + [cycle[0]]), cycle[1:])
@@ -418,12 +436,8 @@ def synthesize_deleg_associations(model: Model) -> Model:
         name = deleg_name(iface.name)
         existing = interfaces.get(name) or classes.get(name) or associations.get(name)
         if existing is None:
-            additions.append(Association(
-                name=name,
-                end1=AssociationEnd(iface.name, navigable=False),
-                end2=AssociationEnd(iface.name, navigable=True),
-                is_deleg_default=True,
-            ))
+            additions.append(Association(name, AssociationEnd(iface.name, False),
+                                         AssociationEnd(iface.name, True), True))
             continue
         if isinstance(existing, Association):
             if existing.end1.type == iface.name and existing.end2.type == iface.name \

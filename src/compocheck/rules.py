@@ -81,6 +81,8 @@ def rule_unidirectional(index: TypingIndex) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     for cls in index.model.classes:
+        if not cls.ports:  # nothing to flag, so no closure to build
+            continue
         used = index.used_interfaces(cls.name)
         realized = index.class_interfaces(cls.name)
         covered: set[str] = set()

@@ -151,9 +151,11 @@ class InstanceGraph:
 
     The hop table maps (holder id, interface) to the stuck reason of a request
     that cannot leave the holder, or to ``(via, [(target, arrival), ...])``.
-    An arrival is ``RequestStatus.DELIVERED``, a component's stuck reason, or
-    the target port's creation seq (the request stays in transit). Hops are
-    routed when a step first needs them; :meth:`add_binding` clears the table.
+    An arrival is ``RequestStatus.DELIVERED``, a component's stuck reason, the
+    target port's creation seq (the request stays in transit), or None for a
+    request a root port hands to the environment. Hops are routed when a step
+    first needs them; :meth:`add_binding` clears the table. ``exited`` holds
+    the ids of the requests that left to the environment.
     """
 
     def __init__(self, typing: TypingIndex, root_id: str):
@@ -166,6 +168,7 @@ class InstanceGraph:
         self._bindings_by_hop: dict[tuple[str, str], list[DelegBinding]] = {}
         self._hops: dict[tuple[str, str], tuple | str] = {}
         self.requests: dict[int, Request] = {}
+        self.exited: set[int] = set()
         self._run_queue: list[tuple[int, int]] = []
         self._next_request = 1
         self._next_step = 1
@@ -322,8 +325,8 @@ def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None 
     return request.id
 
 
-def _route(graph: InstanceGraph, source: str,
-           interface: str) -> tuple[str | None, list[tuple[str, RequestStatus | str | int]]] | str:
+def _route(graph: InstanceGraph, source: str, interface: str
+           ) -> tuple[str | None, list[tuple[str, RequestStatus | str | int | None]]] | str:
     """The hop table entry for ``interface`` leaving ``source``: the binding
     name and each target with its arrival, or a stuck reason."""
     candidates = graph._bindings_by_hop.get((source, interface), [])
@@ -342,15 +345,13 @@ def _route(graph: InstanceGraph, source: str,
                     f"inside composite '{owner_cls.name}'")
         via, targets = None, [port.owner]
     elif port.owner == graph.root_id:
-        via, targets = None, [ENVIRONMENT]
+        return None, [(ENVIRONMENT, None)]
     else:
         return f"required port has no outgoing channel for interface '{interface}'"
     return via, [(target, _arrival(graph, target, interface)) for target in targets]
 
 
 def _arrival(graph: InstanceGraph, target: str, interface: str) -> RequestStatus | str | int:
-    if target == ENVIRONMENT:
-        return RequestStatus.DELIVERED
     if target in graph.components:
         cls = graph.component_class(target)
         if interface in graph.typing.class_interfaces(cls.name):
@@ -399,6 +400,9 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
         elif isinstance(arrival, str):
             mover.status = RequestStatus.STUCK
             mover.stuck_reason = arrival
+        elif arrival is None:
+            mover.status = RequestStatus.DELIVERED
+            graph.exited.add(mover.id)
         elif target in mover.visited_ports:
             raise SimError(f"delegation cycle: request {mover.id} revisited port '{target}'")
         else:
@@ -412,7 +416,9 @@ def run_to_quiescence(graph: InstanceGraph) -> Trace:
     events: list[TraceEvent] = []
     while graph._run_queue:
         events.extend(step(graph))
-    statuses = {rid: r.status.value for rid, r in graph.requests.items()}
+    # ``_value_`` is the member's value; the enum's ``value`` property would
+    # cost a Python-level call per request.
+    statuses = {rid: r.status._value_ for rid, r in graph.requests.items()}
     return Trace(events=events, final_statuses=statuses)
 
 
@@ -427,7 +433,7 @@ def check_type_safety(trace: Trace, graph: InstanceGraph) -> SafetyReport:
         if request.status is not RequestStatus.DELIVERED:
             reason = request.stuck_reason or "request still in transit"
             violations.append(SafetyViolation(rid, f"not delivered: {reason}", list(request.path)))
-        elif request.location == ENVIRONMENT:
+        elif rid in graph.exited:
             exit_port = request.path[-2]  # only a port hands a request to the environment
             closure = graph.typing.port_interfaces(graph.ports[exit_port].declaration)
             if request.interface not in closure:

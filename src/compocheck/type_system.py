@@ -58,7 +58,7 @@ class OriginKind(Enum):
 PORT_ORIGINS = frozenset({OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndSite:
     """A connector end resolved against its owning class.
 
@@ -76,7 +76,7 @@ class EndSite:
         return self.ref.describe()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkOrigin:
     kind: OriginKind
     site: EndSite | None
@@ -87,7 +87,7 @@ class LinkOrigin:
         return self.site.describe()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportedSet:
     """The dynamic type of a connector.
 
@@ -208,15 +208,26 @@ class TypingIndex:
         """The union of ``_expanded(c, attribute)`` over the classifier ``name``
         and all its ancestors, kept in ``memo``, which does not hold ``name`` yet.
 
-        Generals are walked in post-order with an explicit stack, so every
-        ancestor's union is built once from its generals' unions and deep
+        When every general is in ``memo`` already, the union is taken at once.
+        Otherwise generals are walked in post-order with an explicit stack, so
+        every ancestor's union is built once from its generals' unions and deep
         hierarchies need no recursion. Results stay small (interface sets),
         unlike the ancestor sets themselves. A cycle, which only a model
         failing integrity has, falls back to a walk over :meth:`parents`.
         """
         expanded = self._expanded
+        generals = self._generals(name)
+        for general in generals:
+            if general not in memo:
+                break
+        else:  # every general is folded already: nothing to walk
+            found = expanded(name, attribute)
+            if generals:
+                found = found.union(*map(memo.__getitem__, generals))
+            memo[name] = found
+            return found
         on_path = {name}
-        stack = [(name, iter(self._generals(name)))]
+        stack = [(name, iter(generals))]
         while stack:
             node, pending = stack[-1]
             for general in pending:
@@ -250,7 +261,10 @@ class TypingIndex:
         cls = self.classes.get(name)
         if cls is None:
             return _EMPTY
-        return _EMPTY.union(*map(self.interface_closure, getattr(cls, attribute)))
+        refs = getattr(cls, attribute)
+        if len(refs) == 1:
+            return self.interface_closure(refs[0])
+        return _EMPTY.union(*map(self.interface_closure, refs))
 
     def class_interfaces(self, name: str) -> frozenset[str]:
         """Interfaces a class provides: realized directly or via any ancestor class,
@@ -310,25 +324,20 @@ class TypingIndex:
             found = self._members[id(cls)] = (_by_name(cls.parts), _by_name(cls.ports))
         return found
 
-    def part(self, cls: Class, name: str) -> Part | None:
-        return self._members_of(cls)[0].get(name)
-
-    def port(self, cls: Class, name: str) -> Port | None:
-        return self._members_of(cls)[1].get(name)
-
     def resolve_end(self, owner: Class, ref: EndRef) -> EndSite:
-        part = self.part(owner, ref.part) if ref.part else None
+        parts, ports = self._members_of(owner)
+        part = parts.get(ref.part) if ref.part else None
         part_class = self.classes.get(part.type) if part else None
         if ref.port is None:
             port = None
             on_composite = False
         elif part_class is not None:
-            port = self.port(part_class, ref.port)
+            port = self._members_of(part_class)[1].get(ref.port)
             on_composite = False
         else:
-            port = self.port(owner, ref.port) if ref.part is None else None
+            port = ports.get(ref.port) if ref.part is None else None
             on_composite = ref.part is None
-        return EndSite(ref=ref, part=part, port=port, on_composite=on_composite)
+        return EndSite(ref, part, port, on_composite)
 
     def links(self) -> list[ConnectorTyping]:
         """The record of every connector of the model, in ``Model.iter_connectors``

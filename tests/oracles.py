@@ -219,16 +219,14 @@ def hop_oracle(graph, request) -> tuple[str | None, list[str], list[tuple[str, s
             return None, [], [("stuck", f"no forwarding destination for interface "
                                         f"'{interface}' inside composite '{owner_cls.name}'")]
         via, targets = None, [port.owner]
-    elif port.owner == graph.root_id:
-        via, targets = None, ["environment"]
+    elif port.owner == graph.root_id:  # a root class may itself be named "environment"
+        return None, ["environment"], [("delivered", None)]
     else:
         return None, [], [("stuck", "required port has no outgoing channel for interface "
                                     f"'{interface}'")]
     outcomes: list[tuple[str, str | None]] = []
     for target in targets:
-        if target == "environment":
-            outcomes.append(("delivered", None))
-        elif target in graph.components:
+        if target in graph.components:
             class_name = graph.components[target].class_name
             if interface in class_interfaces_oracle(graph.typing.model, class_name):
                 outcomes.append(("delivered", None))

@@ -282,6 +282,36 @@ def test_simulate_detects_stuck_requests_after_dropping_a_connector(tmp_path):
     assert "stuck" in out and "A.pIJL" in out
 
 
+@pytest.mark.parametrize("root", ["environment", "Envx"])
+def test_simulate_judges_a_root_named_environment_like_any_other(tmp_path, root):
+    """A request the root class does not provide is stuck at the root, whatever
+    the root is called; only a required root port hands requests to the
+    environment."""
+    path = tmp_path / "root.csm"
+    path.write_text(f"interface I {{ op f; }}\nclass {root} active {{ port p: I; }}\n",
+                    encoding="utf-8")
+    code, out = run_cli("simulate", str(path), "--root", root)
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "simulate: 1 request(s): 0 delivered, 1 stuck, 0 in transit over 1 event(s)",
+        f"request 1: not delivered: component '{root}' of class '{root}' does not provide "
+        f"interface 'I' (path: {root}.p -> {root})",
+        "routing safety: FAILED",
+    ]
+
+
+def test_simulate_delivers_to_the_environment_from_a_root_named_environment(tmp_path):
+    path = tmp_path / "root.csm"
+    path.write_text("interface I { op f; }\n"
+                    "class environment active { uses I; port r: I reversed; }\n", encoding="utf-8")
+    code, out = run_cli("simulate", str(path), "--root", "environment",
+                        "--inject", "environment.r:I", "--output", "json")
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert lines[0]["to"] == "environment"
+    assert lines[-1]["summary"]["delivered"] == 1 and lines[-1]["safety"]["passed"]
+
+
 def test_simulate_explicit_injections():
     code, out = run_cli("simulate", str(DELEGATION), "--root", "A",
                         "--inject", "A.e.rK:K", "--output", "json")

@@ -23,7 +23,9 @@ from compocheck import (
     synthesize_deleg_associations,
     validate_integrity,
 )
+from compocheck.ingest import ParseFailure
 from compocheck.rules import check_model
+from compocheck.type_system import TypingIndex
 
 from generators import gen_chain_model
 from oracles import has_cycle_dfs
@@ -240,3 +242,24 @@ def test_deep_generalization_cycle_is_one_e003():
     assert [d.code for d in diags] == ["E003"]
     assert diags[0].subject == "K0"
     assert len(diags[0].related) == 2999
+
+
+def test_records_are_slotted_and_take_no_other_attributes(delegation_text):
+    """Model records, diagnostics, parse errors and the frozen typing records
+    have no per-instance ``__dict__``."""
+    model = synthesize_deleg_associations(parse_dsl(delegation_text))
+    cls = model.classes[-1]
+    link = TypingIndex(model).links()[0]
+    try:
+        parse_dsl("class {")
+    except ParseFailure as failure:
+        parse_error = failure.errors[0]
+    records = [model, model.interfaces[0], cls, cls.parts[0], cls.ports[0], cls.connectors[0],
+               cls.connectors[0].end1, model.associations[0], model.associations[0].end1,
+               validate_integrity(Model(root="Nowhere"))[0], parse_error,
+               link.ends[0], link.origin, link.transported]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        # Frozen slotted dataclasses raise TypeError here on some Pythons.
+        with pytest.raises((AttributeError, TypeError)):
+            record.note = "x"

@@ -298,6 +298,19 @@ def test_hops_are_read_from_the_path(delegation_model):
         request.hops = 0
 
 
+def test_a_delegation_cycle_raises_when_a_request_revisits_a_port():
+    model = prepare("""
+    interface I { op f; }
+    class X active { realizes I; port p: I; }
+    class A active { part x: X; port p: I; connector self.p , x.p; }
+    """)
+    graph = instantiate(model, "A")
+    graph.add_binding(DelegBinding("A.x.p", "deleg_I", "A.p", "I"))
+    inject(graph, "A.p", "I")
+    with pytest.raises(SimError, match=r"^delegation cycle: request 1 revisited port 'A\.p'$"):
+        run_to_quiescence(graph)
+
+
 def test_stuck_at_component_when_receiver_lacks_the_interface():
     # the leaf provides nothing that matches the boundary port contract of its
     # sibling channel: force it by grafting a binding to the wrong component
