@@ -371,6 +371,41 @@ def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
 
 # JSON interchange -----------------------------------------------------------
 
+# Each kind of JSON element has one schema table. A field is a key, a default
+# (``_REQUIRED`` for none; ``()`` for an absent array, so that each record
+# gets a list of its own), a type test and what to report when the test
+# rejects a value: a message about the field's ``{key}`` at the element, or a
+# function. A test returns what the record takes, or raises ``_Rejected``. An
+# element whose fields all pass is built in one call; otherwise each rejected
+# field is reported in table order and nothing is built, since any error
+# discards the model.
+
+_REQUIRED = object()
+
+
+class _Rejected(Exception):
+    """Internal signal: a value fails its field's type test."""
+
+
+class _Table:
+    """The schema of one kind of element, and ``build``, which makes the
+    record of an element that passes it or raises :class:`_Rejected`."""
+
+    __slots__ = ("fields", "named", "build")
+
+    def __init__(self, record, *fields: tuple, named: bool = False):
+        self.fields = fields
+        self.named = named  # a bad name stops the element: nothing else of it is checked
+        reads = tuple(field[:3] for field in fields)
+
+        def build(raw):
+            if type(raw) is not dict:
+                raise _Rejected
+            get = raw.get
+            return record(*[test(get(key, default)) for key, default, test in reads])
+
+        self.build = build
+
 
 class _JsonReader:
     def __init__(self, filename: str):
@@ -383,45 +418,24 @@ class _JsonReader:
         where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)
         self.errors.append(ParseError(SourceSpan(self.filename, 1, 1), f"${where}: {message}"))
 
-    def str_field(self, obj: dict, key: str, path: tuple, default: str | None = None) -> str | None:
-        value = obj.get(key, default)
-        if value is default:
-            if default is None and key not in obj:
-                self.err(path, f"missing required field '{key}'")
-            return default
-        if not isinstance(value, str):
-            self.err(path, f"field '{key}' must be a string")
-            return default
-        return value
-
-    def name_field(self, obj: dict, path: tuple) -> str | None:
-        """The required, non-empty ``name`` of an element."""
-        name = self.str_field(obj, "name", path)
-        if name == "":
-            self.err(path, "field 'name' must not be empty")
-            return None
-        return name
-
-    def list_field(self, obj: dict, key: str, path: tuple) -> list:
-        value = obj.get(key, [])
-        if not isinstance(value, list):
-            self.err(path, f"field '{key}' must be an array")
-            return []
-        return value
-
-    def str_list(self, obj: dict, key: str, path: tuple) -> list[str]:
-        out = []
-        for i, item in enumerate(self.list_field(obj, key, path)):
-            if isinstance(item, str):
-                out.append(item)
-            else:
-                self.err((*path, key, i), "must be a string")
-        return out
-
-
-def _strings(value) -> bool:
-    """Whether a JSON value is an array of strings."""
-    return type(value) is list and (not value or all(type(item) is str for item in value))
+    def report(self, table: _Table, raw, path: tuple) -> None:
+        """Report each field of the element ``raw`` that ``table`` rejects."""
+        if type(raw) is not dict:
+            self.err(path, "must be an object")
+            return
+        for key, default, test, message in table.fields:
+            value = raw.get(key, default)
+            try:
+                test(value)
+            except _Rejected:
+                if value is _REQUIRED:
+                    self.err(path, f"missing required field '{key}'")
+                elif type(message) is str:
+                    self.err(path, message.format(key=key))
+                else:
+                    message(self, path, key, value)
+                if key == "name" and table.named:
+                    return
 
 
 class _LongInteger:
@@ -438,6 +452,139 @@ def _json_int(digits: str) -> int | _LongInteger:
         return _LongInteger()
 
 
+def _of_type(kind: type):
+    """The test of values of exactly ``kind``: a boolean is no integer here."""
+    def test(value):
+        if type(value) is kind:
+            return value
+        raise _Rejected
+    return test
+
+
+_string, _boolean, _integer = _of_type(str), _of_type(bool), _of_type(int)
+
+
+def _optional_string(value) -> str | None:
+    if value is None or type(value) is str:
+        return value
+    raise _Rejected
+
+
+def _name(value) -> str:
+    if type(value) is str and value:
+        return value
+    raise _Rejected
+
+
+def _kind(value) -> ClassKind:
+    if type(value) is str and value in _KINDS:
+        return _KINDS[value]
+    raise _Rejected
+
+
+def _says_of_end(message: str):
+    """The report of ``message``, given the end's key and the field's, at the
+    element that holds the end."""
+    return lambda reader, path, key, value: \
+        reader.err(path[:-1], message.format(key=f"{path[-1]}.{key}"))
+
+
+def _report_name(reader: _JsonReader, path: tuple, key: str, value) -> None:
+    reader.err(path, f"field '{key}' must not be empty" if value == ""
+               else f"field '{key}' must be a string")
+
+
+def _report_kind(reader: _JsonReader, path: tuple, key: str, value) -> None:
+    reader.err(path, f"unknown class kind {value!r}" if type(value) is str
+               else f"field '{key}' must be a string")
+
+
+def _report_integer(reader: _JsonReader, path: tuple, key: str, value) -> None:
+    reader.err(path, f"field '{key}' has too many digits" if type(value) is _LongInteger
+               else f"field '{key}' must be an integer")
+
+
+def _end(table: _Table) -> tuple:
+    """The test and report of a field that holds one element of ``table``."""
+
+    def report(reader: _JsonReader, path: tuple, key: str, value) -> None:
+        if type(value) is dict:
+            reader.report(table, value, (*path, key))
+        else:
+            reader.err(path, f"field '{key}' must be an object")
+
+    return table.build, report
+
+
+def _array(test, report, skip=None) -> tuple:
+    """The test and report of a field that holds an array of items that pass
+    ``test``, less those ``skip`` holds for; ``report`` tells of an item that
+    does not pass."""
+
+    def array_test(value) -> list:
+        if type(value) is not list:
+            if value == ():
+                return []
+            raise _Rejected
+        if skip is not None:
+            return [test(item) for item in value if not skip(item)]
+        return [test(item) for item in value] if value else value
+
+    def array_report(reader: _JsonReader, path: tuple, key: str, value) -> None:
+        if type(value) is not list:
+            reader.err(path, f"field '{key}' must be an array")
+            return
+        for i, item in enumerate(value):
+            if skip is None or not skip(item):
+                try:
+                    test(item)
+                except _Rejected:
+                    report(reader, (*path, key, i), item)
+
+    return array_test, array_report
+
+
+def _elements(table: _Table, skip=None) -> tuple:
+    """The test and report of a field that holds an array of elements of ``table``."""
+    return _array(table.build, lambda reader, path, raw: reader.report(table, raw, path), skip)
+
+
+_NAME = ("name", _REQUIRED, _name, _report_name)
+_STRINGS = ((), *_array(_string, lambda reader, path, item: reader.err(path, "must be a string")))
+_MUST_BE_A_STRING = "field '{key}' must be a string"
+_MUST_BE_A_BOOLEAN = "field '{key}' must be a boolean"
+
+_INTERFACE = _Table(
+    lambda name, group, generals, operations: Interface(name, generals, group, operations),
+    _NAME, ("group", False, _boolean, _MUST_BE_A_BOOLEAN),
+    ("generals", *_STRINGS), ("operations", *_STRINGS), named=True)
+_ATTRIBUTE = _Table(Attribute, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING))
+_PART = _Table(Part, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
+               ("multiplicity", 1, _integer, _report_integer))
+_PORT = _Table(Port, _NAME, ("contract", _REQUIRED, _string, _MUST_BE_A_STRING),
+               ("reversed", False, _boolean, _MUST_BE_A_BOOLEAN))
+_END_REF = _Table(EndRef, *[(key, None, _optional_string, _says_of_end("'{key}' must be a string"))
+                            for key in ("part", "port")])
+_CONNECTOR = _Table(Connector, ("end1", None, *_end(_END_REF)), ("end2", None, *_end(_END_REF)),
+                    ("association", None, _optional_string, "'{key}' must be a string"))
+_CLASS = _Table(
+    Class, _NAME, ("kind", _PASSIVE, _kind, _report_kind),
+    ("generals", *_STRINGS), ("realizes", *_STRINGS), ("uses", *_STRINGS),
+    ("attributes", (), *_elements(_ATTRIBUTE)), ("parts", (), *_elements(_PART)),
+    ("ports", (), *_elements(_PORT)), ("connectors", (), *_elements(_CONNECTOR)), named=True)
+_ASSOCIATION_END = _Table(
+    AssociationEnd, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
+    ("navigable", False, _boolean, _says_of_end("'{key}' must be a boolean")))
+_ASSOCIATION = _Table(Association, _NAME, ("end1", None, *_end(_ASSOCIATION_END)),
+                      ("end2", None, *_end(_ASSOCIATION_END)), named=True)
+_MODEL = _Table(
+    Model, ("interfaces", (), *_elements(_INTERFACE)), ("classes", (), *_elements(_CLASS)),
+    # An association that synthesis made is skipped unread: synthesis remakes it.
+    ("associations", (), *_elements(
+        _ASSOCIATION, skip=lambda raw: type(raw) is dict and raw.get("synthesized") is True)),
+    ("root", None, _optional_string, _MUST_BE_A_STRING))
+
+
 def parse_json(text: str, filename: str = "<json>") -> Model:
     """Parse the canonical JSON format; raises :class:`ParseFailure` on
     malformed JSON or schema violations. Synthesized associations present in
@@ -450,167 +597,17 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
     except RecursionError as exc:
         raise ParseFailure([ParseError(SourceSpan(filename, 1, 1),
                                        "malformed JSON: nesting is too deep")]) from exc
-    reader = _JsonReader(filename)
     if not isinstance(data, dict):
         raise ParseFailure([ParseError(SourceSpan(filename, 1, 1),
                                        "top level must be an object")])
+    reader = _JsonReader(filename)
     version = data.get("formatVersion", FORMAT_VERSION)
     if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
         reader.err((), f"unsupported formatVersion {version!r} (expected {FORMAT_VERSION})")
-    # Each element whose fields all have their expected types is built at
-    # once from the values read for that test; any other element goes through
-    # the per-field checks, which report what is wrong with it.
-    model = Model()
-    for i, raw in enumerate(reader.list_field(data, "interfaces", ())):
-        path = ("interfaces", i)
-        if not isinstance(raw, dict):
-            reader.err(path, "must be an object")
-            continue
-        name, group = raw.get("name"), raw.get("group", False)
-        generals, operations = raw.get("generals", []), raw.get("operations", [])
-        if type(name) is str and name and type(group) is bool \
-                and _strings(generals) and _strings(operations):
-            model.interfaces.append(Interface(name, generals, group, operations))
-            continue
-        name = reader.name_field(raw, path)
-        if name is None:
-            continue
-        group = raw.get("group", False)
-        if not isinstance(group, bool):
-            reader.err(path, "field 'group' must be a boolean")
-            group = False
-        model.interfaces.append(Interface(
-            name=name,
-            generals=reader.str_list(raw, "generals", path),
-            is_group=group,
-            operations=reader.str_list(raw, "operations", path),
-        ))
-    for i, raw in enumerate(reader.list_field(data, "classes", ())):
-        path = ("classes", i)
-        if not isinstance(raw, dict):
-            reader.err(path, "must be an object")
-            continue
-        name, kind = raw.get("name"), raw.get("kind", _PASSIVE)
-        generals, realizes, usages = raw.get("generals", []), raw.get("realizes", []), \
-            raw.get("uses", [])
-        if type(name) is str and name and type(kind) is str and kind in _KINDS \
-                and _strings(generals) and _strings(realizes) and _strings(usages):
-            cls = Class(name, _KINDS[kind], generals, realizes, usages, [], [], [], [])
-        else:
-            name = reader.name_field(raw, path)
-            if name is None:
-                continue
-            kind_text = reader.str_field(raw, "kind", path, _PASSIVE)
-            if kind_text not in _KINDS:
-                reader.err(path, f"unknown class kind {kind_text!r}")
-                kind_text = _PASSIVE
-            cls = Class(name, _KINDS[kind_text], reader.str_list(raw, "generals", path),
-                        reader.str_list(raw, "realizes", path), reader.str_list(raw, "uses", path),
-                        [], [], [], [])
-        for j, attr in enumerate(reader.list_field(raw, "attributes", path)):
-            apath = ("classes", i, "attributes", j)
-            if not isinstance(attr, dict):
-                reader.err(apath, "must be an object")
-                continue
-            aname = reader.name_field(attr, apath)
-            atype = reader.str_field(attr, "type", apath)
-            if aname is not None and atype is not None:
-                cls.attributes.append(Attribute(aname, atype))
-        for j, part in enumerate(reader.list_field(raw, "parts", path)):
-            if type(part) is dict:
-                pname, ptype, mult = part.get("name"), part.get("type"), part.get("multiplicity", 1)
-                if type(pname) is str and pname and type(ptype) is str and type(mult) is int:
-                    cls.parts.append(Part(pname, ptype, mult))
-                    continue
-            ppath = ("classes", i, "parts", j)
-            if not isinstance(part, dict):
-                reader.err(ppath, "must be an object")
-                continue
-            pname = reader.name_field(part, ppath)
-            ptype = reader.str_field(part, "type", ppath)
-            mult = part.get("multiplicity", 1)
-            if isinstance(mult, _LongInteger):
-                reader.err(ppath, "field 'multiplicity' has too many digits")
-                mult = 1
-            elif not isinstance(mult, int) or isinstance(mult, bool):
-                reader.err(ppath, "field 'multiplicity' must be an integer")
-                mult = 1
-            if pname is not None and ptype is not None:
-                cls.parts.append(Part(name=pname, type=ptype, multiplicity=mult))
-        for j, port in enumerate(reader.list_field(raw, "ports", path)):
-            if type(port) is dict:
-                pname, contract = port.get("name"), port.get("contract")
-                rev = port.get("reversed", False)
-                if type(pname) is str and pname and type(contract) is str and type(rev) is bool:
-                    cls.ports.append(Port(pname, contract, rev))
-                    continue
-            ppath = ("classes", i, "ports", j)
-            if not isinstance(port, dict):
-                reader.err(ppath, "must be an object")
-                continue
-            pname = reader.name_field(port, ppath)
-            contract = reader.str_field(port, "contract", ppath)
-            rev = port.get("reversed", False)
-            if not isinstance(rev, bool):
-                reader.err(ppath, "field 'reversed' must be a boolean")
-                rev = False
-            if pname is not None and contract is not None:
-                cls.ports.append(Port(name=pname, contract=contract, reversed=rev))
-        for j, conn in enumerate(reader.list_field(raw, "connectors", path)):
-            cpath = ("classes", i, "connectors", j)
-            if not isinstance(conn, dict):
-                reader.err(cpath, "must be an object")
-                continue
-            ends = []
-            for key in ("end1", "end2"):
-                raw_end = conn.get(key)
-                if not isinstance(raw_end, dict):
-                    reader.err(cpath, f"field '{key}' must be an object")
-                    raw_end = {}
-                part_name = raw_end.get("part")
-                port_name = raw_end.get("port")
-                if part_name is not None and not isinstance(part_name, str):
-                    reader.err(cpath, f"'{key}.part' must be a string")
-                    part_name = None
-                if port_name is not None and not isinstance(port_name, str):
-                    reader.err(cpath, f"'{key}.port' must be a string")
-                    port_name = None
-                ends.append(EndRef(part_name, port_name))
-            association = conn.get("association")
-            if association is not None and not isinstance(association, str):
-                reader.err(cpath, "'association' must be a string")
-                association = None
-            cls.connectors.append(Connector(ends[0], ends[1], association))
-        model.classes.append(cls)
-    for i, raw in enumerate(reader.list_field(data, "associations", ())):
-        path = ("associations", i)
-        if not isinstance(raw, dict):
-            reader.err(path, "must be an object")
-            continue
-        if raw.get("synthesized") is True:
-            continue
-        name = reader.name_field(raw, path)
-        if name is None:
-            continue
-        ends = []
-        for key in ("end1", "end2"):
-            raw_end = raw.get(key)
-            if not isinstance(raw_end, dict):
-                reader.err(path, f"field '{key}' must be an object")
-                raw_end = {"type": "?"}
-            etype = reader.str_field(raw_end, "type", (*path, key))
-            nav = raw_end.get("navigable", False)
-            if not isinstance(nav, bool):
-                reader.err(path, f"'{key}.navigable' must be a boolean")
-                nav = False
-            ends.append(AssociationEnd(type=etype if etype is not None else "?", navigable=nav))
-        model.associations.append(Association(name=name, end1=ends[0], end2=ends[1]))
-    root = data.get("root")
-    if root is not None:
-        if isinstance(root, str):
-            model.root = root
-        else:
-            reader.err((), "field 'root' must be a string")
+    try:
+        model = _MODEL.build(data)
+    except _Rejected:
+        reader.report(_MODEL, data, ())
     if reader.errors:
         raise ParseFailure(reader.errors)
     return model

@@ -573,6 +573,11 @@ def mutate_json_document(rng: random.Random, text: str, mutations: int) -> str:
     doc = json.loads(text)
     junk = [None, 3, 2.5, True, "s", [], {}, ["x", 1], {"name": 1}]
 
+    def pick(values):
+        """A copy of a seeded choice, so that no later mutation reaches two
+        places at once or puts a list inside itself."""
+        return copy.deepcopy(rng.choice(values))
+
     def containers(value, out):
         if isinstance(value, (dict, list)):
             out.append(value)
@@ -587,7 +592,7 @@ def mutate_json_document(rng: random.Random, text: str, mutations: int) -> str:
         if choice == 0 and target:
             key = rng.choice(list(target)) if isinstance(target, dict) else \
                 rng.randrange(len(target))
-            target[key] = rng.choice(junk)
+            target[key] = pick(junk)
         elif choice == 1 and target:
             if isinstance(target, dict):
                 del target[rng.choice(list(target))]
@@ -596,7 +601,7 @@ def mutate_json_document(rng: random.Random, text: str, mutations: int) -> str:
         elif choice == 2 and isinstance(target, dict):
             target[rng.choice(["name", "type", "kind", "group", "multiplicity", "reversed",
                                "navigable", "synthesized", "part", "port", "association",
-                               "end1", "end2", "root", "extra"])] = rng.choice(junk + ["A"])
+                               "end1", "end2", "root", "extra"])] = pick(junk + ["A"])
         elif choice == 3:
             doc["formatVersion"] = rng.choice([0, 2, "1", None, 1])
         elif choice == 4:
@@ -605,7 +610,7 @@ def mutate_json_document(rng: random.Random, text: str, mutations: int) -> str:
             if classes:
                 rng.choice(classes)["kind"] = rng.choice(["bogus", "Active", 1, "observer"])
         elif isinstance(target, list):
-            target.append(rng.choice(junk))
+            target.append(pick(junk))
     out = json.dumps(doc, indent=rng.choice([None, 2]))
     if rng.random() < 0.1:
         out = out[:rng.randint(0, len(out))]

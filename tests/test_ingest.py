@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 
@@ -20,8 +21,8 @@ from compocheck import (
 
 from compocheck.ingest import _tokenize
 from conftest import ATM, BROKEN, DELEGATION, FIXTURES
-from generators import (corrupt_dsl, model_to_dsl, provided_origin_connectors,
-                        random_wellformed_model, token_soup)
+from generators import (corrupt_dsl, model_to_dsl, mutate_json_document,
+                        provided_origin_connectors, random_wellformed_model, token_soup)
 from oracles import tokenize_oracle
 
 
@@ -145,12 +146,29 @@ def test_json_schema_violations_are_collected():
     bad = json.dumps({
         "formatVersion": 1,
         "interfaces": [{"generals": []}, {"name": 3}],
-        "classes": [{"name": "A", "kind": "bogus"}],
-        "associations": [],
+        "classes": [{"name": "A", "kind": "bogus", "generals": ["B", 2],
+                     "ports": [{"name": "", "contract": 3, "reversed": 1}],
+                     "connectors": [{"end2": {"port": 4}, "association": False}]}],
+        "associations": [{"name": "a", "end1": {"navigable": 1}, "end2": {"type": "B"}}],
+        "root": 5,
     })
     with pytest.raises(ParseFailure) as err:
         parse_json(bad)
-    assert len(err.value.errors) >= 3
+    assert [e.render() for e in err.value.errors] == [
+        "<json>:1:1: $.interfaces[0]: missing required field 'name'",
+        "<json>:1:1: $.interfaces[1]: field 'name' must be a string",
+        "<json>:1:1: $.classes[0]: unknown class kind 'bogus'",
+        "<json>:1:1: $.classes[0].generals[1]: must be a string",
+        "<json>:1:1: $.classes[0].ports[0]: field 'name' must not be empty",
+        "<json>:1:1: $.classes[0].ports[0]: field 'contract' must be a string",
+        "<json>:1:1: $.classes[0].ports[0]: field 'reversed' must be a boolean",
+        "<json>:1:1: $.classes[0].connectors[0]: field 'end1' must be an object",
+        "<json>:1:1: $.classes[0].connectors[0]: 'end2.port' must be a string",
+        "<json>:1:1: $.classes[0].connectors[0]: 'association' must be a string",
+        "<json>:1:1: $.associations[0].end1: missing required field 'type'",
+        "<json>:1:1: $.associations[0]: 'end1.navigable' must be a boolean",
+        "<json>:1:1: $: field 'root' must be a string",
+    ]
 
 
 def test_json_multiplicity_beyond_int_conversion_is_a_positioned_error():
@@ -169,22 +187,65 @@ def _atm_document() -> dict:
     return doc
 
 
-@pytest.mark.parametrize("path", [
+_ATM_ELEMENTS = [
     ("interfaces", 0), ("classes", 0), ("classes", 0, "attributes", 0),
     ("classes", 6, "parts", 0), ("classes", 4, "ports", 0), ("associations", 0),
-], ids=lambda path: path[-2])
-def test_json_rejects_an_empty_element_name(path):
+]
+
+
+def _rejected_atm(path: tuple, key: str, value) -> list[str]:
+    """The errors of the ATM document whose element at ``path`` has ``key``
+    set to ``value``, or deleted when ``value`` is ``KeyError``."""
     doc = _atm_document()
     parse_json(json.dumps(doc), "atm.csm.json")
     element = doc
     for step in path:
         element = element[step]
-    element["name"] = ""
+    if value is KeyError:
+        del element[key]
+    else:
+        element[key] = value
     with pytest.raises(ParseFailure) as err:
         parse_json(json.dumps(doc), "atm.csm.json")
-    where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)
-    assert [e.render() for e in err.value.errors] == [
-        f"atm.csm.json:1:1: ${where}: field 'name' must not be empty"]
+    return [e.render() for e in err.value.errors]
+
+
+def _where(path: tuple) -> str:
+    return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)
+
+
+@pytest.mark.parametrize("path", _ATM_ELEMENTS, ids=lambda path: path[-2])
+def test_json_rejects_an_empty_element_name(path):
+    assert _rejected_atm(path, "name", "") == [
+        f"atm.csm.json:1:1: {_where(path)}: field 'name' must not be empty"]
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, "field '{}' must be a string"),
+    (3, "field '{}' must be a string"),
+    (KeyError, "missing required field '{}'"),
+], ids=["null", "number", "deleted"])
+@pytest.mark.parametrize("path, key", [
+    *[(path, "name") for path in _ATM_ELEMENTS],
+    (("classes", 0, "attributes", 0), "type"), (("classes", 6, "parts", 0), "type"),
+    (("classes", 4, "ports", 0), "contract"), (("associations", 0, "end1"), "type"),
+], ids=lambda item: item if isinstance(item, str) else ".".join(map(str, item[::2])))
+def test_json_reports_each_required_string_field(path, key, value, message):
+    # A null is a value of the wrong type here, not an absent field.
+    assert _rejected_atm(path, key, value) == [
+        f"atm.csm.json:1:1: {_where(path)}: {message.format(key)}"]
+
+
+@pytest.mark.parametrize("seed", [1396, 2601])
+def test_json_mutations_insert_values_no_two_places_share(seed):
+    # At these seeds one junk list lands in two places and then inside itself,
+    # unless each insertion is a copy; json.dumps then finds a cycle.
+    rng = random.Random(seed)
+    text = mutate_json_document(rng, serialize_json(random_wellformed_model(rng)),
+                                rng.randint(1, 4))
+    assert isinstance(text, str)
+    with contextlib.suppress(ParseFailure):
+        parse_json(text)
 
 
 def test_round_trip_of_fixtures():
