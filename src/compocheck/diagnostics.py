@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -11,13 +12,10 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(namedtuple("SourceSpan", "file line column")):
     """Position of a model element in its source file (1-based line/column)."""
 
-    file: str
-    line: int
-    column: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"

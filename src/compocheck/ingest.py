@@ -23,11 +23,18 @@ Two surfaces feed the same :class:`~compocheck.model.Model`:
 Both parsers collect as many errors as they can and raise
 :class:`ParseFailure` carrying the list.
 
-The DSL is scanned in one pass: the text is split at ``"\n"`` only (not at the
-other line breaks :meth:`str.splitlines` knows) and one regular expression
-matches each line. Tokens are plain ``(kind, value, line, column)`` tuples. A
-``//`` comment runs to the end of its line, and the closing ``eof`` token sits
-just past the last line, or where a comment on that line starts.
+Both DSL readers split the text at ``"\n"`` only (not at the other line breaks
+:meth:`str.splitlines` knows), and a ``//`` comment runs to the end of its
+line. The statement reader goes first. It takes a text that holds one whole
+statement per line, as above, with blank and comment lines between them: one
+regular expression matches each line, and each record is built from its groups
+with the span the token parser gives it. At the first line it cannot take, or
+at a statement out of place, it declines, and the token parser reads the text
+from the start. So every error, expected hint and span of a text that does not
+parse comes from the token parser alone. Its scanner matches one regular
+expression per line too; tokens are plain ``(kind, value, line, column)``
+tuples, and the closing ``eof`` token sits just past the last line, or where a
+comment on that line starts.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ class ParseFailure(Exception):
         super().__init__("; ".join(e.render() for e in errors))
 
 
-_TOKEN_RE = re.compile(r"([ \t\r]*)(?:([A-Za-z_][A-Za-z0-9_]*)|([{}():,;.])|//.*|([^ \t\r]))")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(r"([ \t\r]*)(?:(" + _IDENT + r")|([{}():,;.])|//.*|([^ \t\r]))")
 
 
 def _tokenize(text: str, filename: str) -> tuple[list[tuple], list[ParseError]]:
@@ -105,6 +113,96 @@ def _tokenize(text: str, filename: str) -> tuple[list[tuple], list[ParseError]]:
     comment = last.find("//")
     append(("eof", "", len(lines), (comment if comment >= 0 else len(last)) + 1))
     return tokens, errors
+
+
+# The statement reader's pattern: one statement with blanks and a comment
+# around it, or blanks and a comment alone. A marker group spans each kind of
+# statement, so ``lastgroup`` names the kind. In the layout ``_`` stands for
+# optional blanks, ``~`` for required ones, ``ID`` for an identifier and
+# ``KIND`` for a class kind.
+_STATEMENT_RE = re.compile(r"""
+    _(?:(?P<part>part~(?P<pname>ID)_:_(?P<ptype>ID)(?:~x(?P<mult>[0-9]+))?_;)
+    |(?P<port>port~(?P<oname>ID)_:_(?P<contract>ID)(?:~(?P<rev>reversed))?_;)
+    |(?P<connector>connector~(?P<h1>ID)(?:_\._(?P<p1>ID))?_,_(?P<h2>ID)(?:_\._(?P<p2>ID))?
+        (?:~via~(?P<via>ID))?_;)
+    |(?P<names>(?P<verb>realizes|uses)~(?P<items>ID(?:_,_ID)*)_;)
+    |(?P<close>\})
+    |(?P<cls>class~(?P<cname>ID)(?:~(?P<kind>KIND))?(?:_:_(?P<general>ID))?_\{(?:_(?P<empty>\}))?)
+    |(?P<iface>interface~(?P<iname>ID)(?:~(?P<group>group))?(?:_:_(?P<generals>ID(?:_,_ID)*))?
+        _\{(?P<ops>(?:_op~ID_;)*)_\})
+    |(?P<assoc>assoc~(?P<aname>ID)_\(_(?P<t1>ID)(?:~(?P<n1>nav))?_,_(?P<t2>ID)(?:~(?P<n2>nav))?
+        _\)(?:_;)?)
+    )?_(?://.*)?
+    """.replace("_", r"[ \t\r]*").replace("~", r"[ \t\r]+").replace("KIND", "|".join(_KINDS))
+    .replace("ID", _IDENT), re.VERBOSE)
+_NAME_RE = re.compile(_IDENT)
+
+
+def _read_statements(text: str, filename: str) -> Model | None:
+    """The model of a text that holds one statement per line, as the token
+    parser builds it; None (the reader declines) at the first line that holds
+    anything else or a statement out of place, and at a class left open."""
+    model = Model()
+    cls = None
+    fullmatch = _STATEMENT_RE.fullmatch
+    names = _NAME_RE.findall
+    for line_no, line in enumerate(text.split("\n"), 1):
+        m = fullmatch(line)
+        if m is None:
+            return None
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if cls is not None:
+            if kind == "connector":
+                h1, p1, h2, p2 = m.group("h1", "p1", "h2", "p2")
+                if (p1 is None and h1 == "self") or (p2 is None and h2 == "self"):
+                    return None
+                cls.connectors.append(Connector(
+                    EndRef(None if h1 == "self" else h1, p1),
+                    EndRef(None if h2 == "self" else h2, p2),
+                    m.group("via"), SourceSpan(filename, line_no, m.start(kind) + 1)))
+            elif kind == "port":
+                name, contract, rev = m.group("oname", "contract", "rev")
+                cls.ports.append(Port(name, contract, rev is not None,
+                                      SourceSpan(filename, line_no, m.start("oname") + 1)))
+            elif kind == "part":
+                name, type_name, mult = m.group("pname", "ptype", "mult")
+                try:
+                    multiplicity = 1 if mult is None else int(mult)
+                except ValueError:  # more digits than int() converts
+                    return None
+                cls.parts.append(Part(name, type_name, multiplicity,
+                                      SourceSpan(filename, line_no, m.start("pname") + 1)))
+            elif kind == "names":
+                verb, items = m.group("verb", "items")
+                (cls.realizes if verb == "realizes" else cls.usages).extend(names(items))
+            elif kind == "close":
+                cls = None
+            else:  # a declaration inside a class
+                return None
+        elif kind == "cls":
+            name, kind_name, general, empty = m.group("cname", "kind", "general", "empty")
+            new = Class(name, _KINDS[kind_name] if kind_name else ClassKind.PASSIVE,
+                        [] if general is None else [general], [], [], [], [], [], [],
+                        SourceSpan(filename, line_no, m.start("cname") + 1))
+            model.classes.append(new)
+            if empty is None:
+                cls = new
+        elif kind == "iface":
+            name, group, generals, ops = m.group("iname", "group", "generals", "ops")
+            model.interfaces.append(Interface(
+                name, [] if generals is None else names(generals), group is not None,
+                names(ops)[1::2],  # the words of "op f; op g;" that follow each "op"
+                SourceSpan(filename, line_no, m.start("iname") + 1)))
+        elif kind == "assoc":
+            name, t1, n1, t2, n2 = m.group("aname", "t1", "n1", "t2", "n2")
+            model.associations.append(Association(
+                name, AssociationEnd(t1, n1 is not None), AssociationEnd(t2, n2 is not None),
+                False, SourceSpan(filename, line_no, m.start("aname") + 1)))
+        else:  # a member or a '}' outside a class
+            return None
+    return model if cls is None else None
 
 
 class _StatementError(Exception):
@@ -358,7 +456,12 @@ class _Parser:
 
 def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
     """Parse DSL text into a model; raises :class:`ParseFailure` with every
-    error found (recovery resumes at statement boundaries)."""
+    error found (recovery resumes at statement boundaries). The statement
+    reader goes first; where it declines, the token parser reads the text
+    from the start."""
+    model = _read_statements(text, filename)
+    if model is not None:
+        return model
     tokens, lex_errors = _tokenize(text, filename)
     parser = _Parser(tokens, filename)
     model = parser.parse_model()
@@ -476,6 +579,10 @@ def _name(value) -> str:
     raise _Rejected
 
 
+def _optional_name(value) -> str | None:
+    return None if value is None else _name(value)
+
+
 def _kind(value) -> ClassKind:
     if type(value) is str and value in _KINDS:
         return _KINDS[value]
@@ -551,13 +658,15 @@ def _elements(table: _Table, skip=None) -> tuple:
 
 _NAME = ("name", _REQUIRED, _name, _report_name)
 _STRINGS = ((), *_array(_string, lambda reader, path, item: reader.err(path, "must be a string")))
+_NAMES = ((), *_array(_name, lambda reader, path, item: reader.err(
+    path, "must not be empty" if item == "" else "must be a string")))
 _MUST_BE_A_STRING = "field '{key}' must be a string"
 _MUST_BE_A_BOOLEAN = "field '{key}' must be a boolean"
 
 _INTERFACE = _Table(
     lambda name, group, generals, operations: Interface(name, generals, group, operations),
     _NAME, ("group", False, _boolean, _MUST_BE_A_BOOLEAN),
-    ("generals", *_STRINGS), ("operations", *_STRINGS), named=True)
+    ("generals", *_STRINGS), ("operations", *_NAMES), named=True)
 _ATTRIBUTE = _Table(Attribute, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING))
 _PART = _Table(Part, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
                ("multiplicity", 1, _integer, _report_integer))
@@ -582,7 +691,7 @@ _MODEL = _Table(
     # An association that synthesis made is skipped unread: synthesis remakes it.
     ("associations", (), *_elements(
         _ASSOCIATION, skip=lambda raw: type(raw) is dict and raw.get("synthesized") is True)),
-    ("root", None, _optional_string, _MUST_BE_A_STRING))
+    ("root", None, _optional_name, _report_name))
 
 
 def parse_json(text: str, filename: str = "<json>") -> Model:

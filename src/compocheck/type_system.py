@@ -28,7 +28,6 @@ and it builds a fresh index per call.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 from .model import Association, Class, Connector, EndRef, Model, Part, Port, _by_name
@@ -58,8 +57,11 @@ class OriginKind(Enum):
 PORT_ORIGINS = frozenset({OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT})
 
 
-@dataclass(frozen=True, slots=True)
-class EndSite:
+# The records below are named tuples rather than dataclasses: defining a
+# dataclass costs about a millisecond at import, which every CLI call pays, and
+# a named tuple is built in about half the time of a frozen dataclass, whose
+# constructor sets each field through ``object.__setattr__``.
+class EndSite(namedtuple("EndSite", "ref part port on_composite")):
     """A connector end resolved against its owning class.
 
     ``part`` is None for ends naming a port of the composite itself; ``port``
@@ -67,19 +69,14 @@ class EndSite:
     to the class owning the connector.
     """
 
-    ref: EndRef
-    part: Part | None
-    port: Port | None
-    on_composite: bool
+    __slots__ = ()
 
     def describe(self) -> str:
         return self.ref.describe()
 
 
-@dataclass(frozen=True, slots=True)
-class LinkOrigin:
-    kind: OriginKind
-    site: EndSite | None
+class LinkOrigin(namedtuple("LinkOrigin", "kind site")):
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.site is None:
@@ -87,20 +84,16 @@ class LinkOrigin:
         return self.site.describe()
 
 
-@dataclass(frozen=True, slots=True)
-class TransportedSet:
+class TransportedSet(namedtuple("TransportedSet", "interfaces computable")):
     """The dynamic type of a connector.
 
     ``computable`` is false for part-part links (no port closure bounds the
     channel) and for links typed with an association that has no navigable end.
     """
 
-    interfaces: frozenset[str]
-    computable: bool
+    __slots__ = ()
 
 
-# A named tuple rather than a dataclass: defining a dataclass costs about a
-# millisecond at import, and every CLI call pays for it.
 class ConnectorTyping(namedtuple("ConnectorTyping",
                                  "connector path kind ends origin far association transported")):
     """Everything derived about one connector, in terms of its owning class: the

@@ -451,11 +451,6 @@ def model_to_dsl(rng: random.Random, model: Model) -> str:
     different kinds interleaved, random whitespace, ``\\r\\n`` line ends and
     comments between tokens, and optional statement terminators. Parsing the
     text gives back the model without its root (the DSL has no root)."""
-    def end_tokens(ref: EndRef) -> list[str]:
-        if ref.part is None:
-            return ["self", ".", ref.port]
-        return [ref.part] if ref.port is None else [ref.part, ".", ref.port]
-
     def body(statements: list[list[str]]) -> list[str]:
         out = ["{"]
         for k, statement in enumerate(statements):
@@ -486,7 +481,7 @@ def model_to_dsl(rng: random.Random, model: Model) -> str:
                  for p in cls.parts]
         ports = [["port", p.name, ":", p.contract] + (["reversed"] if p.reversed else [])
                  for p in cls.ports]
-        connectors = [["connector"] + end_tokens(c.end1) + [","] + end_tokens(c.end2)
+        connectors = [["connector"] + _end_tokens(c.end1) + [","] + _end_tokens(c.end2)
                       + (["via", c.association] if c.association is not None else [])
                       for c in cls.connectors]
         return out + body(statements + _interleave(rng, [parts, ports, connectors]))
@@ -512,6 +507,86 @@ def _comma_list(names: list[str]) -> list[str]:
     for name in names[1:]:
         out += [",", name]
     return out
+
+
+def _end_tokens(ref: EndRef) -> list[str]:
+    if ref.part is None:
+        return ["self", ".", ref.port]
+    return [ref.part] if ref.port is None else [ref.part, ".", ref.port]
+
+
+_LINE_BLANKS = ["", "", " ", "  ", "\t", " \t\r"]
+_LINE_GAPS = [" ", " ", "  ", "\t", " \r "]
+_LINE_COMMENTS = ["", "", "", " // note", "\t// é\x0b", "//"]
+_IDENT_CHAR = re.compile(r"[A-Za-z0-9_]").match
+
+
+def model_to_line_dsl(rng: random.Random, model: Model) -> str:
+    """Write ``model`` one statement per line, the layout the DSL's statement
+    reader takes, varied where it allows: seeded blanks around tokens,
+    trailing and whole-line comments, blank lines, ``\\r\\n`` line ends,
+    declarations of different kinds interleaved, and the optional words (a
+    ``passive`` kind, an ``x1`` multiplicity, an association's ``;``) at
+    random. Parsing the text gives back the model without its root."""
+    lines: list[str] = []
+
+    def emit(tokens: list[str]) -> None:
+        text = rng.choice(_LINE_BLANKS) + tokens[0]
+        for before, token in zip(tokens, tokens[1:]):
+            words = _IDENT_CHAR(before[-1]) and _IDENT_CHAR(token[0])
+            text += rng.choice(_LINE_GAPS if words else _LINE_BLANKS) + token
+        lines.append(text + rng.choice(_LINE_BLANKS) + rng.choice(_LINE_COMMENTS))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "  ", "// é"]))
+
+    def interface(iface: Interface) -> None:
+        tokens = ["interface", iface.name] + (["group"] if iface.is_group else [])
+        if iface.generals:
+            tokens += [":"] + _comma_list(iface.generals)
+        tokens.append("{")
+        for op in iface.operations:
+            tokens += ["op", op, ";"]
+        emit(tokens + ["}"])
+
+    def class_(cls: Class) -> None:
+        head = ["class", cls.name]
+        if cls.kind is not ClassKind.PASSIVE or rng.random() < 0.3:
+            head.append(cls.kind.value)
+        if cls.generals:
+            head += [":", cls.generals[0]]
+        members = []
+        for keyword, names in (("realizes", cls.realizes), ("uses", cls.usages)):
+            if names and rng.random() < 0.5:
+                members += [[keyword, name, ";"] for name in names]
+            elif names:
+                members.append([keyword] + _comma_list(names) + [";"])
+        parts = [["part", p.name, ":", p.type]
+                 + ([f"x{p.multiplicity}"] if p.multiplicity != 1 or rng.random() < 0.2 else [])
+                 + [";"] for p in cls.parts]
+        ports = [["port", p.name, ":", p.contract] + (["reversed"] if p.reversed else []) + [";"]
+                 for p in cls.ports]
+        connectors = [["connector"] + _end_tokens(c.end1) + [","] + _end_tokens(c.end2)
+                      + (["via", c.association] if c.association is not None else []) + [";"]
+                      for c in cls.connectors]
+        members += _interleave(rng, [parts, ports, connectors])
+        if not members and rng.random() < 0.5:
+            emit(head + ["{", "}"])
+            return
+        emit(head + ["{"])
+        for member in members:
+            emit(member)
+        emit(["}"])
+
+    def association(assoc: Association) -> None:
+        ends = [[end.type] + (["nav"] if end.navigable else []) for end in (assoc.end1, assoc.end2)]
+        emit(["assoc", assoc.name, "("] + ends[0] + [","] + ends[1] + [")"]
+             + ([";"] if rng.random() < 0.7 else []))
+
+    for write, element in _interleave(rng, [
+            [(interface, i) for i in model.interfaces], [(class_, c) for c in model.classes],
+            [(association, a) for a in model.associations]]):
+        write(element)
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
 
 
 def corrupt_dsl(rng: random.Random, text: str, mutations: int) -> str:

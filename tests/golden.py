@@ -160,7 +160,7 @@ def _integrity(model: Model) -> dict:
     return out
 
 
-def _spans(model: Model) -> list:
+def element_spans(model: Model) -> list:
     def at(path: str, element) -> list:
         span = element.span
         return [path, None] if span is None else [path, span.file, span.line, span.column]
@@ -180,7 +180,7 @@ def _parsed(parse, text: str, filename: str) -> dict:
     except ParseFailure as failure:
         return {"errors": [[e.span.file, e.span.line, e.span.column, e.message, e.expected]
                            for e in failure.errors]}
-    return {"model": serialize_json(model), "spans": _spans(model)}
+    return {"model": serialize_json(model), "spans": element_spans(model)}
 
 
 def _dsl_text(seed: int) -> str:
@@ -188,25 +188,28 @@ def _dsl_text(seed: int) -> str:
     return model_to_dsl(rng, random_wellformed_model(rng))
 
 
-def _parse_digests() -> dict[str, str]:
-    digests = {}
+def dsl_parse_cases():
+    """The ``parse/`` cases: (case name, text, file name) of each text that
+    ``parse_dsl`` reads, JSON fixtures included."""
     for path in sorted(FIXTURES.iterdir()):
-        text = path.read_text(encoding="utf-8")
-        digests[f"parse/fixture/{path.name}"] = _digest(_parsed(parse_dsl, text, path.name))
-        if path.name.endswith(".json"):
-            digests[f"parse-json/fixture/{path.name}"] = \
-                _digest(_parsed(parse_json, text, path.name))
+        yield f"parse/fixture/{path.name}", path.read_text(encoding="utf-8"), path.name
     for seed in WELLFORMED_SEEDS:
-        digests[f"parse/wellformed/{seed}"] = \
-            _digest(_parsed(parse_dsl, _dsl_text(seed), f"w{seed}.csm"))
+        yield f"parse/wellformed/{seed}", _dsl_text(seed), f"w{seed}.csm"
     for seed in PARSE_CORRUPT_SEEDS:
         rng = random.Random(seed)
         text = corrupt_dsl(rng, _dsl_text(seed % 200), rng.randint(1, 4))
-        digests[f"parse/corrupt/{seed}"] = _digest(_parsed(parse_dsl, text, f"c{seed}.csm"))
+        yield f"parse/corrupt/{seed}", text, f"c{seed}.csm"
     for seed in PARSE_SOUP_SEEDS:
         rng = random.Random(seed)
-        text = token_soup(rng, rng.randint(0, 60))
-        digests[f"parse/soup/{seed}"] = _digest(_parsed(parse_dsl, text, f"s{seed}.csm"))
+        yield f"parse/soup/{seed}", token_soup(rng, rng.randint(0, 60)), f"s{seed}.csm"
+
+
+def _parse_digests() -> dict[str, str]:
+    digests = {name: _digest(_parsed(parse_dsl, text, filename))
+               for name, text, filename in dsl_parse_cases()}
+    for path in sorted(FIXTURES.glob("*.json")):
+        digests[f"parse-json/fixture/{path.name}"] = \
+            _digest(_parsed(parse_json, path.read_text(encoding="utf-8"), path.name))
     for seed in PARSE_JSON_SEEDS:
         rng = random.Random(seed)
         text = mutate_json_document(rng, serialize_json(random_wellformed_model(rng)),

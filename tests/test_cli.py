@@ -90,6 +90,21 @@ def test_check_reads_input_that_starts_with_a_byte_order_mark(tmp_path, fixture)
     assert report == expected
 
 
+@pytest.mark.parametrize("change, error", [
+    ({"interfaces": [{"name": "I", "operations": ["", ""]}], "classes": [{"name": "A"}]},
+     ["$.interfaces[0].operations[0]: must not be empty",
+      "$.interfaces[0].operations[1]: must not be empty"]),
+    ({"classes": [{"name": "A"}], "root": ""}, ["$: field 'root' must not be empty"]),
+], ids=["operation", "root"])
+def test_check_exits_2_on_an_empty_name_the_dsl_cannot_write(tmp_path, change, error):
+    path = tmp_path / "empty.csm.json"
+    path.write_text(json.dumps({"formatVersion": 1, **change}), encoding="utf-8")
+    code, out = run_cli("check", str(path))
+    assert code == 2
+    assert out.splitlines() == [f"{path}:1:1: {line}" for line in error] + \
+        [f"{path}: {len(error)} parse error(s)"]
+
+
 def test_check_exits_2_on_integrity_errors(tmp_path):
     path = tmp_path / "dangling.csm"
     path.write_text("class A { part d: Missing; }", encoding="utf-8")

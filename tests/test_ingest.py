@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from compocheck import (
     ClassKind,
+    Model,
     ParseFailure,
     check_model,
     parse_dsl,
@@ -19,11 +21,17 @@ from compocheck import (
     without_synthesized,
 )
 
-from compocheck.ingest import _tokenize
+from compocheck import ingest
+from compocheck.ingest import _Parser, _read_statements, _tokenize
 from conftest import ATM, BROKEN, DELEGATION, FIXTURES
-from generators import (corrupt_dsl, model_to_dsl, mutate_json_document,
+from generators import (corrupt_dsl, model_to_dsl, model_to_line_dsl, mutate_json_document,
                         provided_origin_connectors, random_wellformed_model, token_soup)
+from golden import dsl_parse_cases, element_spans
+from mutants import MUTATION_PAIRS
 from oracles import tokenize_oracle
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+LINE_SEEDS = range(200)
 
 
 def test_minimal_realization_parses():
@@ -309,3 +317,88 @@ def _scanner_inputs():
 def test_scanner_matches_the_character_walk_oracle():
     for text in _scanner_inputs():
         assert _tokenize(text, "f.csm") == tokenize_oracle(text, "f.csm"), repr(text)
+
+
+def _readme_example() -> str:
+    """The DSL example under README's "The DSL" heading."""
+    section = README.read_text(encoding="utf-8").split("## The DSL", 1)[1]
+    return section.split("```text\n", 1)[1].split("```", 1)[0]
+
+
+def _line_dsl(seed: int) -> tuple[str, Model]:
+    """A well-formed model written one statement per line, and the model the
+    text stands for."""
+    rng = random.Random(seed)
+    model = random_wellformed_model(rng)
+    text = model_to_line_dsl(rng, model)
+    model.root = None
+    return text, model
+
+
+def _token_parse(text: str, filename: str):
+    """The model the token parser alone makes of ``text``, or None where it
+    reports an error."""
+    tokens, errors = _tokenize(text, filename)
+    parser = _Parser(tokens, filename)
+    model = parser.parse_model()
+    return None if errors or parser.errors else model
+
+
+def _reader_inputs():
+    """(text, whether the statement reader must take it)."""
+    for _, text, _ in dsl_parse_cases():
+        yield text, False
+    yield _readme_example(), True
+    for pair in MUTATION_PAIRS.values():
+        yield from ((text, False) for text in pair)
+    for seed in LINE_SEEDS:
+        text, _ = _line_dsl(seed)
+        yield text, True
+        rng = random.Random(seed)
+        yield corrupt_dsl(rng, text, rng.randint(1, 4)), False
+    for seed in range(1000):
+        rng = random.Random(seed)
+        yield token_soup(rng, rng.randint(0, 60)), False
+
+
+def test_statement_reader_declines_or_agrees_with_the_token_parser():
+    taken = 0
+    for text, must_take in _reader_inputs():
+        model = _read_statements(text, "f.csm")
+        if model is None:
+            assert not must_take, text
+            continue
+        taken += 1
+        expected = _token_parse(text, "f.csm")
+        assert expected is not None, text
+        # Spans take no part in equality, so they are compared on their own.
+        assert model == expected and element_spans(model) == element_spans(expected), text
+    assert taken > len(LINE_SEEDS)
+
+
+def test_statement_reader_takes_line_per_statement_texts_without_the_tokenizer(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the token parser ran")
+
+    monkeypatch.setattr(ingest, "_tokenize", refuse)
+    for seed in LINE_SEEDS:
+        text, model = _line_dsl(seed)
+        assert parse_dsl(text, f"l{seed}.csm") == model
+    assert [c.name for c in parse_dsl(_readme_example()).classes] == ["Worker", "System"]
+
+
+@pytest.mark.parametrize("text", [
+    "class A {\n  part p: B;\n",                    # a class left open
+    "part p: B;\n",                                 # a member outside a class
+    "class A {\n  class B {}\n}\n",                 # a declaration inside a class
+    "}\n",
+    "class A {\n  connector self , p;\n}\n",        # a bare 'self' end
+    "class A {\n  part p: B x" + "9" * 5000 + ";\n}\n",
+    "class A { part p: B; }\n",                     # two statements on a line
+    "class A\n{\n}\n",
+    "interface I { op f }\n",
+    "class Caf\u00e9 {}\n",
+    "class A {}\x0b\n",
+])
+def test_statement_reader_declines_what_the_token_parser_must_judge(text):
+    assert _read_statements(text, "f.csm") is None

@@ -245,8 +245,8 @@ def test_deep_generalization_cycle_is_one_e003():
 
 
 def test_records_are_slotted_and_take_no_other_attributes(delegation_text):
-    """Model records, diagnostics, parse errors and the frozen typing records
-    have no per-instance ``__dict__``."""
+    """Model records, diagnostics, parse errors, source spans and the typing
+    records have no per-instance ``__dict__``."""
     model = synthesize_deleg_associations(parse_dsl(delegation_text))
     cls = model.classes[-1]
     link = TypingIndex(model).links()[0]
@@ -257,9 +257,20 @@ def test_records_are_slotted_and_take_no_other_attributes(delegation_text):
     records = [model, model.interfaces[0], cls, cls.parts[0], cls.ports[0], cls.connectors[0],
                cls.connectors[0].end1, model.associations[0], model.associations[0].end1,
                validate_integrity(Model(root="Nowhere"))[0], parse_error,
-               link.ends[0], link.origin, link.transported]
+               link.ends[0], link.origin, link.transported, cls.parts[0].span, parse_error.span]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         # Frozen slotted dataclasses raise TypeError here on some Pythons.
         with pytest.raises((AttributeError, TypeError)):
             record.note = "x"
+
+
+def test_value_records_are_named_tuples(delegation_text):
+    """Spans and the typing records equal plain tuples of their fields."""
+    model = synthesize_deleg_associations(parse_dsl(delegation_text, "d.csm"))
+    span = model.classes[-1].span
+    assert span == ("d.csm", 22, 7) and str(span) == "d.csm:22:7"
+    link = TypingIndex(model).links()[0]
+    assert tuple(link.transported) == (link.transported.interfaces, link.transported.computable)
+    assert link.origin == (link.origin.kind, link.origin.site)
+    assert link.ends[0] == (link.connector.end1, None, link.ends[0].port, True)
