@@ -6,6 +6,11 @@ per (component, port declaration), and a binding table entry per connector and
 transported interface. Untyped connectors bind under the per-interface
 ``deleg_I`` associations, typed connectors under their own association name;
 connectors starting at a part bind an attribute of the component instance.
+What an instance binds depends only on its class, so each class's binding plan
+(ends and (interface, binding name) pairs per connector direction) is derived
+once per graph and expanded per instance. The instance count is computed from
+the classes before anything is allocated; a root with more than
+:data:`MAX_INSTANCES` component instances is refused with a :class:`SimError`.
 
 Requests then travel one hop at a time. Only one forwarding action fires per
 step: the pending request whose holder was instantiated earliest (ports and
@@ -13,7 +18,10 @@ components are totally ordered by creation), which makes every run
 deterministic. A request arriving at a component is delivered when the
 component's class provides its interface and stuck otherwise; a provided port
 of a structureless component hands requests to its owner; a required port of
-the root instance hands them to the environment.
+the root instance hands them to the environment. A hop to several targets
+moves the request to the first and a clone to each further one. A request
+that arrives at a port already on its path raises a delegation-cycle
+:class:`SimError`; the path is the only record of where a request has been.
 
 Bindings are filed by (holder, interface), the key a hop is routed by. Where
 a hop out of a holder goes depends only on that key's bindings, so each
@@ -35,6 +43,8 @@ from .rules import check_model, prepare, run_rules  # check_model: perfbench's t
 from .type_system import LinkKind, TypingIndex
 
 ENVIRONMENT = "environment"
+# build_graph refuses a root with more component instances than this.
+MAX_INSTANCES = 1_000_000
 
 
 class SimError(Exception):
@@ -45,6 +55,12 @@ class RequestStatus(str, Enum):
     IN_TRANSIT = "inTransit"
     DELIVERED = "delivered"
     STUCK = "stuck"
+
+
+# An enum member read through its class costs a metaclass lookup (~0.1 µs);
+# the hot paths read the members from these module globals instead.
+_IN_TRANSIT, _DELIVERED, _STUCK = (RequestStatus.IN_TRANSIT, RequestStatus.DELIVERED,
+                                   RequestStatus.STUCK)
 
 
 @dataclass
@@ -76,7 +92,6 @@ class Request:
     location: str
     status: RequestStatus = RequestStatus.IN_TRANSIT
     stuck_reason: str | None = None
-    visited_ports: set[str] = field(default_factory=set)
     path: list[str] = field(default_factory=list)
 
     @property
@@ -172,11 +187,6 @@ class InstanceGraph:
         self._run_queue: list[tuple[int, int]] = []
         self._next_request = 1
         self._next_step = 1
-        self._seq = 0
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def add_binding(self, binding: DelegBinding) -> None:
         self.bindings.append(binding)
@@ -211,6 +221,9 @@ def build_graph(index: TypingIndex, root: str | Class,
     root_cls = index.classes.get(root_name)
     if root_cls is None:
         raise SimError(f"root '{root_name}' is not a class of the model")
+    if _instance_count(index, root_cls) > MAX_INSTANCES:
+        raise SimError(f"root '{root_cls.name}' would have more than {MAX_INSTANCES} "
+                       "component instances")
     graph = InstanceGraph(index, root_id=root_cls.name)
     _create(graph, root_cls)
     return graph
@@ -221,32 +234,61 @@ def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set
     return build_graph(prepare(model), root, downgrade)
 
 
+def _instance_count(index: TypingIndex, root: Class) -> int:
+    """The number of component instances under ``root``, itself included, or
+    ``MAX_INSTANCES + 1`` when there would be more: a product along
+    containment, which E010 keeps acyclic, counted once per class on an
+    explicit stack."""
+    cap = MAX_INSTANCES + 1
+    counts: dict[str, int] = {}
+    stack = [root]
+    while stack:
+        cls = stack[-1]
+        pending = [index.classes[part.type] for part in cls.parts if part.type not in counts]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        counts[cls.name] = min(cap, 1 + sum(part.multiplicity * counts[part.type]
+                                            for part in cls.parts))
+    return counts[root.name]
+
+
 def _create(graph: InstanceGraph, root: Class) -> None:
     """Create the root instance and everything below it: each instance, then
     its ports, then its parts depth first, and its bindings once its parts
     have theirs. Composite instances whose parts are still being created wait
     on an explicit stack, so nesting depth is not bounded by the recursion
-    limit."""
-    _add_instance(graph, root, root.name)
+    limit. Each class's binding plan is derived once, the first time one of
+    its instances is bound."""
+    plans: dict[str, list] = {}
+    seq = _add_instance(graph, root, root.name, 0)
     stack = [(root, root.name, _part_instances(graph, root, root.name))]
     while stack:
         cls, instance_id, children = stack[-1]
         for child_cls, child_id in children:
-            _add_instance(graph, child_cls, child_id)
+            seq = _add_instance(graph, child_cls, child_id, seq)
             if child_cls.parts:  # descend; this level resumes after the child is done
                 stack.append((child_cls, child_id, _part_instances(graph, child_cls, child_id)))
                 break
-            _bind_connectors(graph, child_cls, child_id)
+            if child_cls.connectors:
+                _bind_connectors(graph, child_cls, child_id, plans)
         else:
             stack.pop()
-            _bind_connectors(graph, cls, instance_id)
+            if cls.connectors:
+                _bind_connectors(graph, cls, instance_id, plans)
 
 
-def _add_instance(graph: InstanceGraph, cls: Class, instance_id: str) -> None:
-    graph.components[instance_id] = ComponentInstance(class_name=cls.name, seq=graph.next_seq())
+def _add_instance(graph: InstanceGraph, cls: Class, instance_id: str, seq: int) -> int:
+    """Create an instance and its ports, numbered after ``seq``; returns the
+    last seq used."""
+    seq += 1
+    graph.components[instance_id] = ComponentInstance(cls.name, seq)
+    ports = graph.ports
     for port in cls.ports:
-        graph.ports[f"{instance_id}.{port.name}"] = PortInstance(
-            owner=instance_id, declaration=port, seq=graph.next_seq())
+        seq += 1
+        ports[f"{instance_id}.{port.name}"] = PortInstance(instance_id, port, seq)
+    return seq
 
 
 def _part_instances(graph: InstanceGraph, cls: Class, instance_id: str):
@@ -263,17 +305,28 @@ def _part_instances(graph: InstanceGraph, cls: Class, instance_id: str):
             yield part_cls, child_id
 
 
-def _site_holder_ids(graph: InstanceGraph, composite_id: str, site) -> list[str]:
-    if site.port is not None and site.on_composite:
-        return [f"{composite_id}.{site.port.name}"]
-    child_ids = graph.part_instances[(composite_id, site.part.name)]
-    if site.port is not None:
-        return [f"{cid}.{site.port.name}" for cid in child_ids]
+def _site_names(site) -> tuple[str | None, str | None]:
+    """A connector end as (part name, port name): no part for a port of the
+    composite itself, no port for a bare part."""
+    port = None if site.port is None else site.port.name
+    return (None if port is not None and site.on_composite else site.part.name), port
+
+
+def _site_holder_ids(graph: InstanceGraph, composite_id: str, part: str | None,
+                     port: str | None) -> list[str]:
+    if part is None:
+        return [f"{composite_id}.{port}"]
+    child_ids = graph.part_instances[(composite_id, part)]
+    if port is not None:
+        return [f"{cid}.{port}" for cid in child_ids]
     return child_ids
 
 
-def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str) -> None:
-    index = graph.typing
+def _binding_plan(index: TypingIndex, cls: Class) -> list:
+    """What every instance of ``cls`` binds, in binding order: per connector
+    direction, its origin and far ends (see :func:`_site_names`) and its
+    (interface, binding name) pairs."""
+    plan = []
     for conn in cls.connectors:
         link = index.connector(cls, conn)
         if link.kind is LinkKind.FORBIDDEN:
@@ -291,13 +344,24 @@ def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str) -> None
                 else index.provided_interfaces(assoc.pointed_end().type)
             directions = [(link.origin.site, link.far, interfaces)]
         for origin_site, far_site, interfaces in directions:
-            holders = _site_holder_ids(graph, instance_id, origin_site)
-            targets = _site_holder_ids(graph, instance_id, far_site)
-            for x in sorted(interfaces):
-                name = assoc.name if assoc is not None else deleg_name(x)
-                for holder in holders:
-                    for target in targets:
-                        graph.add_binding(DelegBinding(holder, name, target, x))
+            pairs = [(x, deleg_name(x) if assoc is None else assoc.name) for x in sorted(interfaces)]
+            plan.append((*_site_names(origin_site), *_site_names(far_site), pairs))
+    return plan
+
+
+def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str,
+                     plans: dict[str, list]) -> None:
+    plan = plans.get(cls.name)
+    if plan is None:
+        plan = plans[cls.name] = _binding_plan(graph.typing, cls)
+    add_binding = graph.add_binding
+    for origin_part, origin_port, far_part, far_port, pairs in plan:
+        holders = _site_holder_ids(graph, instance_id, origin_part, origin_port)
+        targets = _site_holder_ids(graph, instance_id, far_part, far_port)
+        for x, name in pairs:
+            for holder in holders:
+                for target in targets:
+                    add_binding(DelegBinding(holder, name, target, x))
 
 
 def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None = None) -> int:
@@ -317,8 +381,6 @@ def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None 
         operation = iface.operations[0] if iface is not None and iface.operations else "op"
     request = Request(id=graph._next_request, interface=interface, operation=operation,
                       location=at, path=[at])
-    if at in graph.ports:
-        request.visited_ports.add(at)
     graph._next_request += 1
     graph.requests[request.id] = request
     graph.enqueue(request)
@@ -332,7 +394,8 @@ def _route(graph: InstanceGraph, source: str, interface: str
     candidates = graph._bindings_by_hop.get((source, interface), [])
     port = graph.ports.get(source)
     if port is not None:
-        candidates = [b for b in candidates if b.association == deleg_name(interface)] or candidates
+        deleg = deleg_name(interface)
+        candidates = [b for b in candidates if b.association == deleg] or candidates
     if candidates:
         via = candidates[0].association
         targets = [b.target for b in candidates if b.association == via]
@@ -352,70 +415,83 @@ def _route(graph: InstanceGraph, source: str, interface: str
 
 
 def _arrival(graph: InstanceGraph, target: str, interface: str) -> RequestStatus | str | int:
-    if target in graph.components:
-        cls = graph.component_class(target)
-        if interface in graph.typing.class_interfaces(cls.name):
-            return RequestStatus.DELIVERED
-        return (f"component '{target}' of class '{cls.name}' does not "
-                f"provide interface '{interface}'")
-    return graph.holder_seq(target)
+    component = graph.components.get(target)
+    if component is None:
+        return graph.holder_seq(target)
+    if interface in graph.typing.class_interfaces(component.class_name):
+        return _DELIVERED
+    return (f"component '{target}' of class '{component.class_name}' does not "
+            f"provide interface '{interface}'")
 
 
 def step(graph: InstanceGraph) -> list[TraceEvent]:
     """Fire the single highest-priority forwarding action.
 
     Returns the trace events it produced (several when a request fans out to a
-    multi-instance part), or an empty list when the graph is quiescent.
+    multi-instance part), or an empty list when the graph is quiescent. The
+    request takes the hop's first target and a clone each further one; a
+    mover reaching a port already on the request's path raises a
+    delegation-cycle :class:`SimError`, which ends the run.
     """
     queue = graph._run_queue
     if not queue:
         return []
-    request = graph.requests[heapq.heappop(queue)[1]]
+    requests = graph.requests
+    request = requests[heapq.heappop(queue)[1]]
     source = request.location
-    key = (source, request.interface)
+    interface = request.interface
+    key = (source, interface)
     hop = graph._hops.get(key)
     if hop is None:
-        hop = graph._hops[key] = _route(graph, source, request.interface)
-    if isinstance(hop, str):
-        request.status = RequestStatus.STUCK
+        hop = graph._hops[key] = _route(graph, source, interface)
+    if hop.__class__ is str:
+        request.status = _STUCK
         request.stuck_reason = hop
         return []
     via, arrivals = hop
+    path = request.path  # the path before this hop, which every mover shares
+    step_no = graph._next_step
+    clone_id = graph._next_request
     events: list[TraceEvent] = []
-    movers = [request]
-    for _ in arrivals[1:]:
-        clone = Request(graph._next_request, request.interface, request.operation, source,
-                        RequestStatus.IN_TRANSIT, None, set(request.visited_ports),
-                        request.path.copy())
-        graph._next_request += 1
-        graph.requests[clone.id] = clone
-        movers.append(clone)
-    for mover, (target, arrival) in zip(movers, arrivals):
-        events.append(TraceEvent(graph._next_step, mover.id, source, target, via))
-        graph._next_step += 1
-        mover.location = target
-        mover.path.append(target)
-        if arrival is RequestStatus.DELIVERED:
-            mover.status = arrival
-        elif isinstance(arrival, str):
-            mover.status = RequestStatus.STUCK
-            mover.stuck_reason = arrival
-        elif arrival is None:
-            mover.status = RequestStatus.DELIVERED
-            graph.exited.add(mover.id)
-        elif target in mover.visited_ports:
-            raise SimError(f"delegation cycle: request {mover.id} revisited port '{target}'")
+    mover = request
+    for target, arrival in arrivals:
+        if mover is None:  # a further target: its clone is built with its final path
+            mover = requests[clone_id] = Request(
+                clone_id, interface, request.operation, target, _IN_TRANSIT,
+                None, [*path, target])
+            clone_id += 1
         else:
-            mover.visited_ports.add(target)
-            heapq.heappush(queue, (arrival, mover.id))
+            mover.location = target
+        mover_id = mover.id
+        events.append(TraceEvent(step_no, mover_id, source, target, via))
+        step_no += 1
+        if arrival is _DELIVERED:
+            mover.status = _DELIVERED
+        elif arrival is None:
+            mover.status = _DELIVERED
+            graph.exited.add(mover_id)
+        elif arrival.__class__ is str:
+            mover.status = _STUCK
+            mover.stuck_reason = arrival
+        elif target in path:  # a port id never equals a component id (E002)
+            path.append(arrivals[0][0])
+            raise SimError(f"delegation cycle: request {mover_id} revisited port '{target}'")
+        else:
+            heapq.heappush(queue, (arrival, mover_id))
+        mover = None
+    path.append(arrivals[0][0])  # the request's own target, now that the clones are built
+    graph._next_step = step_no
+    graph._next_request = clone_id
     return events
 
 
 def run_to_quiescence(graph: InstanceGraph) -> Trace:
     """Step until no request is in transit; the cycle guard bounds every run."""
     events: list[TraceEvent] = []
-    while graph._run_queue:
-        events.extend(step(graph))
+    extend = events.extend
+    queue = graph._run_queue
+    while queue:
+        extend(step(graph))  # the module global: perfbench's tracer patches it
     # ``_value_`` is the member's value; the enum's ``value`` property would
     # cost a Python-level call per request.
     statuses = {rid: r.status._value_ for rid, r in graph.requests.items()}
@@ -430,7 +506,7 @@ def check_type_safety(trace: Trace, graph: InstanceGraph) -> SafetyReport:
     judged again here."""
     violations: list[SafetyViolation] = []
     for rid, request in graph.requests.items():
-        if request.status is not RequestStatus.DELIVERED:
+        if request.status is not _DELIVERED:
             reason = request.stuck_reason or "request still in transit"
             violations.append(SafetyViolation(rid, f"not delivered: {reason}", list(request.path)))
         elif rid in graph.exited:

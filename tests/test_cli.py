@@ -261,6 +261,14 @@ def test_simulate_exits_2_on_rule_errors():
     assert code == 2
 
 
+def test_simulate_refuses_a_huge_multiplicity_before_allocating():
+    huge = Path(__file__).parent / "limits" / "huge_multiplicity.csm"
+    assert run_cli("check", str(huge))[0] == 0
+    code, out = run_cli("simulate", str(huge), "--root", "A")
+    assert code == 2
+    assert out.splitlines() == ["error: root 'A' would have more than 1000000 component instances"]
+
+
 def test_unexpected_errors_exit_2_with_one_line_and_no_traceback(monkeypatch, capsys):
     def crash(args, out):
         raise RuntimeError("boom")

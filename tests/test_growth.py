@@ -3,7 +3,8 @@
 The bounds are on call counts, which are deterministic, rather than on time,
 which is not on shared hosts: linear name scans (``Model.find_*`` and
 ``Class.find_*``), of which integrity validation, deleg synthesis and
-``check_model`` make none, reads of a holder's creation order
+``check_model`` make none, connector records read by instantiation,
+reads of a holder's creation order
 (``InstanceGraph.holder_seq``), hop derivations (``simulator._route``) and
 attribute reads of bindings for routing, and runs of the front stages, which
 each command makes once per verdict.
@@ -89,6 +90,21 @@ def routed_hops(monkeypatch, model, root: str, rounds: int) -> int:
                 inject(graph, location, interface)
         run_to_quiescence(graph)
     return counter.calls
+
+
+def connector_calls(monkeypatch, model) -> int:
+    """``TypingIndex.connector`` calls while ``model`` is instantiated."""
+    counter = Counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(TypingIndex, "connector", counter.wrap(TypingIndex.connector))
+        instantiate(model, "Pool")
+    return counter.calls
+
+
+def test_binding_plans_are_derived_once_per_class_not_per_instance(monkeypatch):
+    small = connector_calls(monkeypatch, prepare(POOL))
+    large = connector_calls(monkeypatch, prepare(POOL.replace("Group x8", "Group x64")))
+    assert 0 < small and large == small
 
 
 @pytest.mark.parametrize("root", ["Flat", "Pool"])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from compocheck import simulator
 from compocheck import (
     DelegBinding,
     RequestStatus,
@@ -309,6 +310,55 @@ def test_a_delegation_cycle_raises_when_a_request_revisits_a_port():
     inject(graph, "A.p", "I")
     with pytest.raises(SimError, match=r"^delegation cycle: request 1 revisited port 'A\.p'$"):
         run_to_quiescence(graph)
+
+
+def test_a_delegation_cycle_reached_by_a_fan_out_clone_raises():
+    model = prepare("""
+    interface I { op f; }
+    class X active { realizes I; port p: I; }
+    class A active { part x: X x2; port p: I; connector self.p , x.p; }
+    """)
+    graph = instantiate(model, "A")
+    graph.add_binding(DelegBinding("A.x[1].p", "deleg_I", "A.p", "I"))
+    inject(graph, "A.p", "I")
+    with pytest.raises(SimError, match=r"^delegation cycle: request 2 revisited port 'A\.p'$"):
+        run_to_quiescence(graph)
+    assert graph.requests[1].path == ["A.p", "A.x[0].p", "A.x[0]"]
+    assert graph.requests[2].path == ["A.p", "A.x[1].p", "A.p"]
+
+
+def test_run_to_quiescence_calls_the_module_step_once_per_step(monkeypatch, delegation_model):
+    # perfbench's tracer wraps simulator.step and divides by its call count
+    graph = instantiate(delegation_model, "A")
+    for location, interface in default_injection_suite(graph):
+        inject(graph, location, interface)
+    calls = []
+
+    def counted(g):
+        events = step(g)
+        calls.append(len(events))
+        return events
+
+    monkeypatch.setattr(simulator, "step", counted)
+    trace = run_to_quiescence(graph)
+    assert len(calls) == 5 and sum(calls) == len(trace.events) == 5
+
+
+@pytest.mark.parametrize("text, count", [
+    # 1 + 3 * (1 + 2 + 2)
+    ("class D active {} class B active { part d: D x2; part e: D x2; }"
+     " class A active { part b: B x3; }", 16),
+    # D is a part of B, of C and of A: 1 + (1 + 2) + (1 + 2) + 3
+    ("class D active {} class B active { part d: D x2; } class C active { part d: D x2; }"
+     " class A active { part b: B; part c: C; part d: D x3; }", 10),
+], ids=["nested", "shared"])
+def test_instance_count_is_a_product_along_containment(monkeypatch, text, count):
+    model = prepare(text)
+    monkeypatch.setattr(simulator, "MAX_INSTANCES", count)
+    assert len(instantiate(model, "A").components) == count
+    monkeypatch.setattr(simulator, "MAX_INSTANCES", count - 1)
+    with pytest.raises(SimError, match=f"^root 'A' would have more than {count - 1} component instances$"):
+        instantiate(model, "A")
 
 
 def test_stuck_at_component_when_receiver_lacks_the_interface():
