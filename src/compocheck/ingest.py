@@ -478,10 +478,14 @@ def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
 # (``_REQUIRED`` for none; ``()`` for an absent array, so that each record
 # gets a list of its own), a type test and what to report when the test
 # rejects a value: a message about the field's ``{key}`` at the element, or a
-# function. A test returns what the record takes, or raises ``_Rejected``. An
-# element whose fields all pass is built in one call; otherwise each rejected
-# field is reported in table order and nothing is built, since any error
-# discards the model.
+# function. A test returns what the record takes, or raises ``_Rejected``.
+#
+# Each kind also has a builder: straight-line code that makes every type test
+# of its table, raises ``_Rejected`` at the first that fails and otherwise
+# builds the record in one call, the record the table's tests would give.
+# Only when a builder rejects is the table read: each rejected field is then
+# reported in table order and nothing is built, since any error discards the
+# model.
 
 _REQUIRED = object()
 
@@ -490,24 +494,158 @@ class _Rejected(Exception):
     """Internal signal: a value fails its field's type test."""
 
 
+def _or_empty(value) -> list:
+    """An array field's value, ``[]`` for an absent field; anything else that
+    is no array is rejected."""
+    if type(value) is list:
+        return value
+    if value != ():
+        raise _Rejected
+    return []
+
+
+def _build_interface(raw) -> Interface:
+    if type(raw) is not dict:
+        raise _Rejected
+    get = raw.get
+    name, group = get("name"), get("group", False)
+    generals, operations = get("generals", ()), get("operations", ())
+    if type(name) is not str or not name or type(group) is not bool:
+        raise _Rejected
+    if type(generals) is not list or type(operations) is not list:
+        generals, operations = _or_empty(generals), _or_empty(operations)
+    for item in generals:
+        if type(item) is not str:
+            raise _Rejected
+    for item in operations:
+        if type(item) is not str or not item:
+            raise _Rejected
+    return Interface(name, generals, group, operations)
+
+
+def _build_attribute(raw) -> Attribute:
+    if type(raw) is not dict:
+        raise _Rejected
+    name, type_name = raw.get("name"), raw.get("type")
+    if type(name) is not str or not name or type(type_name) is not str:
+        raise _Rejected
+    return Attribute(name, type_name)
+
+
+def _build_part(raw) -> Part:
+    if type(raw) is not dict:
+        raise _Rejected
+    get = raw.get
+    name, type_name, multiplicity = get("name"), get("type"), get("multiplicity", 1)
+    if type(name) is not str or not name or type(type_name) is not str \
+            or type(multiplicity) is not int:
+        raise _Rejected
+    return Part(name, type_name, multiplicity)
+
+
+def _build_port(raw) -> Port:
+    if type(raw) is not dict:
+        raise _Rejected
+    get = raw.get
+    name, contract, is_reversed = get("name"), get("contract"), get("reversed", False)
+    if type(name) is not str or not name or type(contract) is not str \
+            or type(is_reversed) is not bool:
+        raise _Rejected
+    return Port(name, contract, is_reversed)
+
+
+def _build_end_ref(raw) -> EndRef:
+    if type(raw) is not dict:
+        raise _Rejected
+    part, port = raw.get("part"), raw.get("port")
+    if (part is not None and type(part) is not str) or (port is not None and type(port) is not str):
+        raise _Rejected
+    return EndRef(part, port)
+
+
+def _build_connector(raw) -> Connector:
+    if type(raw) is not dict:
+        raise _Rejected
+    association = raw.get("association")
+    if association is not None and type(association) is not str:
+        raise _Rejected
+    return Connector(_build_end_ref(raw.get("end1")), _build_end_ref(raw.get("end2")), association)
+
+
+def _build_class(raw) -> Class:
+    if type(raw) is not dict:
+        raise _Rejected
+    get = raw.get
+    name, kind = get("name"), get("kind", _PASSIVE)
+    if type(name) is not str or not name or type(kind) is not str or kind not in _KINDS:
+        raise _Rejected
+    arrays = generals, realizes, usages, attributes, parts, ports, connectors = (
+        get("generals", ()), get("realizes", ()), get("uses", ()), get("attributes", ()),
+        get("parts", ()), get("ports", ()), get("connectors", ()))
+    if type(generals) is not list or type(realizes) is not list or type(usages) is not list \
+            or type(attributes) is not list or type(parts) is not list \
+            or type(ports) is not list or type(connectors) is not list:
+        generals, realizes, usages, attributes, parts, ports, connectors = map(_or_empty, arrays)
+    for item in (*generals, *realizes, *usages):
+        if type(item) is not str:
+            raise _Rejected
+    return Class(name, _KINDS[kind], generals, realizes, usages,
+                 [_build_attribute(item) for item in attributes],
+                 [_build_part(item) for item in parts], [_build_port(item) for item in ports],
+                 [_build_connector(item) for item in connectors])
+
+
+def _build_association_end(raw) -> AssociationEnd:
+    if type(raw) is not dict:
+        raise _Rejected
+    type_name, navigable = raw.get("type"), raw.get("navigable", False)
+    if type(type_name) is not str or type(navigable) is not bool:
+        raise _Rejected
+    return AssociationEnd(type_name, navigable)
+
+
+def _build_association(raw) -> Association:
+    if type(raw) is not dict:
+        raise _Rejected
+    name = raw.get("name")
+    if type(name) is not str or not name:
+        raise _Rejected
+    return Association(name, _build_association_end(raw.get("end1")),
+                       _build_association_end(raw.get("end2")))
+
+
+def _synthesized(raw) -> bool:
+    """An association synthesis made, skipped unread: synthesis remakes it."""
+    return type(raw) is dict and raw.get("synthesized") is True
+
+
+def _build_model(raw) -> Model:
+    if type(raw) is not dict:
+        raise _Rejected
+    get = raw.get
+    interfaces, classes, associations = (get("interfaces", ()), get("classes", ()),
+                                         get("associations", ()))
+    root = get("root")
+    if type(interfaces) is not list or type(classes) is not list \
+            or type(associations) is not list:
+        interfaces, classes, associations = map(_or_empty, (interfaces, classes, associations))
+    if root is not None and (type(root) is not str or not root):
+        raise _Rejected
+    return Model([_build_interface(item) for item in interfaces],
+                 [_build_class(item) for item in classes],
+                 [_build_association(item) for item in associations if not _synthesized(item)],
+                 root)
+
+
 class _Table:
-    """The schema of one kind of element, and ``build``, which makes the
-    record of an element that passes it or raises :class:`_Rejected`."""
+    """The schema of one kind of element, and ``build``, its builder."""
 
-    __slots__ = ("fields", "named", "build")
+    __slots__ = ("build", "fields", "named")
 
-    def __init__(self, record, *fields: tuple, named: bool = False):
+    def __init__(self, build, *fields: tuple, named: bool = False):
+        self.build = build
         self.fields = fields
         self.named = named  # a bad name stops the element: nothing else of it is checked
-        reads = tuple(field[:3] for field in fields)
-
-        def build(raw):
-            if type(raw) is not dict:
-                raise _Rejected
-            get = raw.get
-            return record(*[test(get(key, default)) for key, default, test in reads])
-
-        self.build = build
 
 
 class _JsonReader:
@@ -664,33 +802,32 @@ _MUST_BE_A_STRING = "field '{key}' must be a string"
 _MUST_BE_A_BOOLEAN = "field '{key}' must be a boolean"
 
 _INTERFACE = _Table(
-    lambda name, group, generals, operations: Interface(name, generals, group, operations),
-    _NAME, ("group", False, _boolean, _MUST_BE_A_BOOLEAN),
+    _build_interface, _NAME, ("group", False, _boolean, _MUST_BE_A_BOOLEAN),
     ("generals", *_STRINGS), ("operations", *_NAMES), named=True)
-_ATTRIBUTE = _Table(Attribute, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING))
-_PART = _Table(Part, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
+_ATTRIBUTE = _Table(_build_attribute, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING))
+_PART = _Table(_build_part, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
                ("multiplicity", 1, _integer, _report_integer))
-_PORT = _Table(Port, _NAME, ("contract", _REQUIRED, _string, _MUST_BE_A_STRING),
+_PORT = _Table(_build_port, _NAME, ("contract", _REQUIRED, _string, _MUST_BE_A_STRING),
                ("reversed", False, _boolean, _MUST_BE_A_BOOLEAN))
-_END_REF = _Table(EndRef, *[(key, None, _optional_string, _says_of_end("'{key}' must be a string"))
-                            for key in ("part", "port")])
-_CONNECTOR = _Table(Connector, ("end1", None, *_end(_END_REF)), ("end2", None, *_end(_END_REF)),
+_END_REF = _Table(_build_end_ref, *[(key, None, _optional_string,
+                                     _says_of_end("'{key}' must be a string"))
+                                    for key in ("part", "port")])
+_CONNECTOR = _Table(_build_connector, ("end1", None, *_end(_END_REF)),
+                    ("end2", None, *_end(_END_REF)),
                     ("association", None, _optional_string, "'{key}' must be a string"))
 _CLASS = _Table(
-    Class, _NAME, ("kind", _PASSIVE, _kind, _report_kind),
+    _build_class, _NAME, ("kind", _PASSIVE, _kind, _report_kind),
     ("generals", *_STRINGS), ("realizes", *_STRINGS), ("uses", *_STRINGS),
     ("attributes", (), *_elements(_ATTRIBUTE)), ("parts", (), *_elements(_PART)),
     ("ports", (), *_elements(_PORT)), ("connectors", (), *_elements(_CONNECTOR)), named=True)
 _ASSOCIATION_END = _Table(
-    AssociationEnd, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
+    _build_association_end, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
     ("navigable", False, _boolean, _says_of_end("'{key}' must be a boolean")))
-_ASSOCIATION = _Table(Association, _NAME, ("end1", None, *_end(_ASSOCIATION_END)),
+_ASSOCIATION = _Table(_build_association, _NAME, ("end1", None, *_end(_ASSOCIATION_END)),
                       ("end2", None, *_end(_ASSOCIATION_END)), named=True)
 _MODEL = _Table(
-    Model, ("interfaces", (), *_elements(_INTERFACE)), ("classes", (), *_elements(_CLASS)),
-    # An association that synthesis made is skipped unread: synthesis remakes it.
-    ("associations", (), *_elements(
-        _ASSOCIATION, skip=lambda raw: type(raw) is dict and raw.get("synthesized") is True)),
+    _build_model, ("interfaces", (), *_elements(_INTERFACE)), ("classes", (), *_elements(_CLASS)),
+    ("associations", (), *_elements(_ASSOCIATION, skip=_synthesized)),
     ("root", None, _optional_name, _report_name))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain
 
 from .diagnostics import Diagnostic, SourceSpan, error
 
@@ -249,14 +248,35 @@ def _duplicates(names: list[str]) -> list[str]:
 def _cycles(pairs: list[tuple[str, list[str]]]) -> list[list[str]]:
     """Cycles in a name -> successors graph, each reported once, in declaration order.
 
-    A depth-first search with an explicit stack, so arbitrarily deep
+    First a proof of acyclicity in one pass over the edges: when every edge
+    that stays inside the graph points to a name declared earlier (a bottom-up
+    file), or every one to a name declared later (a top-down file), the
+    declaration order is a topological order of the graph, so it has no cycle.
+    A name declared more than once takes the position of its last
+    declaration, whose successors are the ones the search reads. A self-loop
+    or edges pointing both ways leave the question to the search.
+
+    The search is depth-first with an explicit stack, so arbitrarily deep
     hierarchies need no recursion. A cycle sharing a name with one already
     reported is not reported again. A name with no successor in the graph is
     on no cycle, so it starts out done, as the search would leave it.
     """
-    names = {name for name, _ in pairs}
-    if names.isdisjoint(chain.from_iterable(succs for _, succs in pairs)):
-        return []  # no edge stays inside the graph
+    position = {name: i for i, (name, _) in enumerate(pairs)}
+    earlier = later = False
+    for i, (_, succs) in enumerate(pairs):
+        for succ in succs:
+            j = position.get(succ, i)  # a name outside the graph is skipped
+            if j < i:
+                earlier = True
+            elif j > i:
+                later = True
+            elif succ in position:  # a self-loop
+                earlier = later = True
+        if earlier and later:
+            break
+    else:
+        return []
+    names = position.keys()
     graph = {name: [s for s in succs if s in names] for name, succs in pairs}
     done = {name for name, succs in graph.items() if not succs}
     cycles: list[list[str]] = []
@@ -307,13 +327,13 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
         + [c.name for c in model.classes]
         + [a.name for a in model.associations]
     )
-    for name in _duplicates(classifier_names):
-        emit("E002", name, f"the classifier name '{name}' is declared more than once")
-
     declared = set(classifier_names)
+    if len(declared) < len(classifier_names):
+        for name in _duplicates(classifier_names):
+            emit("E002", name, f"the classifier name '{name}' is declared more than once")
     interfaces = _by_name(model.interfaces)
     classes = _by_name(model.classes)
-    ports = {(id(cls), port.name) for cls in model.classes for port in cls.ports}
+    port_names: dict[int, set[str]] = {}  # id(class) -> its port names, once an end reads them
     # A connector may name a deleg_I association before synthesis adds it.
     connector_types = {a.name for a in model.associations} | {
         deleg_name(i.name) for i in interfaces.values() if not i.is_group}
@@ -371,7 +391,10 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
                 misplaced(port.contract, f"{cls.name}.{port.name}",
                           "port contract '{0}' is not an interface",
                           "port '{1}' has undeclared contract '{0}'", port.name)
-        parts = _by_name(cls.parts) if cls.connectors else {}
+        if not cls.connectors:
+            continue
+        parts = _by_name(cls.parts)
+        own_ports = port_names[id(cls)] = {port.name for port in cls.ports}
         for idx, conn in enumerate(cls.connectors):
             for ref in (conn.end1, conn.end2):
                 if ref.part is None and ref.port is None:
@@ -382,12 +405,14 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
                     if part is None:
                         emit("E001", model.connector_path(cls, idx),
                              f"connector end names unknown part '{ref.part}'")
-                    elif ref.port is not None:
-                        part_cls = classes.get(part.type)
-                        if part_cls is not None and (id(part_cls), ref.port) not in ports:
+                    elif ref.port is not None and (part_cls := classes.get(part.type)) is not None:
+                        names = port_names.get(id(part_cls))
+                        if names is None:
+                            names = port_names[id(part_cls)] = {port.name for port in part_cls.ports}
+                        if ref.port not in names:
                             emit("E001", model.connector_path(cls, idx),
                                  f"part '{ref.part}' of type '{part.type}' has no port '{ref.port}'")
-                elif (id(cls), ref.port) not in ports:
+                elif ref.port not in own_ports:
                     emit("E001", model.connector_path(cls, idx),
                          f"class '{cls.name}' has no port '{ref.port}'")
             if conn.association is not None and conn.association not in connector_types:

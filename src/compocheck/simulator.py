@@ -8,9 +8,10 @@ transported interface. Untyped connectors bind under the per-interface
 connectors starting at a part bind an attribute of the component instance.
 What an instance binds depends only on its class, so each class's binding plan
 (ends and (interface, binding name) pairs per connector direction) is derived
-once per graph and expanded per instance. The instance count is computed from
-the classes before anything is allocated; a root with more than
-:data:`MAX_INSTANCES` component instances is refused with a :class:`SimError`.
+once per graph and expanded per instance. The plans, the instance count and
+the binding count are computed from the classes before anything is allocated;
+a root with more than :data:`MAX_INSTANCES` component instances or more than
+:data:`MAX_BINDINGS` bindings is refused with a :class:`SimError`.
 
 Requests then travel one hop at a time. Only one forwarding action fires per
 step: the pending request whose holder was instantiated earliest (ports and
@@ -43,8 +44,10 @@ from .rules import check_model, prepare, run_rules  # check_model: perfbench's t
 from .type_system import LinkKind, TypingIndex
 
 ENVIRONMENT = "environment"
-# build_graph refuses a root with more component instances than this.
+# build_graph refuses a root with more component instances, or more bindings,
+# than these.
 MAX_INSTANCES = 1_000_000
+MAX_BINDINGS = 1_000_000
 
 
 class SimError(Exception):
@@ -221,11 +224,14 @@ def build_graph(index: TypingIndex, root: str | Class,
     root_cls = index.classes.get(root_name)
     if root_cls is None:
         raise SimError(f"root '{root_name}' is not a class of the model")
-    if _instance_count(index, root_cls) > MAX_INSTANCES:
+    instances, bindings, plans = _census(index, root_cls)
+    if instances > MAX_INSTANCES:
         raise SimError(f"root '{root_cls.name}' would have more than {MAX_INSTANCES} "
                        "component instances")
+    if bindings > MAX_BINDINGS:
+        raise SimError(f"root '{root_cls.name}' would have more than {MAX_BINDINGS} bindings")
     graph = InstanceGraph(index, root_id=root_cls.name)
-    _create(graph, root_cls)
+    _create(graph, root_cls, plans)
     return graph
 
 
@@ -234,13 +240,15 @@ def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set
     return build_graph(prepare(model), root, downgrade)
 
 
-def _instance_count(index: TypingIndex, root: Class) -> int:
-    """The number of component instances under ``root``, itself included, or
-    ``MAX_INSTANCES + 1`` when there would be more: a product along
-    containment, which E010 keeps acyclic, counted once per class on an
-    explicit stack."""
-    cap = MAX_INSTANCES + 1
-    counts: dict[str, int] = {}
+def _census(index: TypingIndex, root: Class) -> tuple[int, int, dict[str, list]]:
+    """The number of component instances under ``root``, itself included, the
+    number of bindings they make, each capped one above its ceiling, and the
+    binding plan of each class by name. The counts are sums of products along
+    containment, which E010 keeps acyclic, taken once per class on an explicit
+    stack; an instance binds, per plan entry, each (interface, name) pair once
+    per origin holder and far holder."""
+    counts: dict[str, tuple[int, int]] = {}
+    plans: dict[str, list] = {}
     stack = [root]
     while stack:
         cls = stack[-1]
@@ -249,19 +257,24 @@ def _instance_count(index: TypingIndex, root: Class) -> int:
             stack.extend(pending)
             continue
         stack.pop()
-        counts[cls.name] = min(cap, 1 + sum(part.multiplicity * counts[part.type]
-                                            for part in cls.parts))
-    return counts[root.name]
+        if cls.name in counts:  # a part class stacked twice
+            continue
+        holders = {part.name: part.multiplicity for part in cls.parts}
+        plan = plans[cls.name] = _binding_plan(index, cls)
+        instances = 1 + sum(part.multiplicity * counts[part.type][0] for part in cls.parts)
+        bindings = sum(part.multiplicity * counts[part.type][1] for part in cls.parts) + sum(
+            holders.get(origin_part, 1) * holders.get(far_part, 1) * len(pairs)
+            for origin_part, _, far_part, _, pairs in plan)
+        counts[cls.name] = min(MAX_INSTANCES + 1, instances), min(MAX_BINDINGS + 1, bindings)
+    return (*counts[root.name], plans)
 
 
-def _create(graph: InstanceGraph, root: Class) -> None:
+def _create(graph: InstanceGraph, root: Class, plans: dict[str, list]) -> None:
     """Create the root instance and everything below it: each instance, then
     its ports, then its parts depth first, and its bindings once its parts
-    have theirs. Composite instances whose parts are still being created wait
-    on an explicit stack, so nesting depth is not bounded by the recursion
-    limit. Each class's binding plan is derived once, the first time one of
-    its instances is bound."""
-    plans: dict[str, list] = {}
+    have theirs, by its class's binding plan in ``plans``. Composite instances
+    whose parts are still being created wait on an explicit stack, so nesting
+    depth is not bounded by the recursion limit."""
     seq = _add_instance(graph, root, root.name, 0)
     stack = [(root, root.name, _part_instances(graph, root, root.name))]
     while stack:
@@ -272,11 +285,11 @@ def _create(graph: InstanceGraph, root: Class) -> None:
                 stack.append((child_cls, child_id, _part_instances(graph, child_cls, child_id)))
                 break
             if child_cls.connectors:
-                _bind_connectors(graph, child_cls, child_id, plans)
+                _bind_connectors(graph, plans[child_cls.name], child_id)
         else:
             stack.pop()
             if cls.connectors:
-                _bind_connectors(graph, cls, instance_id, plans)
+                _bind_connectors(graph, plans[cls.name], instance_id)
 
 
 def _add_instance(graph: InstanceGraph, cls: Class, instance_id: str, seq: int) -> int:
@@ -349,11 +362,7 @@ def _binding_plan(index: TypingIndex, cls: Class) -> list:
     return plan
 
 
-def _bind_connectors(graph: InstanceGraph, cls: Class, instance_id: str,
-                     plans: dict[str, list]) -> None:
-    plan = plans.get(cls.name)
-    if plan is None:
-        plan = plans[cls.name] = _binding_plan(graph.typing, cls)
+def _bind_connectors(graph: InstanceGraph, plan: list, instance_id: str) -> None:
     add_binding = graph.add_binding
     for origin_part, origin_port, far_part, far_port, pairs in plan:
         holders = _site_holder_ids(graph, instance_id, origin_part, origin_port)

@@ -56,6 +56,12 @@ class OriginKind(Enum):
 
 PORT_ORIGINS = frozenset({OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT})
 
+# An enum member read through its class costs a metaclass lookup (~0.1 µs);
+# the hot paths read the members from these module globals instead.
+(_PART_PART, _INBOUND_PORT_PORT, _OUTBOUND_PORT_PORT, _PORT_PORT, _PART_PROVIDED_PORT,
+ _PART_REQUIRED_PORT, _INBOUND_PART_PORT, _OUTBOUND_PART_PORT, _FORBIDDEN_KIND) = LinkKind
+_FROM_PROVIDED_PORT, _FROM_REQUIRED_PORT, _FROM_PART, _UNDIRECTED = OriginKind
+
 
 # The records below are named tuples rather than dataclasses: defining a
 # dataclass costs about a millisecond at import, which every CLI call pays, and
@@ -107,7 +113,7 @@ class ConnectorTyping(namedtuple("ConnectorTyping",
 
 
 _EMPTY: frozenset[str] = frozenset()
-_FORBIDDEN = (LinkKind.FORBIDDEN, LinkOrigin(OriginKind.UNDIRECTED, None))
+_FORBIDDEN = (_FORBIDDEN_KIND, LinkOrigin(_UNDIRECTED, None))
 
 
 def _classify(s1: EndSite, s2: EndSite) -> tuple[LinkKind, LinkOrigin]:
@@ -127,30 +133,27 @@ def _classify(s1: EndSite, s2: EndSite) -> tuple[LinkKind, LinkOrigin]:
     """
     p1, p2 = s1.port, s2.port
     if p1 is None and p2 is None:
-        return LinkKind.ASSEMBLY_PART_PART, LinkOrigin(OriginKind.FROM_PART, s1)
+        return _PART_PART, LinkOrigin(_FROM_PART, s1)
     if p1 is not None and p2 is not None:
         if s1.on_composite != s2.on_composite:
             if not p1.reversed and not p2.reversed:
-                return (LinkKind.INBOUND_DELEGATION_PORT_PORT,
-                        LinkOrigin(OriginKind.FROM_PROVIDED_PORT, s1 if s1.on_composite else s2))
+                return (_INBOUND_PORT_PORT,
+                        LinkOrigin(_FROM_PROVIDED_PORT, s1 if s1.on_composite else s2))
             if p1.reversed and p2.reversed:
-                return (LinkKind.OUTBOUND_DELEGATION_PORT_PORT,
-                        LinkOrigin(OriginKind.FROM_REQUIRED_PORT, s2 if s1.on_composite else s1))
+                return (_OUTBOUND_PORT_PORT,
+                        LinkOrigin(_FROM_REQUIRED_PORT, s2 if s1.on_composite else s1))
             return _FORBIDDEN
         if p1.reversed != p2.reversed:
-            return (LinkKind.ASSEMBLY_PORT_PORT,
-                    LinkOrigin(OriginKind.FROM_REQUIRED_PORT, s1 if p1.reversed else s2))
+            return _PORT_PORT, LinkOrigin(_FROM_REQUIRED_PORT, s1 if p1.reversed else s2)
         return _FORBIDDEN
     port_site, part_site = (s1, s2) if p1 is not None else (s2, s1)
     if not port_site.on_composite:
         if port_site.port.reversed:
-            return (LinkKind.ASSEMBLY_PART_REQUIRED_PORT,
-                    LinkOrigin(OriginKind.FROM_REQUIRED_PORT, port_site))
-        return LinkKind.ASSEMBLY_PART_PROVIDED_PORT, LinkOrigin(OriginKind.FROM_PART, part_site)
+            return _PART_REQUIRED_PORT, LinkOrigin(_FROM_REQUIRED_PORT, port_site)
+        return _PART_PROVIDED_PORT, LinkOrigin(_FROM_PART, part_site)
     if port_site.port.reversed:
-        return LinkKind.OUTBOUND_DELEGATION_PART_PORT, LinkOrigin(OriginKind.FROM_PART, part_site)
-    return (LinkKind.INBOUND_DELEGATION_PART_PORT,
-            LinkOrigin(OriginKind.FROM_PROVIDED_PORT, port_site))
+        return _OUTBOUND_PART_PORT, LinkOrigin(_FROM_PART, part_site)
+    return _INBOUND_PART_PORT, LinkOrigin(_FROM_PROVIDED_PORT, port_site)
 
 
 class TypingIndex:
@@ -171,7 +174,7 @@ class TypingIndex:
         self._interface_closures: dict[str, frozenset[str]] = {}
         self._class_interfaces: dict[str, frozenset[str]] = {}
         self._used_interfaces: dict[str, frozenset[str]] = {}
-        self._members: dict[int, tuple[dict[str, Part], dict[str, Port]]] = {}
+        self._ports: dict[int, dict[str, Port]] = {}
         self._links: list[ConnectorTyping] | None = None
         self._connectors: dict[tuple[int, int], ConnectorTyping] = {}
         self._outgoing: dict[int, list[ConnectorTyping]] | None = None
@@ -206,8 +209,13 @@ class TypingIndex:
         every ancestor's union is built once from its generals' unions and deep
         hierarchies need no recursion. Results stay small (interface sets),
         unlike the ancestor sets themselves. A cycle, which only a model
-        failing integrity has, falls back to a walk over :meth:`parents`.
+        failing integrity has, falls back to a walk over :meth:`parents`. A
+        class without generals takes the union of its own references' closures.
         """
+        cls = self.classes.get(name)
+        if cls is not None and not cls.generals:
+            found = memo[name] = self._closures(getattr(cls, attribute))
+            return found
         expanded = self._expanded
         generals = self._generals(name)
         for general in generals:
@@ -244,17 +252,24 @@ class TypingIndex:
         """The interface itself plus its ancestors, with interface groups rejected."""
         found = self._interface_closures.get(name)
         if found is None:
-            found = self._interface_closures[name] = frozenset(
-                c for c in (name, *self.parents(name))
-                if c in self.interfaces and not self.interfaces[c].is_group)
+            iface = self.interfaces.get(name)
+            if iface is not None and not iface.generals:
+                found = _EMPTY if iface.is_group else frozenset((name,))
+            else:
+                found = frozenset(c for c in (name, *self.parents(name))
+                                  if c in self.interfaces and not self.interfaces[c].is_group)
+            self._interface_closures[name] = found
         return found
 
     def _expanded(self, name: str, attribute: str) -> frozenset[str]:
         """The closures of the interfaces class ``name`` itself realizes or uses."""
         cls = self.classes.get(name)
-        if cls is None:
+        return _EMPTY if cls is None else self._closures(getattr(cls, attribute))
+
+    def _closures(self, refs: list[str]) -> frozenset[str]:
+        """The union of the closures of the interfaces ``refs`` names."""
+        if not refs:
             return _EMPTY
-        refs = getattr(cls, attribute)
         if len(refs) == 1:
             return self.interface_closure(refs[0])
         return _EMPTY.union(*map(self.interface_closure, refs))
@@ -311,42 +326,42 @@ class TypingIndex:
 
     # --- connectors ----------------------------------------------------------
 
-    def _members_of(self, cls: Class) -> tuple[dict[str, Part], dict[str, Port]]:
-        found = self._members.get(id(cls))
+    def _ports_of(self, cls: Class) -> dict[str, Port]:
+        found = self._ports.get(id(cls))
         if found is None:
-            found = self._members[id(cls)] = (_by_name(cls.parts), _by_name(cls.ports))
+            found = self._ports[id(cls)] = _by_name(cls.ports)
         return found
 
-    def resolve_end(self, owner: Class, ref: EndRef) -> EndSite:
-        parts, ports = self._members_of(owner)
+    def _site(self, ref: EndRef, parts: dict[str, Part], ports: dict[str, Port]) -> EndSite:
+        """A connector end resolved against its owner's part and port tables."""
         part = parts.get(ref.part) if ref.part else None
-        part_class = self.classes.get(part.type) if part else None
         if ref.port is None:
-            port = None
-            on_composite = False
-        elif part_class is not None:
-            port = self._members_of(part_class)[1].get(ref.port)
-            on_composite = False
-        else:
-            port = ports.get(ref.port) if ref.part is None else None
-            on_composite = ref.part is None
-        return EndSite(ref, part, port, on_composite)
+            return EndSite(ref, part, None, False)
+        part_class = self.classes.get(part.type) if part else None
+        if part_class is not None:
+            return EndSite(ref, part, self._ports_of(part_class).get(ref.port), False)
+        on_composite = ref.part is None
+        return EndSite(ref, part, ports.get(ref.port) if on_composite else None, on_composite)
 
     def links(self) -> list[ConnectorTyping]:
         """The record of every connector of the model, in ``Model.iter_connectors``
         order, each built once. Do not mutate."""
         if self._links is None:
             links = []
-            for owner, idx, conn in self.model.iter_connectors():
-                s1 = self.resolve_end(owner, conn.end1)
-                s2 = self.resolve_end(owner, conn.end2)
-                kind, origin = _classify(s1, s2)
-                far = None if origin.site is None else s2 if origin.site is s1 else s1
-                assoc = self.associations.get(conn.association)
-                link = self._connectors[id(owner), id(conn)] = ConnectorTyping(
-                    conn, self.model.connector_path(owner, idx), kind, (s1, s2), origin, far,
-                    assoc, self._transported(assoc, kind, origin, far))
-                links.append(link)
+            site = self._site
+            for owner in self.model.classes:
+                if not owner.connectors:
+                    continue
+                parts, ports = _by_name(owner.parts), self._ports_of(owner)
+                for idx, conn in enumerate(owner.connectors):
+                    s1, s2 = site(conn.end1, parts, ports), site(conn.end2, parts, ports)
+                    kind, origin = _classify(s1, s2)
+                    far = None if origin.site is None else s2 if origin.site is s1 else s1
+                    assoc = self.associations.get(conn.association)
+                    link = self._connectors[id(owner), id(conn)] = ConnectorTyping(
+                        conn, self.model.connector_path(owner, idx), kind, (s1, s2), origin, far,
+                        assoc, self._transported(assoc, kind, origin, far))
+                    links.append(link)
             self._links = links
         return self._links
 
@@ -373,7 +388,7 @@ class TypingIndex:
         the association narrows the channel. Not computable for part-part
         links, forbidden links, or associations with no navigable end.
         """
-        if kind in (LinkKind.ASSEMBLY_PART_PART, LinkKind.FORBIDDEN):
+        if kind is _PART_PART or kind is _FORBIDDEN_KIND:
             return TransportedSet(frozenset(), False)
         if assoc is not None:
             pointed = assoc.pointed_end()

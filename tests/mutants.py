@@ -1,14 +1,21 @@
-"""Violating/fixed model pairs, one per diagnostic code.
+"""Violating/fixed model pairs, one per diagnostic code, and mutant code.
 
-Each entry maps a code to (violating DSL, fixed DSL). The violating model
-must trigger exactly that code; the fixed model must check completely clean.
-The fixes follow the documented repairs: split the bidirectional port, type
-the second overlapping link, mark the shared passive part protected, type the
-part-originating link.
+Each entry of ``MUTATION_PAIRS`` maps a code to (violating DSL, fixed DSL).
+The violating model must trigger exactly that code; the fixed model must
+check completely clean. The fixes follow the documented repairs: split the
+bidirectional port, type the second overlapping link, mark the shared passive
+part protected, type the part-originating link.
+
+:func:`dropped_tests` makes mutant copies of a function, each with one test
+of one ``if`` left out.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+import sys
+import textwrap
 from pathlib import Path
 
 _DELEGATION = (Path(__file__).parent / "fixtures" / "delegation.csm").read_text(encoding="utf-8")
@@ -165,3 +172,45 @@ MUTATION_PAIRS: dict[str, tuple[str, str]] = {
     "W010": (W010_VIOLATING, W010_FIXED),
     "W011": (W011_VIOLATING, W011_FIXED),
 }
+
+
+def dropped_tests(function) -> list[tuple[str, object]]:
+    """Mutant copies of ``function``, each as ``(label, mutant)``: for every
+    ``if`` in it, one copy per operand of an ``and``/``or`` in its condition
+    with that operand left out, or, for a condition without one, a copy in
+    which the condition is false. A mutant runs in a copy of the function's
+    module namespace, so what it calls is unchanged."""
+    source = textwrap.dedent(inspect.getsource(function))
+
+    def conditions(tree) -> list[ast.If]:
+        return [node for node in ast.walk(tree) if isinstance(node, ast.If)]
+
+    def operand_sites(test) -> list[tuple[ast.BoolOp, int]]:
+        return [(node, i) for node in ast.walk(test) if isinstance(node, ast.BoolOp)
+                for i in range(len(node.values))]
+
+    mutants = []
+    for n, node in enumerate(conditions(ast.parse(source))):
+        for k in range(max(1, len(operand_sites(node.test)))):
+            tree = ast.parse(source)
+            target = conditions(tree)[n]
+            sites = operand_sites(target.test)
+            if not sites:
+                label = ast.unparse(target.test)
+                target.test = ast.Constant(False)
+            else:
+                boolop, i = sites[k]
+                label = ast.unparse(boolop.values[i])
+                del boolop.values[i]
+                if len(boolop.values) == 1:  # a one-operand BoolOp does not compile
+                    for parent in ast.walk(target):
+                        for field, value in ast.iter_fields(parent):
+                            if value is boolop:
+                                setattr(parent, field, boolop.values[0])
+                            elif isinstance(value, list) and boolop in value:
+                                value[value.index(boolop)] = boolop.values[0]
+            namespace = dict(vars(sys.modules[function.__module__]))
+            exec(compile(ast.fix_missing_locations(tree), f"<mutant of {function.__name__}>",
+                         "exec"), namespace)
+            mutants.append((f"{function.__name__} without {label}", namespace[function.__name__]))
+    return mutants

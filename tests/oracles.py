@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 import re
 
+from compocheck import ingest
 from compocheck.diagnostics import SourceSpan
 from compocheck.ingest import ParseError
-from compocheck.model import Class, Model, Part, Port
+from compocheck.model import (Association, AssociationEnd, Attribute, Class, Connector, EndRef,
+                              Interface, Model, Part, Port)
 
 
 def one_step_generals(model: Model, name: str) -> list[str]:
@@ -283,3 +285,29 @@ def tokenize_oracle(text: str, filename: str) -> tuple[list[tuple], list[ParseEr
         col += 1
     tokens.append(("eof", "", line, col))
     return tokens, errors
+
+
+# The record each JSON schema table describes, called with the values of the
+# table's fields in field order.
+_JSON_RECORDS = {
+    ingest._INTERFACE: lambda name, group, generals, operations: Interface(
+        name, generals, group, operations),
+    ingest._ATTRIBUTE: Attribute, ingest._PART: Part, ingest._PORT: Port,
+    ingest._END_REF: EndRef, ingest._CONNECTOR: Connector, ingest._CLASS: Class,
+    ingest._ASSOCIATION_END: AssociationEnd, ingest._ASSOCIATION: Association,
+    ingest._MODEL: Model,
+}
+JSON_TABLES = list(_JSON_RECORDS)
+
+
+def table_build(table, raw):
+    """The record of a JSON element as its schema table gives it, field by
+    field: each field's type test applied to the field's value (its default
+    when the key is absent), in table order, raising ``ingest._Rejected`` at
+    the first test that fails. A field holding nested elements applies the
+    nested kind's builder, which is compared with this reference on the nested
+    elements themselves."""
+    if type(raw) is not dict:
+        raise ingest._Rejected
+    return _JSON_RECORDS[table](*[test(raw.get(key, default))
+                                  for key, default, test, _ in table.fields])

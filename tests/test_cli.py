@@ -269,6 +269,14 @@ def test_simulate_refuses_a_huge_multiplicity_before_allocating():
     assert out.splitlines() == ["error: root 'A' would have more than 1000000 component instances"]
 
 
+def test_simulate_refuses_a_huge_binding_count_before_allocating():
+    huge = Path(__file__).parent / "limits" / "huge_bindings.csm"
+    assert run_cli("check", str(huge))[0] == 0
+    code, out = run_cli("simulate", str(huge), "--root", "A")
+    assert code == 2
+    assert out.splitlines() == ["error: root 'A' would have more than 1000000 bindings"]
+
+
 def test_unexpected_errors_exit_2_with_one_line_and_no_traceback(monkeypatch, capsys):
     def crash(args, out):
         raise RuntimeError("boom")

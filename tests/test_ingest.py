@@ -27,8 +27,8 @@ from conftest import ATM, BROKEN, DELEGATION, FIXTURES
 from generators import (corrupt_dsl, model_to_dsl, model_to_line_dsl, mutate_json_document,
                         provided_origin_connectors, random_wellformed_model, token_soup)
 from golden import dsl_parse_cases, element_spans
-from mutants import MUTATION_PAIRS
-from oracles import tokenize_oracle
+from mutants import MUTATION_PAIRS, dropped_tests
+from oracles import JSON_TABLES, table_build, tokenize_oracle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 LINE_SEEDS = range(200)
@@ -293,6 +293,148 @@ def test_round_trip_on_generated_models(seed):
     reparsed = parse_json(serialize_json(model))
     assert reparsed == model
     assert check_model(reparsed).to_dict() == check_model(model).to_dict()
+
+
+# Values of every JSON type, put in place of a field or of a whole element:
+# among them the empty string, a class kind, and arrays that are empty or hold
+# a string, an empty string, a number or an object.
+_JUNK = [None, 0, 3, True, False, 2.5, "", "s", "passive", [], [""], ["x"], [1], [{}], {},
+         {"name": 1}]
+_ABSENT = object()
+
+
+def _json_elements(doc: dict) -> list[tuple]:
+    """``(table, raw)`` for the document and each element in it, wherever the
+    containers on the way have the shape the schema gives them."""
+    def items(raw, key) -> list:
+        value = raw.get(key) if type(raw) is dict else None
+        return value if type(value) is list else []
+
+    def ends(raw, table) -> list[tuple]:
+        return [(table, raw.get(key, _ABSENT)) for key in ("end1", "end2")
+                if type(raw) is dict]
+
+    out = [(ingest._MODEL, doc)]
+    out += [(ingest._INTERFACE, raw) for raw in items(doc, "interfaces")]
+    for raw in items(doc, "associations"):
+        out += [(ingest._ASSOCIATION, raw), *ends(raw, ingest._ASSOCIATION_END)]
+    for cls in items(doc, "classes"):
+        out.append((ingest._CLASS, cls))
+        for key, table in (("attributes", ingest._ATTRIBUTE), ("parts", ingest._PART),
+                           ("ports", ingest._PORT), ("connectors", ingest._CONNECTOR)):
+            out += [(table, raw) for raw in items(cls, key)]
+        for raw in items(cls, "connectors"):
+            out += ends(raw, ingest._END_REF)
+    return [(table, raw) for table, raw in out if raw is not _ABSENT]
+
+
+def _substitution_bases() -> list[str]:
+    """The ATM document with an attribute, and the delegation one with its
+    synthesized associations: between them, every kind of element."""
+    return [json.dumps(_atm_document()), serialize_json(synthesize_deleg_associations(
+        parse_dsl(DELEGATION.read_text(encoding="utf-8"))))]
+
+
+def _base_json_texts() -> list[str]:
+    """Canonical JSON texts: the fixtures, the substitution bases and
+    generated models."""
+    texts = [ATM.read_text(encoding="utf-8"), *_substitution_bases()]
+    for path in (DELEGATION, FIXTURES / "mixed_concurrency.csm", FIXTURES / "leaf.csm"):
+        texts.append(serialize_json(parse_dsl(path.read_text(encoding="utf-8"))))
+    for seed in range(40):
+        texts.append(serialize_json(random_wellformed_model(random.Random(seed))))
+    return texts
+
+
+def _substituted_documents():
+    """``(doc, [(table, element)])``: the ATM document (with an attribute) and
+    the delegation one (with synthesized associations), with one field of the
+    first element of each kind set to each junk value, or deleted, at a time."""
+    for text in _substitution_bases():
+        firsts = {}
+        for n, (table, raw) in enumerate(_json_elements(json.loads(text))):
+            if type(raw) is dict:
+                firsts.setdefault(table, n)
+        for table, n in firsts.items():
+            for key in [field[0] for field in table.fields] + ["synthesized"]:
+                for value in (_ABSENT, *_JUNK):
+                    doc = json.loads(text)
+                    element = _json_elements(doc)[n][1]
+                    if value is _ABSENT:
+                        element.pop(key, None)
+                    else:
+                        element[key] = value
+                    yield doc, [(table, element)]
+
+
+def _json_documents():
+    """``(doc, its elements)`` for the base texts and seeded mutations of
+    them, then the substituted documents."""
+    texts = _base_json_texts()
+    docs = list(map(json.loads, texts))
+    for seed in range(400):
+        rng = random.Random(seed)
+        with contextlib.suppress(ValueError):  # a document cut short
+            docs.append(json.loads(mutate_json_document(rng, rng.choice(texts), rng.randint(1, 4))))
+    yield from ((doc, _json_elements(doc)) for doc in docs)
+    yield from _substituted_documents()
+
+
+def _outcome(build, raw):
+    """What ``build`` makes of ``raw``: the record, ``"rejected"``, or the
+    type of any other exception."""
+    try:
+        return build(raw)
+    except ingest._Rejected:
+        return "rejected"
+    except Exception as exc:  # a mutant may fail in a way the reader never does
+        return type(exc)
+
+
+def _builder_disagreement(cases) -> tuple | None:
+    """The first ``(table, raw)`` of the ``(doc, elements)`` cases whose kind's
+    builder, as the module holds it now, makes something else of the element
+    than :func:`table_build`, or ``("report", doc)`` for a document the model
+    builder accepts although ``report`` finds an error in it, or rejects
+    although it finds none. Each kind is also given every junk value in place
+    of a whole element."""
+    def differs(table, raw) -> bool:
+        build = getattr(ingest, table.build.__name__)
+        return _outcome(build, raw) != _outcome(lambda raw: table_build(table, raw), raw)
+
+    for table in JSON_TABLES:
+        for raw in _JUNK:
+            if differs(table, raw):
+                return table, raw
+    for doc, elements in cases:
+        for table, raw in elements:
+            if differs(table, raw):
+                return table, raw
+        reader = ingest._JsonReader("x.csm.json")
+        reader.report(ingest._MODEL, doc, ())
+        if (_outcome(ingest._build_model, doc) == "rejected") != bool(reader.errors):
+            return "report", doc
+    return None
+
+
+def test_json_builders_agree_with_their_schema_tables():
+    cases = list(_json_documents())
+    accepted = sum(type(_outcome(ingest._MODEL.build, doc)) is Model for doc, _ in cases)
+    assert 0 < accepted < len(cases)
+    assert _builder_disagreement(cases) is None
+
+
+def test_a_json_builder_without_one_of_its_type_tests_disagrees(monkeypatch):
+    cases = list(_substituted_documents())
+    functions = [table.build for table in JSON_TABLES] + [ingest._or_empty]
+    mutants = 0
+    for function in functions:
+        for label, mutant in dropped_tests(function):
+            monkeypatch.setattr(ingest, function.__name__, mutant)
+            assert _builder_disagreement(cases) is not None, label
+            mutants += 1
+        monkeypatch.setattr(ingest, function.__name__, function)
+    assert mutants >= 60
 
 
 def test_broken_fixture_fails_to_parse():

@@ -24,6 +24,7 @@ from compocheck import (
     validate_integrity,
 )
 from compocheck.ingest import ParseFailure
+from compocheck.model import _cycles
 from compocheck.rules import check_model
 from compocheck.type_system import TypingIndex
 
@@ -63,6 +64,23 @@ def test_cycle_detection_agrees_with_dfs_oracle(seed):
     model = Model(classes=[Class(name=name, generals=generals) for name, generals in pairs])
     found = "E003" in codes(validate_integrity(model))
     assert found == has_cycle_dfs(pairs)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_cycle_search_agrees_with_dfs_oracle_on_name_graphs(seed):
+    # Half the graphs point every edge at an earlier declaration, and each is
+    # also read in reverse order: the cases the one-pass proof takes. Names may
+    # repeat, loop to themselves and name successors outside the graph.
+    rng = random.Random(seed)
+    pool = [f"C{i}" for i in range(rng.randint(1, 8))]
+    names = [rng.choice(pool) if rng.random() < 0.15 else name for name in pool]
+    ordered = rng.random() < 0.5
+    pairs = []
+    for i, name in enumerate(names):
+        candidates = (names[:i] if ordered else names) + ["Out", "Far"]
+        pairs.append((name, rng.sample(candidates, k=rng.randint(0, min(3, len(candidates))))))
+    for order in (pairs, pairs[::-1]):
+        assert bool(_cycles(order)) == has_cycle_dfs(order), order
 
 
 def test_self_containment_is_one_e010():

@@ -361,6 +361,26 @@ def test_instance_count_is_a_product_along_containment(monkeypatch, text, count)
         instantiate(model, "A")
 
 
+@pytest.mark.parametrize("text, count", [
+    # per A: 3 x 2 holder-target pairs of one connector; per B: 2 x 1; A holds 2 B
+    ("interface I { op f; } class X { uses I; port r: I reversed; }"
+     " class Y { realizes I; port p: I; } class P { uses I; port r: I reversed; }"
+     " class B { part x: P x2; part y: Y; connector x.r , y.p; }"
+     " class A { part x: X x3; part y: Y x2; part b: B x2; connector x.r , y.p; }", 10),
+    # a bidirectional association binds both directions: 2 x 3 each way
+    ("interface I { op f; } class X { realizes I; } class Y { realizes I; }"
+     " class A { part x: X x2; part y: Y x3; connector x , y via both; }"
+     " assoc both ( X nav , Y nav );", 12),
+], ids=["nested", "bidirectional"])
+def test_binding_count_is_summed_along_containment(monkeypatch, text, count):
+    model = prepare(text)
+    monkeypatch.setattr(simulator, "MAX_BINDINGS", count)
+    assert len(instantiate(model, "A").bindings) == count
+    monkeypatch.setattr(simulator, "MAX_BINDINGS", count - 1)
+    with pytest.raises(SimError, match=f"^root 'A' would have more than {count - 1} bindings$"):
+        instantiate(model, "A")
+
+
 def test_stuck_at_component_when_receiver_lacks_the_interface():
     # the leaf provides nothing that matches the boundary port contract of its
     # sibling channel: force it by grafting a binding to the wrong component
