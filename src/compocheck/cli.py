@@ -3,7 +3,8 @@
 Exit codes: 0 when the command's verdict is clean, 1 when rule violations or
 unsafe routing were found, 2 when the input could not be parsed, failed
 integrity validation, or the command could not run at all (an unexpected
-exception is reported as one ``internal error`` line, without a traceback).
+exception is reported as one ``internal error`` line, without a traceback; a
+standard output closed by its reader ends the command with no report).
 With ``--output json``, integrity errors and deleg conflicts (E004) are printed
 as a failed check report; parse and read failures carry no diagnostic code and
 stay text.
@@ -352,7 +353,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        return COMMANDS[args.command](args, out)
+        code = COMMANDS[args.command](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone. Point stdout at devnull, so that the
+        # flush at interpreter exit fails no more, and report nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except Exception as exc:  # exit 1 means findings; a command that crashed found nothing
         print(f"internal error: {type(exc).__name__}: {exc}", file=out)
         return EXIT_INPUT

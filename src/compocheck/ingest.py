@@ -29,19 +29,23 @@ line. The statement reader goes first. It takes a text that holds one whole
 statement per line, as above, with blank and comment lines between them: one
 regular expression matches each line, and each record is built from its groups
 with the span the token parser gives it. At the first line it cannot take, or
-at a statement out of place, it declines, and the token parser reads the text
-from the start. So every error, expected hint and span of a text that does not
-parse comes from the token parser alone. Its scanner matches one regular
-expression per line too; tokens are plain ``(kind, value, line, column)``
-tuples, and the closing ``eof`` token sits just past the last line, or where a
-comment on that line starts.
+at a statement out of place, it declines. The token parser then reads on from
+the first line of the top-level declaration that holds that line, adding to
+the declarations the statement reader built before it. So every error,
+expected hint and span of a text that does not parse comes from the token
+parser alone. Its scanner matches one regular expression per line too; tokens
+are plain ``(kind, value, line, column)`` tuples, and the closing ``eof``
+token sits just past the last line, or where a comment on that line starts.
+
+Each kind of JSON element has one schema table, and its builder is derived
+from the table when the module loads.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 from .diagnostics import SourceSpan
 from .model import (
@@ -86,15 +90,16 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(r"([ \t\r]*)(?:(" + _IDENT + r")|([{}():,;.])|//.*|([^ \t\r]))")
 
 
-def _tokenize(text: str, filename: str) -> tuple[list[tuple], list[ParseError]]:
-    """The tokens ``(kind, value, line, column)`` of a DSL text, ending with
-    ``eof``, and an error per unexpected character."""
+def _tokenize(text: str, filename: str, first_line: int) -> tuple[list[tuple], list[ParseError]]:
+    """The tokens ``(kind, value, line, column)`` of a DSL text from its line
+    ``first_line`` on, ending with ``eof``, and an error per unexpected
+    character there."""
     tokens: list[tuple] = []
     errors: list[ParseError] = []
     append = tokens.append
     findall = _TOKEN_RE.findall
     lines = text.split("\n")
-    for line_no, line in enumerate(lines, 1):
+    for line_no, line in enumerate(lines[first_line - 1:], first_line):
         column = 1
         for space, word, punct, other in findall(line):
             if space:
@@ -138,10 +143,12 @@ _STATEMENT_RE = re.compile(r"""
 _NAME_RE = re.compile(_IDENT)
 
 
-def _read_statements(text: str, filename: str) -> Model | None:
+def _read_statements(text: str, filename: str) -> tuple[Model, int | None]:
     """The model of a text that holds one statement per line, as the token
-    parser builds it; None (the reader declines) at the first line that holds
-    anything else or a statement out of place, and at a class left open."""
+    parser builds it, and None. Where the reader declines (at the first line
+    that holds anything else or a statement out of place, and at a class left
+    open), the model of the declarations before the one that holds that line,
+    and the first line of that declaration."""
     model = Model()
     cls = None
     fullmatch = _STATEMENT_RE.fullmatch
@@ -149,7 +156,7 @@ def _read_statements(text: str, filename: str) -> Model | None:
     for line_no, line in enumerate(text.split("\n"), 1):
         m = fullmatch(line)
         if m is None:
-            return None
+            break
         kind = m.lastgroup
         if kind is None:
             continue
@@ -157,7 +164,7 @@ def _read_statements(text: str, filename: str) -> Model | None:
             if kind == "connector":
                 h1, p1, h2, p2 = m.group("h1", "p1", "h2", "p2")
                 if (p1 is None and h1 == "self") or (p2 is None and h2 == "self"):
-                    return None
+                    break
                 cls.connectors.append(Connector(
                     EndRef(None if h1 == "self" else h1, p1),
                     EndRef(None if h2 == "self" else h2, p2),
@@ -171,7 +178,7 @@ def _read_statements(text: str, filename: str) -> Model | None:
                 try:
                     multiplicity = 1 if mult is None else int(mult)
                 except ValueError:  # more digits than int() converts
-                    return None
+                    break
                 cls.parts.append(Part(name, type_name, multiplicity,
                                       SourceSpan(filename, line_no, m.start("pname") + 1)))
             elif kind == "names":
@@ -180,7 +187,7 @@ def _read_statements(text: str, filename: str) -> Model | None:
             elif kind == "close":
                 cls = None
             else:  # a declaration inside a class
-                return None
+                break
         elif kind == "cls":
             name, kind_name, general, empty = m.group("cname", "kind", "general", "empty")
             new = Class(name, _KINDS[kind_name] if kind_name else ClassKind.PASSIVE,
@@ -201,271 +208,227 @@ def _read_statements(text: str, filename: str) -> Model | None:
                 name, AssociationEnd(t1, n1 is not None), AssociationEnd(t2, n2 is not None),
                 False, SourceSpan(filename, line_no, m.start("aname") + 1)))
         else:  # a member or a '}' outside a class
-            return None
-    return model if cls is None else None
+            break
+    else:  # every line taken
+        if cls is None:
+            return model, None
+    if cls is None:  # declined at a top-level line
+        return model, line_no
+    model.classes.pop()  # declined in or at the end of the open class, the last one read
+    return model, cls.span.line
 
 
 class _StatementError(Exception):
-    """Internal signal: abandon the current statement and resynchronize at the
-    token position it carries."""
+    """Internal signal: abandon the current statement; recovery starts at the
+    token the parser stopped at."""
 
 
 class _Parser:
-    """Recursive descent over the token list. Each production takes the
-    position of its first token and returns what it built with the position
-    after its last; it reads the token tuples itself. A token's value alone
-    tells a keyword or punctuation mark apart, since no identifier is a
-    punctuation mark and ``eof`` has an empty value."""
+    """Recursive descent over the token list through a cursor, ``pos``, the
+    index of the next token. A token's value alone tells a keyword or
+    punctuation mark apart, since no identifier is a punctuation mark and
+    ``eof`` has an empty value."""
 
     def __init__(self, tokens: list[tuple], filename: str):
         self.tokens = tokens
         self.filename = filename
+        self.pos = 0
         self.errors: list[ParseError] = []
+
+    def peek(self) -> str:
+        """The value of the next token."""
+        return self.tokens[self.pos][1]
+
+    def advance(self) -> tuple:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def accept(self, value: str) -> bool:
+        """Read the next token if its value is ``value``."""
+        if self.tokens[self.pos][1] != value:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
+            self.expected(f"'{value}'")
+
+    def ident(self, what: str) -> tuple:
+        """Read the next token, an identifier: ``what`` the grammar wants there."""
+        if self.tokens[self.pos][0] != "ident":
+            self.expected(what)
+        return self.advance()
 
     def span(self, tok: tuple) -> SourceSpan:
         return SourceSpan(self.filename, tok[2], tok[3])
 
-    def fail(self, pos: int, message: str, expected: str | None = None) -> None:
-        self.errors.append(ParseError(self.span(self.tokens[pos]), message, expected))
-        raise _StatementError(pos)
+    def fail(self, message: str, expected: str | None = None) -> None:
+        """Report ``message`` at the next token and abandon the statement."""
+        self.errors.append(ParseError(self.span(self.tokens[self.pos]), message, expected))
+        raise _StatementError
 
-    def expected(self, pos: int, what: str) -> None:
-        shown = self.tokens[pos][1] or "end of input"
-        self.fail(pos, f"expected {what}, found {shown!r}", what)
+    def expected(self, what: str) -> None:
+        self.fail(f"expected {what}, found {self.peek() or 'end of input'!r}", what)
 
-    def end_statement(self, pos: int) -> int:
+    def end_statement(self) -> None:
         """Statements close with ';'; the one before '}' may omit it."""
-        value = self.tokens[pos][1]
-        if value == ";":
-            return pos + 1
-        if value != "}":
-            self.fail(pos, "statement is not terminated", "';'")
-        return pos
+        if not self.accept(";") and self.peek() != "}":
+            self.fail("statement is not terminated", "';'")
 
-    def sync_statement(self, pos: int) -> int:
-        tokens = self.tokens
-        while True:
-            kind, value = tokens[pos][:2]
-            if kind == "eof" or value == "}":
-                return pos
+    def sync_statement(self) -> None:
+        """Skip past the next ';', or to a '}' or the end."""
+        while (value := self.peek()) and value != "}":
+            self.pos += 1
             if value == ";":
-                return pos + 1
-            pos += 1
+                return
 
-    def sync_toplevel(self, pos: int) -> int:
-        tokens = self.tokens
+    def sync_toplevel(self) -> None:
+        """Skip past the '}' that closes the open body, or to a declaration
+        keyword outside any body, or to the end."""
         depth = 0
-        while True:
-            kind, value = tokens[pos][:2]
-            if kind == "eof" or (depth == 0 and value in ("interface", "class", "assoc")):
-                return pos
+        while (value := self.peek()) and (depth or value not in ("interface", "class", "assoc")):
+            self.pos += 1
             if value == "{":
                 depth += 1
             elif value == "}":
                 depth = max(0, depth - 1)
                 if depth == 0:
-                    return pos + 1
-            pos += 1
+                    return
 
-    def name_list(self, pos: int, what: str) -> tuple[list[str], int]:
-        tokens = self.tokens
-        names = []
-        while True:
-            if tokens[pos][0] != "ident":
-                self.expected(pos, what)
-            names.append(tokens[pos][1])
-            if tokens[pos + 1][1] != ",":
-                return names, pos + 1
-            pos += 2
+    def name_list(self, what: str) -> list[str]:
+        names = [self.ident(what)[1]]
+        while self.accept(","):
+            names.append(self.ident(what)[1])
+        return names
+
+    def body(self, what: str, member, owner) -> None:
+        """Read a body's members with ``member(owner)`` through its '}'."""
+        while (value := self.peek()) != "}":
+            if not value:
+                self.fail(f"{what} body is not closed", "'}'")
+            try:
+                member(owner)
+            except _StatementError:
+                self.sync_statement()
+        self.pos += 1
 
     # Top-level declarations -------------------------------------------------
 
-    def parse_model(self) -> Model:
-        tokens = self.tokens
-        model = Model()
-        pos = 0
-        while True:
-            kind, value = tokens[pos][:2]
-            if kind == "eof":
-                return model
+    def parse_model(self, model: Model) -> None:
+        """Add the declarations the tokens hold to ``model``."""
+        while value := self.peek():
             try:
-                if value == "interface":
-                    iface, pos = self.interface_decl(pos + 1)
-                    model.interfaces.append(iface)
-                elif value == "class":
-                    cls, pos = self.class_decl(pos + 1)
-                    model.classes.append(cls)
-                elif value == "assoc":
-                    assoc, pos = self.assoc_decl(pos + 1)
-                    model.associations.append(assoc)
-                elif value == ";":
-                    pos += 1
-                else:
-                    self.fail(pos, f"expected a declaration, found {value!r}",
+                if self.accept("interface"):
+                    model.interfaces.append(self.interface_decl())
+                elif self.accept("class"):
+                    model.classes.append(self.class_decl())
+                elif self.accept("assoc"):
+                    model.associations.append(self.assoc_decl())
+                elif not self.accept(";"):
+                    self.fail(f"expected a declaration, found {value!r}",
                               "'interface', 'class' or 'assoc'")
-            except _StatementError as exc:
-                pos = self.sync_toplevel(exc.args[0])
+            except _StatementError:
+                self.sync_toplevel()
 
-    def interface_decl(self, pos: int) -> tuple[Interface, int]:
-        tokens = self.tokens
-        name_tok = tokens[pos]
-        if name_tok[0] != "ident":
-            self.expected(pos, "interface name")
-        pos += 1
-        is_group = tokens[pos][1] == "group"
-        pos += is_group
-        generals: list[str] = []
-        if tokens[pos][1] == ":":
-            generals, pos = self.name_list(pos + 1, "interface name")
-        if tokens[pos][1] != "{":
-            self.expected(pos, "'{'")
-        pos += 1
-        operations: list[str] = []
-        iface = Interface(name_tok[1], generals, is_group, operations, self.span(name_tok))
-        while (value := tokens[pos][1]) != "}":
-            if not value:
-                self.fail(pos, "interface body is not closed", "'}'")
-            try:
-                if value != "op":
-                    self.fail(pos, f"expected an operation, found {value!r}", "'op'")
-                if tokens[pos + 1][0] != "ident":
-                    self.expected(pos + 1, "operation name")
-                operations.append(tokens[pos + 1][1])
-                pos = self.end_statement(pos + 2)
-            except _StatementError as exc:
-                pos = self.sync_statement(exc.args[0])
-        return iface, pos + 1
+    def interface_decl(self) -> Interface:
+        name_tok = self.ident("interface name")
+        is_group = self.accept("group")
+        generals = self.name_list("interface name") if self.accept(":") else []
+        self.expect("{")
+        iface = Interface(name_tok[1], generals, is_group, [], self.span(name_tok))
+        self.body("interface", self.operation, iface)
+        return iface
 
-    def class_decl(self, pos: int) -> tuple[Class, int]:
-        tokens = self.tokens
-        name_tok = tokens[pos]
-        if name_tok[0] != "ident":
-            self.expected(pos, "class name")
-        pos += 1
-        kind = _KINDS.get(tokens[pos][1])
+    def operation(self, iface: Interface) -> None:
+        if not self.accept("op"):
+            self.fail(f"expected an operation, found {self.peek()!r}", "'op'")
+        iface.operations.append(self.ident("operation name")[1])
+        self.end_statement()
+
+    def class_decl(self) -> Class:
+        name_tok = self.ident("class name")
+        kind = _KINDS.get(self.peek())
         if kind is None:
             kind = ClassKind.PASSIVE
         else:
-            pos += 1
-        generals: list[str] = []
-        if tokens[pos][1] == ":":
-            if tokens[pos + 1][0] != "ident":
-                self.expected(pos + 1, "class name")
-            generals.append(tokens[pos + 1][1])
-            pos += 2
-        if tokens[pos][1] != "{":
-            self.expected(pos, "'{'")
-        pos += 1
+            self.pos += 1
+        generals = [self.ident("class name")[1]] if self.accept(":") else []
+        self.expect("{")
         cls = Class(name_tok[1], kind, generals, [], [], [], [], [], [], self.span(name_tok))
-        while (value := tokens[pos][1]) != "}":
-            if not value:
-                self.fail(pos, "class body is not closed", "'}'")
-            try:
-                pos = self.class_member(cls, pos)
-            except _StatementError as exc:
-                pos = self.sync_statement(exc.args[0])
-        return cls, pos + 1
+        self.body("class", self.class_member, cls)
+        return cls
 
-    def class_member(self, cls: Class, pos: int) -> int:
-        tokens = self.tokens
-        keyword = tokens[pos][1]
+    def class_member(self, cls: Class) -> None:
+        keyword = self.peek()
         if keyword == "part" or keyword == "port":
-            name_tok = tokens[pos + 1]
-            if name_tok[0] != "ident":
-                self.expected(pos + 1, f"{keyword} name")
-            if tokens[pos + 2][1] != ":":
-                self.expected(pos + 2, "':'")
-            if tokens[pos + 3][0] != "ident":
-                self.expected(pos + 3, "type name" if keyword == "part" else "interface name")
-            type_name = tokens[pos + 3][1]
-            pos += 4
-            nxt_kind, nxt = tokens[pos][:2]
+            self.pos += 1
+            name_tok = self.ident(f"{keyword} name")
+            self.expect(":")
+            type_name = self.ident("type name" if keyword == "part" else "interface name")[1]
             if keyword == "port":
-                is_reversed = nxt == "reversed"
-                pos += is_reversed
-                cls.ports.append(Port(name_tok[1], type_name, is_reversed, self.span(name_tok)))
+                cls.ports.append(Port(name_tok[1], type_name, self.accept("reversed"),
+                                      self.span(name_tok)))
             else:
-                match = _MULT_RE.match(nxt) if nxt_kind == "ident" else None
                 multiplicity = 1
+                match = _MULT_RE.match(self.peek())
                 if match:
                     try:
                         multiplicity = int(match.group(1))
                     except ValueError:  # more digits than int() converts
-                        self.fail(pos, "multiplicity has too many digits")
-                    pos += 1
+                        self.fail("multiplicity has too many digits")
+                    self.pos += 1
                 cls.parts.append(Part(name_tok[1], type_name, multiplicity, self.span(name_tok)))
         elif keyword == "connector":
-            conn_tok = tokens[pos]
-            end1, pos = self.connector_end(pos + 1)
-            if tokens[pos][1] != ",":
-                self.expected(pos, "','")
-            end2, pos = self.connector_end(pos + 1)
-            association = None
-            if tokens[pos][1] == "via":
-                if tokens[pos + 1][0] != "ident":
-                    self.expected(pos + 1, "association name")
-                association = tokens[pos + 1][1]
-                pos += 2
+            conn_tok = self.advance()
+            end1 = self.connector_end()
+            self.expect(",")
+            end2 = self.connector_end()
+            association = self.ident("association name")[1] if self.accept("via") else None
             cls.connectors.append(Connector(end1, end2, association, self.span(conn_tok)))
         elif keyword == "realizes" or keyword == "uses":
-            names, pos = self.name_list(pos + 1, "interface name")
+            self.pos += 1
+            names = self.name_list("interface name")
             (cls.realizes if keyword == "realizes" else cls.usages).extend(names)
         else:
-            self.fail(pos, f"expected a class member, found {keyword!r}",
+            self.fail(f"expected a class member, found {keyword!r}",
                       "'realizes', 'uses', 'part', 'port' or 'connector'")
-        return self.end_statement(pos)
+        self.end_statement()
 
-    def connector_end(self, pos: int) -> tuple[EndRef, int]:
-        tokens = self.tokens
-        head = tokens[pos][1]
-        if tokens[pos][0] != "ident":
-            self.expected(pos, "part name, or 'self'")
-        if head != "self" and tokens[pos + 1][1] != ".":
-            return EndRef(head, None), pos + 1
-        if tokens[pos + 1][1] != ".":
-            self.expected(pos + 1, "'.'")
-        if tokens[pos + 2][0] != "ident":
-            self.expected(pos + 2, "port name")
-        return EndRef(None if head == "self" else head, tokens[pos + 2][1]), pos + 3
+    def connector_end(self) -> EndRef:
+        head = self.ident("part name, or 'self'")[1]
+        if head != "self" and self.peek() != ".":
+            return EndRef(head, None)
+        self.expect(".")
+        return EndRef(None if head == "self" else head, self.ident("port name")[1])
 
-    def assoc_decl(self, pos: int) -> tuple[Association, int]:
-        tokens = self.tokens
-        name_tok = tokens[pos]
-        if name_tok[0] != "ident":
-            self.expected(pos, "association name")
-        if tokens[pos + 1][1] != "(":
-            self.expected(pos + 1, "'('")
-        end1, pos = self.assoc_end(pos + 2)
-        if tokens[pos][1] != ",":
-            self.expected(pos, "','")
-        end2, pos = self.assoc_end(pos + 1)
-        if tokens[pos][1] != ")":
-            self.expected(pos, "')'")
-        pos += 1
-        if tokens[pos][1] == ";":
-            pos += 1
-        return Association(name_tok[1], end1, end2, False, self.span(name_tok)), pos
+    def assoc_decl(self) -> Association:
+        name_tok = self.ident("association name")
+        self.expect("(")
+        end1 = self.assoc_end()
+        self.expect(",")
+        end2 = self.assoc_end()
+        self.expect(")")
+        self.accept(";")
+        return Association(name_tok[1], end1, end2, False, self.span(name_tok))
 
-    def assoc_end(self, pos: int) -> tuple[AssociationEnd, int]:
-        tok = self.tokens[pos]
-        if tok[0] != "ident":
-            self.expected(pos, "classifier name")
-        navigable = self.tokens[pos + 1][1] == "nav"
-        return AssociationEnd(tok[1], navigable), pos + 1 + navigable
+    def assoc_end(self) -> AssociationEnd:
+        return AssociationEnd(self.ident("classifier name")[1], self.accept("nav"))
 
 
 def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
     """Parse DSL text into a model; raises :class:`ParseFailure` with every
     error found (recovery resumes at statement boundaries). The statement
-    reader goes first; where it declines, the token parser reads the text
-    from the start."""
-    model = _read_statements(text, filename)
-    if model is not None:
+    reader goes first; where it declines, the token parser reads on from the
+    first line of the declaration it declined in."""
+    model, first_line = _read_statements(text, filename)
+    if first_line is None:
         return model
-    tokens, lex_errors = _tokenize(text, filename)
+    tokens, errors = _tokenize(text, filename, first_line)
     parser = _Parser(tokens, filename)
-    model = parser.parse_model()
-    errors = lex_errors + parser.errors
+    parser.parse_model(model)
+    errors += parser.errors
     if errors:
         errors.sort(key=lambda e: (e.span.line, e.span.column))
         raise ParseFailure(errors)
@@ -480,12 +443,12 @@ def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
 # rejects a value: a message about the field's ``{key}`` at the element, or a
 # function. A test returns what the record takes, or raises ``_Rejected``.
 #
-# Each kind also has a builder: straight-line code that makes every type test
-# of its table, raises ``_Rejected`` at the first that fails and otherwise
-# builds the record in one call, the record the table's tests would give.
-# Only when a builder rejects is the table read: each rejected field is then
-# reported in table order and nothing is built, since any error discards the
-# model.
+# Each table's builder is derived from its fields when the table is made:
+# straight-line code that makes every type test of the table, raises
+# ``_Rejected`` at the first that fails and otherwise builds the record in one
+# call, the record the table's tests would give. Only when a builder rejects
+# is the table read field by field: each rejected field is then reported in
+# table order and nothing is built, since any error discards the model.
 
 _REQUIRED = object()
 
@@ -494,158 +457,22 @@ class _Rejected(Exception):
     """Internal signal: a value fails its field's type test."""
 
 
-def _or_empty(value) -> list:
-    """An array field's value, ``[]`` for an absent field; anything else that
-    is no array is rejected."""
-    if type(value) is list:
-        return value
-    if value != ():
-        raise _Rejected
-    return []
-
-
-def _build_interface(raw) -> Interface:
-    if type(raw) is not dict:
-        raise _Rejected
-    get = raw.get
-    name, group = get("name"), get("group", False)
-    generals, operations = get("generals", ()), get("operations", ())
-    if type(name) is not str or not name or type(group) is not bool:
-        raise _Rejected
-    if type(generals) is not list or type(operations) is not list:
-        generals, operations = _or_empty(generals), _or_empty(operations)
-    for item in generals:
-        if type(item) is not str:
-            raise _Rejected
-    for item in operations:
-        if type(item) is not str or not item:
-            raise _Rejected
-    return Interface(name, generals, group, operations)
-
-
-def _build_attribute(raw) -> Attribute:
-    if type(raw) is not dict:
-        raise _Rejected
-    name, type_name = raw.get("name"), raw.get("type")
-    if type(name) is not str or not name or type(type_name) is not str:
-        raise _Rejected
-    return Attribute(name, type_name)
-
-
-def _build_part(raw) -> Part:
-    if type(raw) is not dict:
-        raise _Rejected
-    get = raw.get
-    name, type_name, multiplicity = get("name"), get("type"), get("multiplicity", 1)
-    if type(name) is not str or not name or type(type_name) is not str \
-            or type(multiplicity) is not int:
-        raise _Rejected
-    return Part(name, type_name, multiplicity)
-
-
-def _build_port(raw) -> Port:
-    if type(raw) is not dict:
-        raise _Rejected
-    get = raw.get
-    name, contract, is_reversed = get("name"), get("contract"), get("reversed", False)
-    if type(name) is not str or not name or type(contract) is not str \
-            or type(is_reversed) is not bool:
-        raise _Rejected
-    return Port(name, contract, is_reversed)
-
-
-def _build_end_ref(raw) -> EndRef:
-    if type(raw) is not dict:
-        raise _Rejected
-    part, port = raw.get("part"), raw.get("port")
-    if (part is not None and type(part) is not str) or (port is not None and type(port) is not str):
-        raise _Rejected
-    return EndRef(part, port)
-
-
-def _build_connector(raw) -> Connector:
-    if type(raw) is not dict:
-        raise _Rejected
-    association = raw.get("association")
-    if association is not None and type(association) is not str:
-        raise _Rejected
-    return Connector(_build_end_ref(raw.get("end1")), _build_end_ref(raw.get("end2")), association)
-
-
-def _build_class(raw) -> Class:
-    if type(raw) is not dict:
-        raise _Rejected
-    get = raw.get
-    name, kind = get("name"), get("kind", _PASSIVE)
-    if type(name) is not str or not name or type(kind) is not str or kind not in _KINDS:
-        raise _Rejected
-    arrays = generals, realizes, usages, attributes, parts, ports, connectors = (
-        get("generals", ()), get("realizes", ()), get("uses", ()), get("attributes", ()),
-        get("parts", ()), get("ports", ()), get("connectors", ()))
-    if type(generals) is not list or type(realizes) is not list or type(usages) is not list \
-            or type(attributes) is not list or type(parts) is not list \
-            or type(ports) is not list or type(connectors) is not list:
-        generals, realizes, usages, attributes, parts, ports, connectors = map(_or_empty, arrays)
-    for item in (*generals, *realizes, *usages):
-        if type(item) is not str:
-            raise _Rejected
-    return Class(name, _KINDS[kind], generals, realizes, usages,
-                 [_build_attribute(item) for item in attributes],
-                 [_build_part(item) for item in parts], [_build_port(item) for item in ports],
-                 [_build_connector(item) for item in connectors])
-
-
-def _build_association_end(raw) -> AssociationEnd:
-    if type(raw) is not dict:
-        raise _Rejected
-    type_name, navigable = raw.get("type"), raw.get("navigable", False)
-    if type(type_name) is not str or type(navigable) is not bool:
-        raise _Rejected
-    return AssociationEnd(type_name, navigable)
-
-
-def _build_association(raw) -> Association:
-    if type(raw) is not dict:
-        raise _Rejected
-    name = raw.get("name")
-    if type(name) is not str or not name:
-        raise _Rejected
-    return Association(name, _build_association_end(raw.get("end1")),
-                       _build_association_end(raw.get("end2")))
-
-
 def _synthesized(raw) -> bool:
     """An association synthesis made, skipped unread: synthesis remakes it."""
     return type(raw) is dict and raw.get("synthesized") is True
 
 
-def _build_model(raw) -> Model:
-    if type(raw) is not dict:
-        raise _Rejected
-    get = raw.get
-    interfaces, classes, associations = (get("interfaces", ()), get("classes", ()),
-                                         get("associations", ()))
-    root = get("root")
-    if type(interfaces) is not list or type(classes) is not list \
-            or type(associations) is not list:
-        interfaces, classes, associations = map(_or_empty, (interfaces, classes, associations))
-    if root is not None and (type(root) is not str or not root):
-        raise _Rejected
-    return Model([_build_interface(item) for item in interfaces],
-                 [_build_class(item) for item in classes],
-                 [_build_association(item) for item in associations if not _synthesized(item)],
-                 root)
-
-
 class _Table:
-    """The schema of one kind of element, and ``build``, its builder."""
+    """The schema of one kind of element, the ``record`` class it builds, and
+    ``build``, its builder."""
 
-    __slots__ = ("build", "fields", "named")
+    __slots__ = ("build", "fields", "named", "record")
 
-    def __init__(self, build, *fields: tuple, named: bool = False):
-        self.build = build
+    def __init__(self, record: type, *fields: tuple, named: bool = False):
+        self.record = record
         self.fields = fields
         self.named = named  # a bad name stops the element: nothing else of it is checked
+        self.build = _derive_build(record, fields)
 
 
 class _JsonReader:
@@ -727,6 +554,46 @@ def _kind(value) -> ClassKind:
     raise _Rejected
 
 
+# The inline form of each scalar type test in a derived builder: the
+# condition on which the test rejects the value ``v``, and what the record
+# takes of ``v``.
+_INLINE = {
+    _name: ("type(v) is not str or not v", "v"),
+    _string: ("type(v) is not str", "v"),
+    _boolean: ("type(v) is not bool", "v"),
+    _integer: ("type(v) is not int", "v"),
+    _optional_string: ("v is not None and type(v) is not str", "v"),
+    _optional_name: ("v is not None and (type(v) is not str or not v)", "v"),
+    _kind: ("type(v) is not str or v not in _KINDS", "_KINDS[v]"),
+}
+_RECORD_FIELD = {"group": "is_group", "uses": "usages"}  # where key and field differ
+
+
+def _derive_build(record: type, fields: tuple):
+    """The builder of ``record`` elements with ``fields``. It tests each field
+    in table order, inline where ``_INLINE`` has the test's form and by a call
+    to the test otherwise, and passes the values in ``record``'s field order."""
+    namespace = {"_Rejected": _Rejected, "_REQUIRED": _REQUIRED, "_KINDS": _KINDS,
+                 "record": record}
+    lines = ["def build(raw):", "    if type(raw) is not dict:", "        raise _Rejected",
+             "    get = raw.get"]
+    values = {}
+    for i, (key, default, test, _) in enumerate(fields):
+        read = f"get({key!r}, {'_REQUIRED' if default is _REQUIRED else repr(default)})"
+        if test in _INLINE:
+            rejects, value = (re.sub(r"\bv\b", f"a{i}", form) for form in _INLINE[test])
+            lines += [f"    a{i} = {read}", f"    if {rejects}:", "        raise _Rejected"]
+        else:
+            namespace[f"test{i}"] = test
+            lines.append(f"    a{i} = test{i}({read})")
+            value = f"a{i}"
+        values[_RECORD_FIELD.get(key, key)] = value
+    args = ", ".join(values[field.name] for field in dataclass_fields(record)[:len(fields)])
+    lines.append(f"    return record({args})")
+    exec(compile("\n".join(lines), f"<builder of {record.__name__}>", "exec"), namespace)
+    return namespace["build"]
+
+
 def _says_of_end(message: str):
     """The report of ``message``, given the end's key and the field's, at the
     element that holds the end."""
@@ -773,7 +640,7 @@ def _array(test, report, skip=None) -> tuple:
             raise _Rejected
         if skip is not None:
             return [test(item) for item in value if not skip(item)]
-        return [test(item) for item in value] if value else value
+        return list(map(test, value)) if value else value
 
     def array_report(reader: _JsonReader, path: tuple, key: str, value) -> None:
         if type(value) is not list:
@@ -802,31 +669,30 @@ _MUST_BE_A_STRING = "field '{key}' must be a string"
 _MUST_BE_A_BOOLEAN = "field '{key}' must be a boolean"
 
 _INTERFACE = _Table(
-    _build_interface, _NAME, ("group", False, _boolean, _MUST_BE_A_BOOLEAN),
+    Interface, _NAME, ("group", False, _boolean, _MUST_BE_A_BOOLEAN),
     ("generals", *_STRINGS), ("operations", *_NAMES), named=True)
-_ATTRIBUTE = _Table(_build_attribute, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING))
-_PART = _Table(_build_part, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
+_ATTRIBUTE = _Table(Attribute, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING))
+_PART = _Table(Part, _NAME, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
                ("multiplicity", 1, _integer, _report_integer))
-_PORT = _Table(_build_port, _NAME, ("contract", _REQUIRED, _string, _MUST_BE_A_STRING),
+_PORT = _Table(Port, _NAME, ("contract", _REQUIRED, _string, _MUST_BE_A_STRING),
                ("reversed", False, _boolean, _MUST_BE_A_BOOLEAN))
-_END_REF = _Table(_build_end_ref, *[(key, None, _optional_string,
-                                     _says_of_end("'{key}' must be a string"))
-                                    for key in ("part", "port")])
-_CONNECTOR = _Table(_build_connector, ("end1", None, *_end(_END_REF)),
+_END_REF = _Table(EndRef, *[(key, None, _optional_string, _says_of_end("'{key}' must be a string"))
+                            for key in ("part", "port")])
+_CONNECTOR = _Table(Connector, ("end1", None, *_end(_END_REF)),
                     ("end2", None, *_end(_END_REF)),
                     ("association", None, _optional_string, "'{key}' must be a string"))
 _CLASS = _Table(
-    _build_class, _NAME, ("kind", _PASSIVE, _kind, _report_kind),
+    Class, _NAME, ("kind", _PASSIVE, _kind, _report_kind),
     ("generals", *_STRINGS), ("realizes", *_STRINGS), ("uses", *_STRINGS),
     ("attributes", (), *_elements(_ATTRIBUTE)), ("parts", (), *_elements(_PART)),
     ("ports", (), *_elements(_PORT)), ("connectors", (), *_elements(_CONNECTOR)), named=True)
 _ASSOCIATION_END = _Table(
-    _build_association_end, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
+    AssociationEnd, ("type", _REQUIRED, _string, _MUST_BE_A_STRING),
     ("navigable", False, _boolean, _says_of_end("'{key}' must be a boolean")))
-_ASSOCIATION = _Table(_build_association, _NAME, ("end1", None, *_end(_ASSOCIATION_END)),
+_ASSOCIATION = _Table(Association, _NAME, ("end1", None, *_end(_ASSOCIATION_END)),
                       ("end2", None, *_end(_ASSOCIATION_END)), named=True)
 _MODEL = _Table(
-    _build_model, ("interfaces", (), *_elements(_INTERFACE)), ("classes", (), *_elements(_CLASS)),
+    Model, ("interfaces", (), *_elements(_INTERFACE)), ("classes", (), *_elements(_CLASS)),
     ("associations", (), *_elements(_ASSOCIATION, skip=_synthesized)),
     ("root", None, _optional_name, _report_name))
 

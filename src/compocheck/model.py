@@ -507,9 +507,11 @@ def resolve(model: Model, path: str):
         cls = model.find_class(cls_name)
         if cls is None:
             fail(f"no class named '{cls_name}'")
-        try:
-            index = int(index_text)
-        except ValueError:
+        try:  # ASCII digits only: int() also takes blanks, signs, '_' and other digits
+            index = int(index_text) if index_text.isascii() and index_text.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            index = None
+        if index is None:
             fail(f"'{index_text}' is not a connector index")
         if not 0 <= index < len(cls.connectors):
             fail(f"class '{cls_name}' has {len(cls.connectors)} connectors; index {index} is out of range")

@@ -7,12 +7,13 @@ bidirectional port, type the second overlapping link, mark the shared passive
 part protected, type the part-originating link.
 
 :func:`dropped_tests` makes mutant copies of a function, each with one test
-of one ``if`` left out.
+of one ``if`` left out, and :func:`dropped_operands` the same of one condition.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import sys
 import textwrap
@@ -174,42 +175,50 @@ MUTATION_PAIRS: dict[str, tuple[str, str]] = {
 }
 
 
+def dropped_operands(condition: ast.expr) -> list[tuple[str, ast.expr]]:
+    """Mutant copies of ``condition``, each as ``(label, condition)``: one per
+    operand of an ``and``/``or`` in it with that operand left out, or, for a
+    condition without one, ``False``."""
+    def operand_sites(tree) -> list[tuple[ast.BoolOp, int]]:
+        return [(node, i) for node in ast.walk(tree) if isinstance(node, ast.BoolOp)
+                for i in range(len(node.values))]
+
+    mutants = []
+    for k in range(len(operand_sites(condition))):
+        tree = ast.Expression(copy.deepcopy(condition))
+        boolop, i = operand_sites(tree)[k]
+        label = ast.unparse(boolop.values[i])
+        del boolop.values[i]
+        if len(boolop.values) == 1:  # a one-operand BoolOp does not compile
+            for parent in ast.walk(tree):
+                for field, value in ast.iter_fields(parent):
+                    if value is boolop:
+                        setattr(parent, field, boolop.values[0])
+                    elif isinstance(value, list) and boolop in value:
+                        value[value.index(boolop)] = boolop.values[0]
+        mutants.append((label, tree.body))
+    return mutants or [(ast.unparse(condition), ast.Constant(False))]
+
+
 def dropped_tests(function) -> list[tuple[str, object]]:
     """Mutant copies of ``function``, each as ``(label, mutant)``: for every
-    ``if`` in it, one copy per operand of an ``and``/``or`` in its condition
-    with that operand left out, or, for a condition without one, a copy in
-    which the condition is false. A mutant runs in a copy of the function's
-    module namespace, so what it calls is unchanged."""
+    ``if`` in it, one copy per :func:`dropped_operands` mutant of its
+    condition. A mutant runs in a copy of the function's module namespace,
+    with the values of its closure's free variables added, so what it calls
+    is unchanged."""
     source = textwrap.dedent(inspect.getsource(function))
 
     def conditions(tree) -> list[ast.If]:
         return [node for node in ast.walk(tree) if isinstance(node, ast.If)]
 
-    def operand_sites(test) -> list[tuple[ast.BoolOp, int]]:
-        return [(node, i) for node in ast.walk(test) if isinstance(node, ast.BoolOp)
-                for i in range(len(node.values))]
-
     mutants = []
     for n, node in enumerate(conditions(ast.parse(source))):
-        for k in range(max(1, len(operand_sites(node.test)))):
+        for label, condition in dropped_operands(node.test):
             tree = ast.parse(source)
-            target = conditions(tree)[n]
-            sites = operand_sites(target.test)
-            if not sites:
-                label = ast.unparse(target.test)
-                target.test = ast.Constant(False)
-            else:
-                boolop, i = sites[k]
-                label = ast.unparse(boolop.values[i])
-                del boolop.values[i]
-                if len(boolop.values) == 1:  # a one-operand BoolOp does not compile
-                    for parent in ast.walk(target):
-                        for field, value in ast.iter_fields(parent):
-                            if value is boolop:
-                                setattr(parent, field, boolop.values[0])
-                            elif isinstance(value, list) and boolop in value:
-                                value[value.index(boolop)] = boolop.values[0]
+            conditions(tree)[n].test = condition
             namespace = dict(vars(sys.modules[function.__module__]))
+            namespace.update(zip(function.__code__.co_freevars,
+                                 (cell.cell_contents for cell in function.__closure__ or ())))
             exec(compile(ast.fix_missing_locations(tree), f"<mutant of {function.__name__}>",
                          "exec"), namespace)
             mutants.append((f"{function.__name__} without {label}", namespace[function.__name__]))

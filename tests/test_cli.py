@@ -303,6 +303,22 @@ def test_self_containment_is_an_integrity_error(tmp_path, command):
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [["check"], ["simulate", "--root", "A", "--output", "json"]],
+                         ids=["check", "simulate-json"])
+def test_a_closed_stdout_is_exit_2_without_a_traceback(command, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "compocheck.cli", command[0], str(DELEGATION),
+                               *command[1:]], stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(SRC),
+                                               "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
 def test_simulate_detects_stuck_requests_after_dropping_a_connector(tmp_path):
     text = DELEGATION.read_text(encoding="utf-8").replace(
         "  connector self.pIJL , e.pJL;\n", "")

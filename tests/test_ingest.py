@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import json
 import random
@@ -27,7 +28,7 @@ from conftest import ATM, BROKEN, DELEGATION, FIXTURES
 from generators import (corrupt_dsl, model_to_dsl, model_to_line_dsl, mutate_json_document,
                         provided_origin_connectors, random_wellformed_model, token_soup)
 from golden import dsl_parse_cases, element_spans
-from mutants import MUTATION_PAIRS, dropped_tests
+from mutants import MUTATION_PAIRS, dropped_operands, dropped_tests
 from oracles import JSON_TABLES, table_build, tokenize_oracle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -393,14 +394,13 @@ def _outcome(build, raw):
 
 def _builder_disagreement(cases) -> tuple | None:
     """The first ``(table, raw)`` of the ``(doc, elements)`` cases whose kind's
-    builder, as the module holds it now, makes something else of the element
+    builder, as its table holds it now, makes something else of the element
     than :func:`table_build`, or ``("report", doc)`` for a document the model
     builder accepts although ``report`` finds an error in it, or rejects
     although it finds none. Each kind is also given every junk value in place
     of a whole element."""
     def differs(table, raw) -> bool:
-        build = getattr(ingest, table.build.__name__)
-        return _outcome(build, raw) != _outcome(lambda raw: table_build(table, raw), raw)
+        return _outcome(table.build, raw) != _outcome(lambda raw: table_build(table, raw), raw)
 
     for table in JSON_TABLES:
         for raw in _JUNK:
@@ -412,7 +412,7 @@ def _builder_disagreement(cases) -> tuple | None:
                 return table, raw
         reader = ingest._JsonReader("x.csm.json")
         reader.report(ingest._MODEL, doc, ())
-        if (_outcome(ingest._build_model, doc) == "rejected") != bool(reader.errors):
+        if (_outcome(ingest._MODEL.build, doc) == "rejected") != bool(reader.errors):
             return "report", doc
     return None
 
@@ -424,17 +424,44 @@ def test_json_builders_agree_with_their_schema_tables():
     assert _builder_disagreement(cases) is None
 
 
+def _with_field_test(table, n: int, test):
+    """The builder derived from ``table``'s fields with the test of field
+    ``n`` replaced by ``test``."""
+    fields = list(table.fields)
+    fields[n] = (fields[n][0], fields[n][1], test, fields[n][3])
+    return ingest._derive_build(table.record, tuple(fields))
+
+
 def test_a_json_builder_without_one_of_its_type_tests_disagrees(monkeypatch):
+    """One mutant per field of every table, its test passing every value
+    through, and one per test of the hand-written array test, put in the
+    model's associations field, the one array field that also skips items."""
     cases = list(_substituted_documents())
-    functions = [table.build for table in JSON_TABLES] + [ingest._or_empty]
+    mutants = [(f"{table.record.__name__}.{field[0]} passed through", table,
+                _with_field_test(table, n, lambda value: value))
+               for table in JSON_TABLES for n, field in enumerate(table.fields)]
+    n = [field[0] for field in ingest._MODEL.fields].index("associations")
+    mutants += [(label, ingest._MODEL, _with_field_test(ingest._MODEL, n, mutant))
+                for label, mutant in dropped_tests(ingest._MODEL.fields[n][2])]
+    for label, table, build in mutants:
+        monkeypatch.setattr(table, "build", build)
+        assert _builder_disagreement(cases) is not None, label
+        monkeypatch.undo()
+    assert len(mutants) >= 38
+
+
+def test_a_json_builder_without_one_operand_of_an_inline_check_disagrees(monkeypatch):
+    cases = list(_substituted_documents())
     mutants = 0
-    for function in functions:
-        for label, mutant in dropped_tests(function):
-            monkeypatch.setattr(ingest, function.__name__, mutant)
-            assert _builder_disagreement(cases) is not None, label
+    for test, (rejects, value) in list(ingest._INLINE.items()):
+        for label, condition in dropped_operands(ast.parse(rejects, mode="eval").body):
+            monkeypatch.setitem(ingest._INLINE, test, (ast.unparse(condition), value))
+            for table in JSON_TABLES:
+                monkeypatch.setattr(table, "build", ingest._derive_build(table.record, table.fields))
+            assert _builder_disagreement(cases) is not None, f"{test.__name__} without {label}"
+            monkeypatch.undo()
             mutants += 1
-        monkeypatch.setattr(ingest, function.__name__, function)
-    assert mutants >= 60
+    assert mutants >= 12
 
 
 def test_broken_fixture_fails_to_parse():
@@ -458,7 +485,7 @@ def _scanner_inputs():
 
 def test_scanner_matches_the_character_walk_oracle():
     for text in _scanner_inputs():
-        assert _tokenize(text, "f.csm") == tokenize_oracle(text, "f.csm"), repr(text)
+        assert _tokenize(text, "f.csm", 1) == tokenize_oracle(text, "f.csm"), repr(text)
 
 
 def _readme_example() -> str:
@@ -477,13 +504,15 @@ def _line_dsl(seed: int) -> tuple[str, Model]:
     return text, model
 
 
-def _token_parse(text: str, filename: str):
-    """The model the token parser alone makes of ``text``, or None where it
-    reports an error."""
-    tokens, errors = _tokenize(text, filename)
+def _token_parse(text: str, filename: str) -> Model | list:
+    """What the token parser alone makes of the whole of ``text``: the model,
+    or the errors in the order :func:`parse_dsl` reports them."""
+    tokens, errors = _tokenize(text, filename, 1)
     parser = _Parser(tokens, filename)
-    model = parser.parse_model()
-    return None if errors or parser.errors else model
+    model = Model()
+    parser.parse_model(model)
+    errors += parser.errors
+    return sorted(errors, key=lambda e: (e.span.line, e.span.column)) if errors else model
 
 
 def _reader_inputs():
@@ -506,13 +535,13 @@ def _reader_inputs():
 def test_statement_reader_declines_or_agrees_with_the_token_parser():
     taken = 0
     for text, must_take in _reader_inputs():
-        model = _read_statements(text, "f.csm")
-        if model is None:
+        model, first_line = _read_statements(text, "f.csm")
+        if first_line is not None:
             assert not must_take, text
             continue
         taken += 1
         expected = _token_parse(text, "f.csm")
-        assert expected is not None, text
+        assert isinstance(expected, Model), text
         # Spans take no part in equality, so they are compared on their own.
         assert model == expected and element_spans(model) == element_spans(expected), text
     assert taken > len(LINE_SEEDS)
@@ -543,4 +572,62 @@ def test_statement_reader_takes_line_per_statement_texts_without_the_tokenizer(m
     "class A {}\x0b\n",
 ])
 def test_statement_reader_declines_what_the_token_parser_must_judge(text):
-    assert _read_statements(text, "f.csm") is None
+    assert _read_statements(text, "f.csm")[1] is not None
+
+
+# Statements the statement reader declines, each on a line of its own.
+_BAD_STATEMENTS = ["part p: ;", "}", "class {", "class A {", "interface I { op }", "uses ;",
+                   "assoc a ( A B );", "connector self , p;", "class A { part p: B; }", ";",
+                   "part q: B x" + "9" * 5000 + ";", "realizes I, ;"]
+
+
+def _resumed_inputs():
+    """Line-per-statement texts, corrupted, or with a bad statement or a token
+    soup inserted at a seeded line."""
+    for seed in LINE_SEEDS:
+        text, _ = _line_dsl(seed)
+        rng = random.Random(seed)
+        yield corrupt_dsl(rng, text, rng.randint(1, 4))
+        lines = text.split("\n")
+        at = rng.randint(0, len(lines))
+        bad = rng.choice(_BAD_STATEMENTS) if seed % 2 else token_soup(rng, rng.randint(1, 8))
+        yield "\n".join(lines[:at] + [bad] + lines[at:])
+
+
+def test_token_parser_resumed_at_the_declined_declaration_agrees_with_a_full_token_parse():
+    resumed = 0
+    for text in _resumed_inputs():
+        resumed += _read_statements(text, "f.csm")[1] not in (None, 1)
+        expected = _token_parse(text, "f.csm")
+        try:
+            model = parse_dsl(text, "f.csm")
+        except ParseFailure as failure:
+            assert failure.errors == expected, text
+        else:
+            assert isinstance(expected, Model), text
+            assert model == expected and element_spans(model) == element_spans(expected), text
+    assert resumed > len(LINE_SEEDS)
+
+
+@pytest.mark.parametrize("lines, first_line", [
+    (["interface I { op f; }", "class A {", "  part p: B;", "}", "class C {", "  part q: ;", "}"], 5),
+    (["class A {", "  part p: B;", "}", "", "part q: B;", "class C {}"], 5),
+    (["assoc a ( A , B )", ";", "class A {}"], 2),
+])
+def test_token_parser_reads_only_from_the_declined_declaration(monkeypatch, lines, first_line):
+    text = "\n".join(lines) + "\n"
+    read = []
+
+    def tokenize(*args):
+        tokens, errors = _tokenize(*args)
+        read.extend(tokens)
+        return tokens, errors
+
+    monkeypatch.setattr(ingest, "_tokenize", tokenize)
+    assert _read_statements(text, "f.csm")[1] == first_line
+    try:
+        outcome = parse_dsl(text, "f.csm")
+    except ParseFailure as failure:
+        outcome = failure.errors
+    assert outcome == _token_parse(text, "f.csm")
+    assert read[0][2] == first_line and read[-1][0] == "eof"

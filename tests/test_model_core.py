@@ -238,7 +238,9 @@ class TestResolve:
         iface = resolve(delegation_model, "IJL")
         assert isinstance(iface, Interface) and iface.is_group
 
-    @pytest.mark.parametrize("path", ["Nope.x", "A.zz", "A#99", "A#x", "Zzz"])
+    @pytest.mark.parametrize("path", ["Nope.x", "A.zz", "A#99", "A#x", "Zzz", "A# 0", "A#+0",
+                                      "A#0_0", "A#-0", "A#\u0660", "A#0 ",
+                                      pytest.param("A#" + "9" * 5000, id="A#9x5000")])
     def test_unknown_paths_raise_e005(self, delegation_model, path):
         with pytest.raises(UnknownPathError) as err:
             resolve(delegation_model, path)
