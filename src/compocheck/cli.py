@@ -6,8 +6,8 @@ integrity validation, or the command could not run at all (an unexpected
 exception is reported as one ``internal error`` line, without a traceback; a
 standard output closed by its reader ends the command with no report).
 With ``--output json``, integrity errors and deleg conflicts (E004) are printed
-as a failed check report; parse and read failures carry no diagnostic code and
-stay text.
+as a failed check report, and so is an ``explain`` path that does not resolve
+(E005, exit 1); parse and read failures carry no diagnostic code and stay text.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .rules import (
     _fmt_set,
     check_model,  # unused: perfbench's tracer patches it
     code_counts,
-    pairwise_disjoint_by_cardinality,
     prepare,
     run_rules,
 )
@@ -108,7 +107,8 @@ def _print_report_json(args, report: CheckReport, out) -> None:
 
 
 def _reject(args, diagnostics: list, out, summary: str | None = None) -> tuple[None, int]:
-    """Report diagnostics that stopped the input before the rules; exit code 2."""
+    """Print diagnostics that stopped the command, as a failed check report with
+    ``--output json``; returns (None, exit code 2)."""
     if args.output == "json":
         report = CheckReport(diagnostics=diagnostics, stats=code_counts(diagnostics), passed=False)
         _print_report_json(args, report, out)
@@ -188,21 +188,17 @@ def _describe_connector(link: ConnectorTyping) -> dict:
 
 
 def _describe_port(index: TypingIndex, cls: Class, port: Port) -> dict:
-    links = index.outgoing(port)
-    closure = index.port_interfaces(port)
-    union = set().union(*(link.transported.interfaces for link in links))
-    disjoint, overlap = pairwise_disjoint_by_cardinality(
-        [link.transported.interfaces for link in links if link.connector.association is None])
+    links, _, overlap, _, missing = index.fanout(port)
     return {
         "element": f"{cls.name}.{port.name}",
         "contract": port.contract,
         "reversed": port.reversed,
-        "closure": sorted(closure),
+        "closure": sorted(index.port_interfaces(port)),
         "outgoing": [_describe_connector(link) for link in links],
-        "disjoint": disjoint,
+        "disjoint": not overlap,
         "overlap": sorted(overlap),
-        "complete": union == closure if links else None,
-        "missing": sorted(closure - union) if links else [],
+        "complete": not missing if links else None,
+        "missing": sorted(missing) if links else [],
     }
 
 
@@ -237,14 +233,16 @@ def _describe_element(index: TypingIndex, path: str, element) -> dict:
 
 
 def cmd_explain(args, out) -> int:
+    if not args.element:
+        print("error: explain needs a non-empty element path", file=out)
+        return EXIT_INPUT
     index, code = _prepare(args, out)
     if index is None:
         return code
     try:
         element = resolve(index.model, args.element)
     except UnknownPathError as exc:
-        for diag in exc.diagnostics:
-            print(diag.render(), file=out)
+        _reject(args, exc.diagnostics, out)
         return EXIT_FINDINGS
     info = _describe_element(index, args.element, element)
     if args.output == "json":

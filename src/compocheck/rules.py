@@ -35,11 +35,12 @@ from dataclasses import dataclass, field
 from .diagnostics import Diagnostic, Severity, error
 from .model import (Class, ClassKind, IntegrityError, Model, Port, synthesize_deleg_associations,
                     validate_integrity)
-from .type_system import PORT_ORIGINS, LinkKind, OriginKind, TypingIndex
+from .type_system import ConnectorTyping, LinkKind, OriginKind, TypingIndex
 
 # Enum members the per-element loops read, as module globals: a read through
 # the enum class costs a metaclass lookup (~0.1 µs).
-_FORBIDDEN_KIND, _FROM_PART = LinkKind.FORBIDDEN, OriginKind.FROM_PART
+_FORBIDDEN_KIND, _PART_PART, _FROM_PART = (LinkKind.FORBIDDEN, LinkKind.ASSEMBLY_PART_PART,
+                                           OriginKind.FROM_PART)
 _ACTIVE, _PASSIVE, _PROTECTED, _OBSERVER = ClassKind
 
 
@@ -146,155 +147,104 @@ def rule_link_type(index: TypingIndex) -> list[Diagnostic]:
     return diags
 
 
-def _admissible_association(index: TypingIndex, kind: LinkKind, origin_kind: OriginKind,
-                            assoc) -> tuple[bool, str]:
-    """Which association classifier kinds may type a link of the given shape."""
-    start = assoc.start_end() or assoc.end1
-    pointed = assoc.pointed_end() or assoc.end2
-    start_iface = start.type in index.interfaces
-    pointed_iface = pointed.type in index.interfaces
-    if kind is LinkKind.ASSEMBLY_PART_PART:
-        return True, ""
-    port_port = kind in (LinkKind.INBOUND_DELEGATION_PORT_PORT,
-                         LinkKind.OUTBOUND_DELEGATION_PORT_PORT,
-                         LinkKind.ASSEMBLY_PORT_PORT)
-    if port_port:
-        if start_iface and pointed_iface:
-            return True, ""
-        return False, "a link between two ports accepts only an association between two interfaces"
-    # part-port shapes
-    if origin_kind is _FROM_PART:
-        if pointed_iface:  # the start end may be an interface or a class
-            return True, ""
-        return False, ("a link from a part to a port accepts only an association between two "
-                       "interfaces or a class-to-interface association pointing at the interface")
-    if start_iface and pointed_iface:
-        return True, ""
-    return False, ("a link from a port to a part accepts only an association between two "
+def _association_finding(index: TypingIndex, link: ConnectorTyping) -> Diagnostic | None:
+    """The one W003 or W004 finding of a typed, non-forbidden link, or None.
+
+    W003 covers the association's navigability (at least one navigable end;
+    bidirectional only on class-class associations typing part-part links),
+    the admissible association kind for the link shape, and, for links
+    starting from a part, the compatibility of the link ends with the
+    association ends. W004 covers the ends of a link starting from a port
+    whose association passed the first two checks: the pointed type must be
+    transported, and both link ends must cover the association ends.
+    """
+    kind, assoc = link.kind, link.association
+    if assoc.is_non_navigable:
+        return error("W003", link.path, f"association '{assoc.name}' is not navigable at either "
+                     f"end, so the connector has no direction and is not well-formed", [assoc.name])
+    if assoc.is_bidirectional:
+        if kind is not _PART_PART:
+            why = "may only type a link between two parts"
+        elif assoc.end1.type not in index.classes or assoc.end2.type not in index.classes:
+            why = "must connect two classes"
+        else:
+            t1, t2 = (site.part.type for site in link.ends)
+            compatible = index.classifier_compatible
+            if (compatible(t1, assoc.end1.type) and compatible(t2, assoc.end2.type)) or \
+                    (compatible(t1, assoc.end2.type) and compatible(t2, assoc.end1.type)):
+                return None
+            return error("W003", link.path, f"neither orientation of bidirectional association "
+                         f"'{assoc.name}' ({assoc.end1.type} -- {assoc.end2.type}) matches the "
+                         f"part types ({t1}, {t2})", [assoc.name])
+        return error("W003", link.path, f"bidirectional association '{assoc.name}' {why}",
+                     [assoc.name])
+    start, pointed = assoc.start_end(), assoc.pointed_end()
+    origin, far = link.origin.site, link.far
+    from_part = link.origin.kind is _FROM_PART
+    if kind is not _PART_PART and not (pointed.type in index.interfaces and (
+            from_part or start.type in index.interfaces)):
+        if origin.port is not None and far.port is not None:
+            why = "a link between two ports accepts only an association between two interfaces"
+        elif from_part:
+            why = ("a link from a part to a port accepts only an association between two "
+                   "interfaces or a class-to-interface association pointing at the interface")
+        else:
+            why = ("a link from a port to a part accepts only an association between two "
                    "interfaces (class ends cannot govern the port side) (accepted here in no "
                    "other form; a port-to-part link admits only interface ends)")
+        return error("W003", link.path,
+                     f"association '{assoc.name}' cannot type this {kind.value}: {why}", [assoc.name])
+    problems: list[str] = []
+    if from_part:
+        if not index.classifier_compatible(origin.part.type, start.type):
+            problems.append(f"start end '{start.type}' does not match part '{origin.part.name}' "
+                            f"of type '{origin.part.type}'")
+    else:
+        if pointed.type not in link.transported.interfaces:
+            problems.append(f"pointed type '{pointed.type}' is not in the transported set "
+                            f"{_fmt_set(link.transported.interfaces)}")
+        if not index.port_compatible(origin.port, start.type):
+            problems.append(f"start end '{start.type}' is not covered by the originating port "
+                            f"(closure {_fmt_set(index.port_interfaces(origin.port))})")
+    if far.port is not None:
+        if not index.port_compatible(far.port, pointed.type):
+            problems.append(
+                f"pointed end '{pointed.type}' is not covered by port '{far.describe()}' "
+                f"(contract closure {_fmt_set(index.port_interfaces(far.port))})" if from_part
+                else f"pointed type '{pointed.type}' is not covered by the far port "
+                     f"'{far.describe()}'")
+    elif not index.classifier_compatible(far.part.type, pointed.type):
+        problems.append(
+            f"pointed end '{pointed.type}' does not match part '{far.part.name}' of type "
+            f"'{far.part.type}'" if from_part
+            else f"pointed type '{pointed.type}' does not match the far part '{far.part.name}' "
+                 f"of type '{far.part.type}'")
+    if not problems:
+        return None
+    if from_part:
+        return error("W003", link.path, f"association '{assoc.name}' does not fit the link: "
+                     + "; ".join(problems), [assoc.name])
+    return error("W004", link.path, f"association '{assoc.name}' mis-types this link: "
+                 + "; ".join(problems), [assoc.name])
+
+
+def _association_findings(index: TypingIndex, code: str) -> list[Diagnostic]:
+    found = (_association_finding(index, link) for link in index.links()
+             if link.association is not None and link.kind is not _FORBIDDEN_KIND)
+    return [diag for diag in found if diag is not None and diag.code == code]
 
 
 def rule_association_direction(index: TypingIndex) -> list[Diagnostic]:
-    """W003: the typing association's direction and ends must fit the link.
-
-    Checks navigability (at least one navigable end; bidirectional only on
-    class-class associations typing part-part links), the admissible
-    association kind for the link shape, and, for links starting from a part,
-    the compatibility of the link ends with the association ends.
-    """
-    diags: list[Diagnostic] = []
-    for link in index.links():
-        kind, assoc = link.kind, link.association
-        if kind is _FORBIDDEN_KIND or assoc is None:
-            continue
-
-        def emit(message: str) -> None:
-            diags.append(error("W003", link.path, message, [assoc.name]))
-
-        if assoc.is_non_navigable:
-            emit(f"association '{assoc.name}' is not navigable at either end, so the "
-                 f"connector has no direction and is not well-formed")
-            continue
-        origin = link.origin
-        s1, s2 = link.ends
-        if assoc.is_bidirectional:
-            if kind is not LinkKind.ASSEMBLY_PART_PART:
-                emit(f"bidirectional association '{assoc.name}' may only type a link "
-                     f"between two parts")
-                continue
-            cc = assoc.end1.type in index.classes and assoc.end2.type in index.classes
-            if not cc:
-                emit(f"bidirectional association '{assoc.name}' must connect two classes")
-                continue
-            t1 = s1.part.type if s1.part else ""
-            t2 = s2.part.type if s2.part else ""
-            forward = (index.classifier_compatible(t1, assoc.end1.type)
-                       and index.classifier_compatible(t2, assoc.end2.type))
-            backward = (index.classifier_compatible(t1, assoc.end2.type)
-                        and index.classifier_compatible(t2, assoc.end1.type))
-            if not (forward or backward):
-                emit(f"neither orientation of bidirectional association '{assoc.name}' "
-                     f"({assoc.end1.type} -- {assoc.end2.type}) matches the part types "
-                     f"({t1}, {t2})")
-            continue
-        ok, why = _admissible_association(index, kind, origin.kind, assoc)
-        if not ok:
-            emit(f"association '{assoc.name}' cannot type this {kind.value}: {why}")
-            continue
-        if origin.kind is _FROM_PART:
-            start = assoc.start_end()
-            pointed = assoc.pointed_end()
-            assert start is not None and pointed is not None
-            start_site = origin.site
-            assert start_site is not None and start_site.part is not None
-            problems: list[str] = []
-            if not index.classifier_compatible(start_site.part.type, start.type):
-                problems.append(
-                    f"start end '{start.type}' does not match part '{start_site.part.name}' "
-                    f"of type '{start_site.part.type}'")
-            far = link.far
-            if far.port is not None:
-                if not index.port_compatible(far.port, pointed.type):
-                    problems.append(
-                        f"pointed end '{pointed.type}' is not covered by port "
-                        f"'{far.describe()}' (contract closure "
-                        f"{_fmt_set(index.port_interfaces(far.port))})")
-            elif far.part is not None:
-                if not index.classifier_compatible(far.part.type, pointed.type):
-                    problems.append(
-                        f"pointed end '{pointed.type}' does not match part "
-                        f"'{far.part.name}' of type '{far.part.type}'")
-            if problems:
-                emit(f"association '{assoc.name}' does not fit the link: " + "; ".join(problems))
-    return diags
+    """W003: the typing association's direction, kind and ends must fit the
+    link (see :func:`_association_finding`)."""
+    return _association_findings(index, "W003")
 
 
 def rule_typed_from_port(index: TypingIndex) -> list[Diagnostic]:
     """W004: a typed link out of a port must point inside its transported set,
-    and both link ends must cover the association ends."""
-    diags: list[Diagnostic] = []
-    for link in index.links():
-        kind, origin, assoc = link.kind, link.origin, link.association
-        if kind is _FORBIDDEN_KIND or origin.kind not in PORT_ORIGINS or assoc is None:
-            continue
-        if assoc.is_non_navigable or assoc.is_bidirectional:
-            continue  # navigability problems are W003's
-        ok, _ = _admissible_association(index, kind, origin.kind, assoc)
-        if not ok:
-            continue  # inadmissible kind is W003's
-        start = assoc.start_end()
-        pointed = assoc.pointed_end()
-        assert start is not None and pointed is not None
-        origin_port = origin.site.port
-        problems: list[str] = []
-        ts = link.transported
-        if pointed.type not in ts.interfaces:
-            problems.append(
-                f"pointed type '{pointed.type}' is not in the transported set "
-                f"{_fmt_set(ts.interfaces)}")
-        if not index.port_compatible(origin_port, start.type):
-            problems.append(
-                f"start end '{start.type}' is not covered by the originating port "
-                f"(closure {_fmt_set(index.port_interfaces(origin_port))})")
-        far = link.far
-        if far.port is not None:
-            if not index.port_compatible(far.port, pointed.type):
-                problems.append(
-                    f"pointed type '{pointed.type}' is not covered by the far port "
-                    f"'{far.describe()}'")
-        elif far.part is not None:
-            if not index.classifier_compatible(far.part.type, pointed.type):
-                problems.append(
-                    f"pointed type '{pointed.type}' does not match the far part "
-                    f"'{far.part.name}' of type '{far.part.type}'")
-        if problems:
-            diags.append(error(
-                "W004", link.path,
-                f"association '{assoc.name}' mis-types this link: " + "; ".join(problems),
-                [assoc.name],
-            ))
-    return diags
+    and both link ends must cover the association ends (see
+    :func:`_association_finding`)."""
+    return _association_findings(index, "W004")
 
 
 def rule_typed_from_part(index: TypingIndex) -> list[Diagnostic]:
@@ -328,40 +278,20 @@ def rule_nonvoid(index: TypingIndex) -> list[Diagnostic]:
     return diags
 
 
-def pairwise_disjoint_by_cardinality(sets: list[frozenset[str]] | list[set[str]]) -> tuple[bool, set[str]]:
-    """Disjointness via the counting identity |A1 u ... u An| = sum |Ai|.
-
-    Returns (disjoint, overlapping elements).
-    """
-    union: set[str] = set()
-    total = 0
-    seen_twice: set[str] = set()
-    for s in sets:
-        seen_twice |= union & s
-        union |= s
-        total += len(s)
-    return len(union) == total, seen_twice
-
-
 def rule_pairwise_disjoint(index: TypingIndex) -> list[Diagnostic]:
     """W007: untyped links out of one port must not overlap, or the default
     per-interface forwarding destination would be ambiguous."""
     diags: list[Diagnostic] = []
-    for cls in index.model.classes:
-        for port in cls.ports:
-            untyped = [link for link in index.outgoing(port) if link.connector.association is None]
-            if len(untyped) < 2:
-                continue
-            disjoint, overlap = pairwise_disjoint_by_cardinality(
-                [link.transported.interfaces for link in untyped])
-            if not disjoint:
-                diags.append(error(
-                    "W007", _port_path(cls, port),
-                    f"untyped links out of this port transport overlapping interfaces "
-                    f"{_fmt_set(overlap)}; type all but one of the overlapping links with "
-                    f"an explicit association",
-                    [link.path for link in untyped],
-                ))
+    for path, port, _ in index.port_origins().values():
+        _, untyped, overlap, _, _ = index.fanout(port)
+        if overlap:
+            diags.append(error(
+                "W007", path,
+                f"untyped links out of this port transport overlapping interfaces "
+                f"{_fmt_set(overlap)}; type all but one of the overlapping links with "
+                f"an explicit association",
+                [link.path for link in untyped],
+            ))
     return diags
 
 
@@ -370,25 +300,19 @@ def rule_completeness(index: TypingIndex) -> list[Diagnostic]:
 
     A link out of a port never transports more than the port's closure (see
     :mod:`~compocheck.type_system`), so only missing interfaces are reported.
-    Ports that originate no link are skipped (see the stub notes in the report
-    header for ports that are not wired at all).
+    Only ports that originate a link are judged (see the stub notes in the
+    report header for ports that are not wired at all).
     """
     diags: list[Diagnostic] = []
-    for cls in index.model.classes:
-        for port in cls.ports:
-            outgoing = index.outgoing(port)
-            if not outgoing:
-                continue
-            union = set().union(*(link.transported.interfaces for link in outgoing))
-            want = index.port_interfaces(port)
-            missing = want - union
-            if missing:
-                diags.append(error(
-                    "W008", _port_path(cls, port),
-                    f"links out of this port transport {_fmt_set(union)} but its contract "
-                    f"closure is {_fmt_set(want)}: missing {_fmt_set(missing)}",
-                    [link.path for link in outgoing],
-                ))
+    for path, port, _ in index.port_origins().values():
+        links, _, _, union, missing = index.fanout(port)
+        if missing:
+            diags.append(error(
+                "W008", path,
+                f"links out of this port transport {_fmt_set(union)} but its contract "
+                f"closure is {_fmt_set(index.port_interfaces(port))}: missing {_fmt_set(missing)}",
+                [link.path for link in links],
+            ))
     return diags
 
 

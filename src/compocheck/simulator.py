@@ -246,7 +246,7 @@ def _census(index: TypingIndex, root: Class) -> tuple[int, int, dict[str, list]]
     binding plan of each class by name. The counts are sums of products along
     containment, which E010 keeps acyclic, taken once per class on an explicit
     stack; an instance binds, per plan entry, each (interface, name) pair once
-    per origin holder and far holder."""
+    per origin holder and far holder. Only a class with connectors has a plan."""
     counts: dict[str, tuple[int, int]] = {}
     plans: dict[str, list] = {}
     stack = [root]
@@ -259,12 +259,13 @@ def _census(index: TypingIndex, root: Class) -> tuple[int, int, dict[str, list]]
         stack.pop()
         if cls.name in counts:  # a part class stacked twice
             continue
-        holders = {part.name: part.multiplicity for part in cls.parts}
-        plan = plans[cls.name] = _binding_plan(index, cls)
         instances = 1 + sum(part.multiplicity * counts[part.type][0] for part in cls.parts)
-        bindings = sum(part.multiplicity * counts[part.type][1] for part in cls.parts) + sum(
-            holders.get(origin_part, 1) * holders.get(far_part, 1) * len(pairs)
-            for origin_part, _, far_part, _, pairs in plan)
+        bindings = sum(part.multiplicity * counts[part.type][1] for part in cls.parts)
+        if cls.connectors:  # only a class with connectors binds, and only its plan is read
+            holders = {part.name: part.multiplicity for part in cls.parts}
+            plan = plans[cls.name] = _binding_plan(index, cls)
+            bindings += sum(holders.get(origin_part, 1) * holders.get(far_part, 1) * len(pairs)
+                            for origin_part, _, far_part, _, pairs in plan)
         counts[cls.name] = min(MAX_INSTANCES + 1, instances), min(MAX_BINDINGS + 1, bindings)
     return (*counts[root.name], plans)
 
@@ -376,7 +377,8 @@ def _bind_connectors(graph: InstanceGraph, plan: list, instance_id: str) -> None
 def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None = None) -> int:
     """Queue a request at a port or component instance; returns the request id.
 
-    A port only accepts interfaces in its contract closure.
+    A port only accepts interfaces in its contract closure, and a component
+    only interfaces the model declares (interface groups excluded).
     """
     if at in graph.ports:
         accepted = graph.typing.port_interfaces(graph.ports[at].declaration)
@@ -385,6 +387,9 @@ def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None 
                            f"(contract closure: {sorted(accepted)})")
     elif at not in graph.components:
         raise SimError(f"unknown injection point '{at}'")
+    elif interface not in graph.typing.interface_closure(interface):  # undeclared or a group
+        raise SimError(f"component '{at}' cannot take interface '{interface}': the model "
+                       f"declares no such non-group interface")
     if operation is None:
         iface = graph.typing.interfaces.get(interface)
         operation = iface.operations[0] if iface is not None and iface.operations else "op"

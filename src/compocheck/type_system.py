@@ -14,6 +14,9 @@ the simulator need to know about a model's typing:
   the interface sets at its two ends, narrowed to the pointed type's closure
   when the connector is statically typed with an association. A link that
   starts at a port therefore never transports more than that port's closure;
+* the ports that originate a link, each with its outgoing records
+  (:meth:`TypingIndex.port_origins`), and per port the fan-out that W007, W008
+  and ``explain`` read (:meth:`TypingIndex.fanout`);
 * compatibility predicates between link ends and association ends.
 
 :class:`~compocheck.model.Model` is mutable, so an index is a snapshot:
@@ -177,7 +180,8 @@ class TypingIndex:
         self._ports: dict[int, dict[str, Port]] = {}
         self._links: list[ConnectorTyping] | None = None
         self._connectors: dict[tuple[int, int], ConnectorTyping] = {}
-        self._outgoing: dict[int, list[ConnectorTyping]] | None = None
+        self._outgoing: dict[int, tuple[str, Port, list[ConnectorTyping]]] | None = None
+        self._fanouts: dict[int, tuple] = {}
 
     # --- closures ------------------------------------------------------------
 
@@ -403,13 +407,56 @@ class TypingIndex:
     def outgoing(self, port: Port) -> list[ConnectorTyping]:
         """The records of the connectors anywhere in the model that originate at
         this port declaration, in ``Model.iter_connectors`` order. Do not mutate."""
+        entry = self.port_origins().get(id(port))
+        return [] if entry is None else entry[2]
+
+    def fanout(self, port: Port) -> tuple[list[ConnectorTyping], list[ConnectorTyping], set[str],
+                                          frozenset[str], frozenset[str]]:
+        """The links out of a port (:meth:`outgoing`), the untyped ones among
+        them, the interfaces two untyped ones both transport, the union of what
+        all of them transport, and the part of the port's closure that union
+        misses; derived once per port. Do not mutate."""
+        found = self._fanouts.get(id(port))
+        if found is None:
+            links = self.outgoing(port)
+            untyped = [link for link in links if link.connector.association is None]
+            _, overlap = pairwise_disjoint_by_cardinality(
+                [link.transported.interfaces for link in untyped])
+            union = _EMPTY.union(*(link.transported.interfaces for link in links))
+            found = self._fanouts[id(port)] = (links, untyped, overlap, union,
+                                               self.port_interfaces(port) - union)
+        return found
+
+    def port_origins(self) -> dict[int, tuple[str, Port, list[ConnectorTyping]]]:
+        """Each port declaration that originates a link, keyed by ``id``, in the
+        order of its first link: its element path (``Class.port``), the port and
+        its :meth:`outgoing` records. Built once. Do not mutate."""
         if self._outgoing is None:
             self._outgoing = {}
             for link in self.links():
-                origin = link.origin
-                if origin.kind in PORT_ORIGINS:
-                    self._outgoing.setdefault(id(origin.site.port), []).append(link)
-        return self._outgoing.get(id(port), [])
+                if link.origin.kind in PORT_ORIGINS:
+                    part, port = link.origin.site.part, link.origin.site.port
+                    entry = self._outgoing.get(id(port))
+                    if entry is None:  # a part's port is its class's, otherwise the owner's
+                        owner = link.path.partition("#")[0] if part is None else part.type
+                        entry = self._outgoing[id(port)] = (f"{owner}.{port.name}", port, [])
+                    entry[2].append(link)
+        return self._outgoing
+
+
+def pairwise_disjoint_by_cardinality(sets: list[frozenset[str]] | list[set[str]]) -> tuple[bool, set[str]]:
+    """Disjointness via the counting identity |A1 u ... u An| = sum |Ai|.
+
+    Returns (disjoint, overlapping elements).
+    """
+    union: set[str] = set()
+    total = 0
+    seen_twice: set[str] = set()
+    for s in sets:
+        seen_twice |= union & s
+        union |= s
+        total += len(s)
+    return len(union) == total, seen_twice
 
 
 def parents_of(model: Model, name: str) -> set[str]:

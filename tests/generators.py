@@ -428,6 +428,68 @@ def corrupt_names(rng: random.Random, model: Model, mutations: int) -> Model:
     return model
 
 
+def scramble_typing(rng: random.Random, model: Model, mutations: int) -> Model:
+    """Apply ``mutations`` seeded changes that keep every name declared to
+    ``model`` in place; return it. Each types a connector with a fresh
+    association (ends mostly of the classifiers at the connector's own ends,
+    else of any declared one; either or both or neither navigable), drops a
+    connector's typing, adds a link between two parts or their ports, flips a
+    port's direction, changes a class's kind, or has a class use an
+    interface. Together they reach every rule code."""
+    classifiers = [i.name for i in model.interfaces] + [c.name for c in model.classes]
+
+    def near(owner: Class, ref: EndRef) -> str:
+        """The classifier at a connector end: a port's contract, a part's class."""
+        part = next((p for p in owner.parts if p.name == ref.part), None)
+        if ref.port is None:
+            return part.type if part is not None else rng.choice(classifiers)
+        holder = owner if part is None else next(c for c in model.classes if c.name == part.type)
+        port = next((p for p in holder.ports if p.name == ref.port), None)
+        return port.contract if port is not None else rng.choice(classifiers)
+
+    def new_association(owner: Class, conn: Connector) -> str:
+        name = f"ty{len(model.associations)}"
+        ends = [near(owner, conn.end1), near(owner, conn.end2)]
+        rng.shuffle(ends)
+        types = [end if rng.random() < 0.7 else rng.choice(classifiers) for end in ends]
+        navigable = rng.choice([(False, True), (False, True), (True, False), (True, True),
+                                (False, False)])
+        model.associations.append(Association(name, AssociationEnd(types[0], navigable[0]),
+                                              AssociationEnd(types[1], navigable[1])))
+        return name
+
+    def part_end(part: Part) -> EndRef:
+        ports = next(c for c in model.classes if c.name == part.type).ports
+        return EndRef(part.name, rng.choice(ports).name if ports and rng.random() < 0.5 else None)
+
+    for _ in range(mutations):
+        choice = rng.randrange(6)
+        owners = [c for c in model.classes if c.connectors]
+        composites = [c for c in model.classes if len(c.parts) >= 2]
+        if choice == 0 and owners:
+            cls = rng.choice(owners)
+            conn = rng.choice(cls.connectors)
+            conn.association = new_association(cls, conn)
+        elif choice == 1 and owners:
+            rng.choice(rng.choice(owners).connectors).association = None
+        elif choice == 2 and composites:
+            cls = rng.choice(composites)
+            conn = Connector(*[part_end(part) for part in rng.sample(cls.parts, 2)])
+            if rng.random() < 0.6:
+                conn.association = new_association(cls, conn)
+            cls.connectors.append(conn)
+        elif choice == 3:
+            ports = [p for c in model.classes for p in c.ports]
+            if ports:
+                port = rng.choice(ports)
+                port.reversed = not port.reversed
+        elif choice == 4:
+            rng.choice(model.classes).kind = rng.choice(list(ClassKind))
+        elif model.interfaces:
+            rng.choice(model.classes).usages.append(rng.choice(model.interfaces).name)
+    return model
+
+
 _DSL_PIECE = re.compile(r"//[^\n]*|[ \t\r\n]+|[A-Za-z_][A-Za-z0-9_]*|.", re.S)
 _SEPARATORS = [" ", " ", " ", "  ", "\t", "\n", "\n  ", "\r\n", " // note\n", "\n// é\n"]
 _STRAYS = ["@", "#", "é", "\x00", "\r", "\t", "/", "$", "9", "\x0b", "\x0c", "\x1c", "\x85",

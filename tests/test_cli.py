@@ -217,6 +217,20 @@ def test_explain_unknown_path_reports_e005():
     assert "E005" in out
 
 
+def test_explain_unknown_path_in_json_mode_is_a_failed_report():
+    code, out = run_cli("explain", str(DELEGATION), "Nope.x", "--output", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["command"] == "explain" and doc["passed"] is False and doc["stats"] == {"E005": 1}
+    assert [(d["code"], d["subject"]) for d in doc["diagnostics"]] == [("E005", "Nope.x")]
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_explain_refuses_an_empty_element_path(output):
+    assert run_cli("explain", str(DELEGATION), "", "--output", output) == \
+        (2, "error: explain needs a non-empty element path\n")
+
+
 def test_simulate_delegation_delivers_everything():
     code, out = run_cli("simulate", str(DELEGATION), "--root", "A")
     assert code == 0
@@ -371,6 +385,13 @@ def test_simulate_explicit_injections():
 def test_simulate_rejects_bad_injections():
     code, out = run_cli("simulate", str(DELEGATION), "--root", "A", "--inject", "A.pIJL:K")
     assert code == 2
+
+
+@pytest.mark.parametrize("interface", ["Bogus", "IJL"])
+def test_simulate_rejects_injections_of_undeclared_interfaces_at_components(interface):
+    assert run_cli("simulate", str(DELEGATION), "--root", "A", "--inject", f"A:{interface}") == \
+        (2, f"error: component 'A' cannot take interface '{interface}': the model declares no "
+            f"such non-group interface\n")
 
 
 @pytest.mark.parametrize("spec", ["A.pIJL", ":I", "A.pIJL:"])

@@ -4,7 +4,8 @@ The bounds are on call counts, which are deterministic, rather than on time,
 which is not on shared hosts: linear name scans (``Model.find_*`` and
 ``Class.find_*``), of which integrity validation, deleg synthesis and
 ``check_model`` make none, connector records read by instantiation,
-reads of a holder's creation order
+binding plans built by instantiation, links looked up per port by the
+fan-out rules (W007, W008), reads of a holder's creation order
 (``InstanceGraph.holder_seq``), hop derivations (``simulator._route``) and
 attribute reads of bindings for routing, and runs of the front stages, which
 each command makes once per verdict.
@@ -28,7 +29,7 @@ from compocheck.simulator import (
     instantiate,
     run_to_quiescence,
 )
-from compocheck.type_system import TypingIndex
+from compocheck.type_system import PORT_ORIGINS, TypingIndex
 
 from conftest import DELEGATION, prepare, prepare_model
 from generators import flat_model, gen_chain_model
@@ -105,6 +106,27 @@ def test_binding_plans_are_derived_once_per_class_not_per_instance(monkeypatch):
     small = connector_calls(monkeypatch, prepare(POOL))
     large = connector_calls(monkeypatch, prepare(POOL.replace("Group x8", "Group x64")))
     assert 0 < small and large == small
+
+
+def test_binding_plans_are_built_only_for_classes_with_connectors(monkeypatch):
+    counter = Counter()
+    monkeypatch.setattr(simulator, "_binding_plan", counter.wrap(simulator._binding_plan))
+    instantiate(prepare(POOL), "Pool")
+    assert counter.calls == 2  # Group and Pool; the leaf W binds nothing
+
+
+def test_fan_out_rules_look_up_only_ports_that_originate_a_link(monkeypatch):
+    model = prepare(DELEGATION.read_text(encoding="utf-8"))
+    index = TypingIndex(model)
+    originating = {id(link.origin.site.port) for link in index.links()
+                   if link.origin.kind in PORT_ORIGINS}
+    assert len(originating) < sum(len(cls.ports) for cls in model.classes)
+    asked = []
+    monkeypatch.setattr(index, "outgoing",
+                        lambda port, outgoing=index.outgoing: asked.append(id(port)) or outgoing(port))
+    rules.rule_pairwise_disjoint(index)
+    rules.rule_completeness(index)
+    assert sorted(asked) == sorted(originating)  # once each: W008 reads W007's fan-outs
 
 
 @pytest.mark.parametrize("root", ["Flat", "Pool"])

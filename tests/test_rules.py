@@ -1,21 +1,29 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compocheck import Model, Severity, TypingIndex, check_model
-from compocheck.rules import (
-    pairwise_disjoint_by_cardinality,
-    rule_pairwise_disjoint,
-)
+from compocheck import Model, Severity, TypingIndex, check_model, parse_dsl, rules
+from compocheck.cli import _describe_port
+from compocheck.model import DelegConflictError, validate_integrity
+from compocheck.rules import prepare as prepare_index, rule_pairwise_disjoint, run_rules
+from compocheck.type_system import pairwise_disjoint_by_cardinality
 
 import oracles
 from conftest import prepare
-from generators import random_fanout_port_model
-from mutants import MUTATION_PAIRS
+from generators import (
+    corrupt_names,
+    drop_connector,
+    random_classifier_dag,
+    random_fanout_port_model,
+    random_wellformed_model,
+    scramble_typing,
+)
+from mutants import MUTATION_PAIRS, dropped_tests
 
 
 def test_delegation_model_checks_clean(delegation_model):
@@ -283,3 +291,104 @@ def test_w007_agrees_with_direct_oracle_through_real_models(seed):
     model, _, _, subsets = random_fanout_port_model(random.Random(seed))
     fired = any(d.code == "W007" for d in rule_pairwise_disjoint(TypingIndex(model)))
     assert fired == (not oracles.pairwise_disjoint_direct(subsets))
+
+
+# --- the rule reference ---------------------------------------------------------
+
+def _reference_models():
+    """(case id, model) pairs, unprepared: well-formed and fan-out seeds, the
+    well-formed seeds with each connector dropped in turn, both sides of every
+    ``MUTATION_PAIRS`` entry, the rule branch pins, well-formed seeds with
+    scrambled typing, and ``corrupt_names`` seeds that pass integrity."""
+    for seed in range(40):
+        yield f"wellformed-{seed}", random_wellformed_model(random.Random(seed))
+        yield f"fanout-{seed}", random_fanout_port_model(random.Random(seed))[0]
+    for seed in range(12):
+        model = random_wellformed_model(random.Random(seed))
+        for cls in model.classes:
+            for idx in range(len(cls.connectors)):
+                yield f"dropped-{seed}-{cls.name}#{idx}", drop_connector(model, cls.name, idx)
+    for code, texts in sorted(MUTATION_PAIRS.items()):
+        for side, text in zip(("violating", "fixed"), texts):
+            yield f"{code}-{side}", parse_dsl(text)
+    for case, (body, _) in sorted(BRANCH_PINS.items()):
+        yield case, parse_dsl("interface I { op f; }\n" + body)
+    for seed in range(500):
+        rng = random.Random(seed)
+        yield f"scrambled-{seed}", scramble_typing(rng, random_wellformed_model(rng),
+                                                   rng.randint(1, 6))
+    for seed in range(200):
+        rng = random.Random(seed)
+        model = random_classifier_dag(rng) if seed % 4 == 3 else random_wellformed_model(rng)
+        corrupt_names(rng, model, rng.randint(1, 4))
+        if not validate_integrity(model):
+            yield f"corrupt-{seed}", model
+
+
+@functools.cache
+def _reference_cases() -> list:
+    """(case id, index, the reference's findings by code) of every reference
+    model that passes the front stages."""
+    cases = []
+    for case, model in _reference_models():
+        try:
+            index = prepare_index(model)
+        except DelegConflictError:
+            continue
+        cases.append((case, index, oracles.rule_reference(index.model)))
+    return cases
+
+
+def _triples(report, code: str) -> list[tuple[str, str, tuple[str, ...]]]:
+    return sorted((d.code, d.subject, tuple(d.related)) for d in report.diagnostics
+                  if d.code == code)
+
+
+def _disagreements(code: str) -> list[str]:
+    return [case for case, index, expected in _reference_cases()
+            if _triples(run_rules(index), code) != sorted(expected[code])]
+
+
+@pytest.mark.parametrize("code", sorted(oracles.RULE_REFERENCE))
+def test_rules_agree_with_the_reference(code):
+    assert sum(bool(expected[code]) for _, _, expected in _reference_cases()) >= 3, code
+    assert _disagreements(code) == []
+
+
+# The function whose mutants each code's comparison must catch.
+_RULE_CODE = {
+    "W000": rules.rule_unidirectional, "W001": rules.rule_link_type,
+    "W002": rules.rule_link_type, "W003": rules._association_finding,
+    "W004": rules._association_finding, "W005": rules.rule_typed_from_part,
+    "W006": rules.rule_nonvoid, "W007": rules.rule_pairwise_disjoint,
+    "W008": rules.rule_completeness, "W009": rules.rule_concurrency,
+    "W010": rules.rule_concurrency, "W011": rules.rule_observer,
+}
+
+
+@pytest.mark.parametrize("code", sorted(_RULE_CODE))
+def test_the_reference_catches_a_mutant_of_each_rule(code, monkeypatch):
+    function = _RULE_CODE[code]
+    caught = []
+    for label, mutant in dropped_tests(function):
+        with monkeypatch.context() as patch:
+            patch.setattr(rules, function.__name__, mutant)
+            patch.setattr(rules, "RULES", [mutant if r is function else r for r in rules.RULES])
+            try:
+                if _disagreements(code):
+                    caught.append(label)
+                    break
+            except (AttributeError, TypeError):  # a mutant that crashes shows nothing here
+                continue
+    assert caught, f"no mutant of {function.__name__} changes the {code} findings"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_explain_agrees_with_w007_and_w008_at_every_originating_port(seed):
+    index = prepare_index(random_fanout_port_model(random.Random(seed))[0])
+    fired = {(d.code, d.subject) for d in run_rules(index).diagnostics}
+    for path, port, _ in index.port_origins().values():
+        view = _describe_port(index, index.classes[path.partition(".")[0]], port)
+        assert view["element"] == path
+        assert view["disjoint"] == (("W007", path) not in fired)
+        assert view["complete"] == (("W008", path) not in fired)

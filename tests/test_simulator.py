@@ -82,6 +82,10 @@ def test_inject_validates_port_contracts(delegation_model):
         inject(graph, "A.pIJL", "K")
     with pytest.raises(SimError):
         inject(graph, "A.zzz", "I")
+    for interface in ("Bogus", "IJL"):  # undeclared, and a group
+        with pytest.raises(SimError, match="declares no such non-group interface"):
+            inject(graph, "A.e", interface)
+    assert len(graph.requests) == 1  # the refused injections queued nothing
 
 
 def test_single_step_delivery_through_deleg_i(delegation_model):
@@ -430,11 +434,13 @@ def _stepping_graph(case: str, seed: int):
 
 def _inner_injections(graph) -> list[tuple[str, str]]:
     """Every port instance with each interface of its closure, and every
-    component with every interface of the model."""
+    component with every interface of the model that is not a group (which
+    :func:`inject` refuses at a component)."""
     index = graph.typing
     return [(pid, iface) for pid, port in graph.ports.items()
             for iface in sorted(index.port_interfaces(port.declaration))] + \
-        [(cid, iface) for cid in graph.components for iface in sorted(index.interfaces)]
+        [(cid, iface) for cid in graph.components for iface in sorted(index.interfaces)
+         if not index.interfaces[iface].is_group]
 
 
 @pytest.mark.parametrize("case,seed", [("wellformed", s) for s in range(60)]
