@@ -30,15 +30,16 @@ statement per line, as above, with blank and comment lines between them: one
 regular expression matches each line, and each record is built from its groups
 with the span the token parser gives it. At the first line it cannot take, or
 at a statement out of place, it declines. The token parser then reads on from
-the first line of the top-level declaration that holds that line, adding to
-the declarations the statement reader built before it. So every error,
+that line, adding to the declarations the statement reader built before it:
+inside a class, it first reads the rest of that class's body. So every error,
 expected hint and span of a text that does not parse comes from the token
 parser alone. Its scanner matches one regular expression per line too; tokens
 are plain ``(kind, value, line, column)`` tuples, and the closing ``eof``
 token sits just past the last line, or where a comment on that line starts.
 
-Each kind of JSON element has one schema table, and its builder is derived
-from the table when the module loads.
+Each kind of JSON element has one schema table. Its builder is derived from
+the table when the module loads, and the writer walks the same tables, so the
+keys, their order, their defaults and the fields left out are stated once.
 """
 
 from __future__ import annotations
@@ -143,12 +144,12 @@ _STATEMENT_RE = re.compile(r"""
 _NAME_RE = re.compile(_IDENT)
 
 
-def _read_statements(text: str, filename: str) -> tuple[Model, int | None]:
+def _read_statements(text: str, filename: str) -> tuple[Model, int | None, Class | None]:
     """The model of a text that holds one statement per line, as the token
-    parser builds it, and None. Where the reader declines (at the first line
-    that holds anything else or a statement out of place, and at a class left
-    open), the model of the declarations before the one that holds that line,
-    and the first line of that declaration."""
+    parser builds it, and None twice. Where the reader declines, at the first
+    line that holds anything else or a statement out of place, the model read
+    so far, that line and the class open at it, if any; a class left open at
+    the end of the text is declined at the line past the last."""
     model = Model()
     cls = None
     fullmatch = _STATEMENT_RE.fullmatch
@@ -211,11 +212,9 @@ def _read_statements(text: str, filename: str) -> tuple[Model, int | None]:
             break
     else:  # every line taken
         if cls is None:
-            return model, None
-    if cls is None:  # declined at a top-level line
-        return model, line_no
-    model.classes.pop()  # declined in or at the end of the open class, the last one read
-    return model, cls.span.line
+            return model, None, None
+        line_no += 1
+    return model, line_no, cls
 
 
 class _StatementError(Exception):
@@ -421,12 +420,17 @@ def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
     """Parse DSL text into a model; raises :class:`ParseFailure` with every
     error found (recovery resumes at statement boundaries). The statement
     reader goes first; where it declines, the token parser reads on from the
-    first line of the declaration it declined in."""
-    model, first_line = _read_statements(text, filename)
+    declined line, first to the end of the class open there."""
+    model, first_line, cls = _read_statements(text, filename)
     if first_line is None:
         return model
     tokens, errors = _tokenize(text, filename, first_line)
     parser = _Parser(tokens, filename)
+    if cls is not None:
+        try:
+            parser.body("class", parser.class_member, cls)
+        except _StatementError:
+            parser.sync_toplevel()
     parser.parse_model(model)
     errors += parser.errors
     if errors:
@@ -441,14 +445,16 @@ def parse_dsl(text: str, filename: str = "<dsl>") -> Model:
 # (``_REQUIRED`` for none; ``()`` for an absent array, so that each record
 # gets a list of its own), a type test and what to report when the test
 # rejects a value: a message about the field's ``{key}`` at the element, or a
-# function. A test returns what the record takes, or raises ``_Rejected``.
+# function; a field that holds elements of another table ends with that table.
+# A test returns what the record takes, or raises ``_Rejected``.
 #
 # Each table's builder is derived from its fields when the table is made:
 # straight-line code that makes every type test of the table, raises
 # ``_Rejected`` at the first that fails and otherwise builds the record in one
 # call, the record the table's tests would give. Only when a builder rejects
 # is the table read field by field: each rejected field is then reported in
-# table order and nothing is built, since any error discards the model.
+# table order and nothing is built, since any error discards the model. The
+# writer, :func:`model_to_dict`, walks the same tables.
 
 _REQUIRED = object()
 
@@ -491,7 +497,7 @@ class _JsonReader:
         if type(raw) is not dict:
             self.err(path, "must be an object")
             return
-        for key, default, test, message in table.fields:
+        for key, default, test, message, *_ in table.fields:
             value = raw.get(key, default)
             try:
                 test(value)
@@ -578,7 +584,7 @@ def _derive_build(record: type, fields: tuple):
     lines = ["def build(raw):", "    if type(raw) is not dict:", "        raise _Rejected",
              "    get = raw.get"]
     values = {}
-    for i, (key, default, test, _) in enumerate(fields):
+    for i, (key, default, test, *_) in enumerate(fields):
         read = f"get({key!r}, {'_REQUIRED' if default is _REQUIRED else repr(default)})"
         if test in _INLINE:
             rejects, value = (re.sub(r"\bv\b", f"a{i}", form) for form in _INLINE[test])
@@ -617,7 +623,7 @@ def _report_integer(reader: _JsonReader, path: tuple, key: str, value) -> None:
 
 
 def _end(table: _Table) -> tuple:
-    """The test and report of a field that holds one element of ``table``."""
+    """The test, report and table of a field that holds one element of ``table``."""
 
     def report(reader: _JsonReader, path: tuple, key: str, value) -> None:
         if type(value) is dict:
@@ -625,7 +631,7 @@ def _end(table: _Table) -> tuple:
         else:
             reader.err(path, f"field '{key}' must be an object")
 
-    return table.build, report
+    return table.build, report, table
 
 
 def _array(test, report, skip=None) -> tuple:
@@ -657,8 +663,9 @@ def _array(test, report, skip=None) -> tuple:
 
 
 def _elements(table: _Table, skip=None) -> tuple:
-    """The test and report of a field that holds an array of elements of ``table``."""
-    return _array(table.build, lambda reader, path, raw: reader.report(table, raw, path), skip)
+    """The test, report and table of a field that holds an array of ``table`` elements."""
+    return (*_array(table.build, lambda reader, path, raw: reader.report(table, raw, path), skip),
+            table)
 
 
 _NAME = ("name", _REQUIRED, _name, _report_name)
@@ -725,62 +732,32 @@ def parse_json(text: str, filename: str = "<json>") -> Model:
     return model
 
 
+def _json_object(table: _Table, record) -> dict:
+    """The JSON object of ``record``: each field of ``table`` in table order,
+    less one whose default is None while it holds None (``null`` stands for
+    absent). An array field is copied, a field holding a table is written
+    through it, and a synthesized association ends with ``"synthesized": true``."""
+    obj = {}
+    for key, default, _, _, *held in table.fields:
+        value = getattr(record, _RECORD_FIELD.get(key, key))
+        if value is None and default is None:
+            continue
+        if default == ():  # an array
+            value = [_json_object(*held, item) for item in value] if held else list(value)
+        elif held:
+            value = _json_object(*held, value)
+        elif type(value) is ClassKind:
+            value = value.value
+        obj[key] = value
+    if table is _ASSOCIATION and record.is_deleg_default:
+        obj["synthesized"] = True
+    return obj
+
+
 def model_to_dict(model: Model) -> dict:
-    """The canonical JSON object form of a model (fixed key order)."""
-    doc: dict = {"formatVersion": FORMAT_VERSION}
-    doc["interfaces"] = [
-        {
-            "name": i.name,
-            "group": i.is_group,
-            "generals": list(i.generals),
-            "operations": list(i.operations),
-        }
-        for i in model.interfaces
-    ]
-    classes = []
-    for cls in model.classes:
-        entry: dict = {
-            "name": cls.name,
-            "kind": cls.kind.value,
-            "generals": list(cls.generals),
-            "realizes": list(cls.realizes),
-            "uses": list(cls.usages),
-            "attributes": [{"name": a.name, "type": a.type} for a in cls.attributes],
-            "parts": [{"name": p.name, "type": p.type, "multiplicity": p.multiplicity}
-                      for p in cls.parts],
-            "ports": [{"name": p.name, "contract": p.contract, "reversed": p.reversed}
-                      for p in cls.ports],
-        }
-        connectors = []
-        for conn in cls.connectors:
-            centry: dict = {}
-            for key, ref in (("end1", conn.end1), ("end2", conn.end2)):
-                end: dict = {}
-                if ref.part is not None:
-                    end["part"] = ref.part
-                if ref.port is not None:
-                    end["port"] = ref.port
-                centry[key] = end
-            if conn.association is not None:
-                centry["association"] = conn.association
-            connectors.append(centry)
-        entry["connectors"] = connectors
-        classes.append(entry)
-    doc["classes"] = classes
-    associations = []
-    for assoc in model.associations:
-        aentry: dict = {
-            "name": assoc.name,
-            "end1": {"type": assoc.end1.type, "navigable": assoc.end1.navigable},
-            "end2": {"type": assoc.end2.type, "navigable": assoc.end2.navigable},
-        }
-        if assoc.is_deleg_default:
-            aentry["synthesized"] = True
-        associations.append(aentry)
-    doc["associations"] = associations
-    if model.root is not None:
-        doc["root"] = model.root
-    return doc
+    """The canonical JSON object form of a model: ``formatVersion``, then the
+    fields of the document's schema table in its order."""
+    return {"formatVersion": FORMAT_VERSION, **_json_object(_MODEL, model)}
 
 
 def serialize_json(model: Model) -> str:

@@ -316,65 +316,51 @@ def rule_completeness(index: TypingIndex) -> list[Diagnostic]:
     return diags
 
 
-def rule_concurrency(index: TypingIndex) -> list[Diagnostic]:
-    """W009/W010: composites must not mix their parts' activity groups.
+def _composite_finding(index: TypingIndex, cls: Class) -> Diagnostic | None:
+    """The one W009, W010 or W011 finding of a composite, or None.
 
-    Passive composites may hold only passive parts; active composites may hold
-    either only passive parts or only active/protected parts. Protected and
-    observer composites are exempt here.
+    The composite's kind decides which of them can fire. Passive composites
+    may hold only passive parts (W009); active composites either only passive
+    parts or only active and protected parts (W010); observer composites only
+    observer parts (W011). Protected composites are exempt.
     """
-    diags: list[Diagnostic] = []
-    for cls in index.model.classes:
-        if not cls.is_composite:
-            continue
-        part_kinds: list[tuple[str, ClassKind]] = []
-        for part in cls.parts:
-            part_cls = index.classes.get(part.type)
-            if part_cls is not None:
-                part_kinds.append((f"{cls.name}.{part.name}", part_cls.kind))
-        if not part_kinds:
-            continue
-        if cls.kind is _PASSIVE:
-            offenders = [p for p, k in part_kinds if k is not _PASSIVE]
-            if offenders:
-                diags.append(error(
-                    "W009", cls.name,
-                    f"passive composite '{cls.name}' must contain only passive parts",
-                    offenders,
-                ))
-        elif cls.kind is _ACTIVE:
-            all_passive = all(k is _PASSIVE for _, k in part_kinds)
-            all_active_protected = all(k in (_ACTIVE, _PROTECTED) for _, k in part_kinds)
-            if not (all_passive or all_active_protected):
-                offenders = [p for p, k in part_kinds if k not in (_ACTIVE, _PROTECTED)]
-                diags.append(error(
-                    "W010", cls.name,
-                    f"active composite '{cls.name}' must contain either only passive parts "
-                    f"or only active and protected parts; mark shared passive parts as "
-                    f"protected to make the structure valid",
-                    offenders,
-                ))
-    return diags
+    part_kinds = [(f"{cls.name}.{part.name}", part_cls.kind) for part in cls.parts
+                  if (part_cls := index.classes.get(part.type)) is not None]
+    kind = cls.kind
+    if kind is _PASSIVE:
+        code, allowed, why = "W009", (_PASSIVE,), "must contain only passive parts"
+    elif kind is _OBSERVER:
+        code, allowed, why = "W011", (_OBSERVER,), "must contain only observer parts"
+    elif kind is _ACTIVE:
+        if all(k is _PASSIVE for _, k in part_kinds):
+            return None
+        code, allowed = "W010", (_ACTIVE, _PROTECTED)
+        why = ("must contain either only passive parts or only active and protected parts; "
+               "mark shared passive parts as protected to make the structure valid")
+    else:
+        return None
+    offenders = [path for path, k in part_kinds if k not in allowed]
+    if not offenders:
+        return None
+    return error(code, cls.name, f"{kind.value} composite '{cls.name}' {why}", offenders)
+
+
+def _composite_findings(index: TypingIndex, kinds: tuple[ClassKind, ...]) -> list[Diagnostic]:
+    found = (_composite_finding(index, cls) for cls in index.model.classes
+             if cls.kind in kinds and cls.is_composite)
+    return [diag for diag in found if diag is not None]
+
+
+def rule_concurrency(index: TypingIndex) -> list[Diagnostic]:
+    """W009/W010: passive and active composites must not mix their parts'
+    activity groups (see :func:`_composite_finding`)."""
+    return _composite_findings(index, (_PASSIVE, _ACTIVE))
 
 
 def rule_observer(index: TypingIndex) -> list[Diagnostic]:
-    """W011: composite observers may contain only observer parts."""
-    diags: list[Diagnostic] = []
-    for cls in index.model.classes:
-        if cls.kind is not _OBSERVER or not cls.is_composite:
-            continue
-        offenders = []
-        for part in cls.parts:
-            part_cls = index.classes.get(part.type)
-            if part_cls is not None and part_cls.kind is not _OBSERVER:
-                offenders.append(f"{cls.name}.{part.name}")
-        if offenders:
-            diags.append(error(
-                "W011", cls.name,
-                f"observer composite '{cls.name}' must contain only observer parts",
-                offenders,
-            ))
-    return diags
+    """W011: composite observers may contain only observer parts (see
+    :func:`_composite_finding`)."""
+    return _composite_findings(index, (_OBSERVER,))
 
 
 RULES = [

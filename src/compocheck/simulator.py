@@ -319,13 +319,6 @@ def _part_instances(graph: InstanceGraph, cls: Class, instance_id: str):
             yield part_cls, child_id
 
 
-def _site_names(site) -> tuple[str | None, str | None]:
-    """A connector end as (part name, port name): no part for a port of the
-    composite itself, no port for a bare part."""
-    port = None if site.port is None else site.port.name
-    return (None if port is not None and site.on_composite else site.part.name), port
-
-
 def _site_holder_ids(graph: InstanceGraph, composite_id: str, part: str | None,
                      port: str | None) -> list[str]:
     if part is None:
@@ -338,8 +331,8 @@ def _site_holder_ids(graph: InstanceGraph, composite_id: str, part: str | None,
 
 def _binding_plan(index: TypingIndex, cls: Class) -> list:
     """What every instance of ``cls`` binds, in binding order: per connector
-    direction, its origin and far ends (see :func:`_site_names`) and its
-    (interface, binding name) pairs."""
+    direction, its origin and far ends as the connector names them (part name,
+    port name) and its (interface, binding name) pairs."""
     plan = []
     for conn in cls.connectors:
         link = index.connector(cls, conn)
@@ -347,7 +340,7 @@ def _binding_plan(index: TypingIndex, cls: Class) -> list:
             continue
         assoc = link.association
         if assoc is not None and assoc.is_bidirectional and link.kind is LinkKind.ASSEMBLY_PART_PART:
-            s1, s2 = link.ends
+            s1, s2 = (site.ref for site in link.ends)
             directions = [(s1, s2, index.provided_interfaces(assoc.end2.type)),
                           (s2, s1, index.provided_interfaces(assoc.end1.type))]
         else:
@@ -356,10 +349,10 @@ def _binding_plan(index: TypingIndex, cls: Class) -> list:
             ts = link.transported
             interfaces = ts.interfaces if assoc is None or ts.computable \
                 else index.provided_interfaces(assoc.pointed_end().type)
-            directions = [(link.origin.site, link.far, interfaces)]
-        for origin_site, far_site, interfaces in directions:
+            directions = [(link.origin.site.ref, link.far.ref, interfaces)]
+        for origin, far, interfaces in directions:
             pairs = [(x, deleg_name(x) if assoc is None else assoc.name) for x in sorted(interfaces)]
-            plan.append((*_site_names(origin_site), *_site_names(far_site), pairs))
+            plan.append((origin.part, origin.port, far.part, far.port, pairs))
     return plan
 
 

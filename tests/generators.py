@@ -490,6 +490,27 @@ def scramble_typing(rng: random.Random, model: Model, mutations: int) -> Model:
     return model
 
 
+def bidirectional_part_links(rng: random.Random, links: int = 6) -> Model:
+    """A composite whose part-part links are each typed by a bidirectional
+    association of their own. Each association end is drawn, for one of the
+    link's two parts, from four kinds of classifier: the part's class, its
+    superclass, an unrelated class, or an interface the other part realizes."""
+    model = Model(interfaces=[Interface("I1", operations=["f"]), Interface("I2", operations=["g"])])
+    for name, general, realized in (("P1", "B1", "I1"), ("P2", "B2", "I2")):
+        model.classes += [Class(general, ClassKind.ACTIVE),
+                          Class(name, ClassKind.ACTIVE, [general], [realized])]
+    model.classes.append(Class("U", ClassKind.ACTIVE))
+    candidates = {"a": ["P1", "B1", "U", "I2"], "b": ["P2", "B2", "U", "I1"]}
+    top = Class("C", ClassKind.ACTIVE, parts=[Part("a", "P1"), Part("b", "P2")])
+    for k in range(links):
+        name = f"both{k}"
+        ends = [AssociationEnd(rng.choice(candidates[rng.choice("ab")]), True) for _ in "12"]
+        model.associations.append(Association(name, *ends))
+        top.connectors.append(Connector(*[EndRef(part) for part in rng.sample("ab", 2)], name))
+    model.classes.append(top)
+    return model
+
+
 _DSL_PIECE = re.compile(r"//[^\n]*|[ \t\r\n]+|[A-Za-z_][A-Za-z0-9_]*|.", re.S)
 _SEPARATORS = [" ", " ", " ", "  ", "\t", "\n", "\n  ", "\r\n", " // note\n", "\n// é\n"]
 _STRAYS = ["@", "#", "é", "\x00", "\r", "\t", "/", "$", "9", "\x0b", "\x0c", "\x1c", "\x85",

@@ -327,7 +327,7 @@ def table_build(table, raw):
     if type(raw) is not dict:
         raise ingest._Rejected
     return _JSON_RECORDS[table](*[test(raw.get(key, default))
-                                  for key, default, test, _ in table.fields])
+                                  for key, default, test, *_ in table.fields])
 
 
 # --- rule reference ------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compocheck import (
+    Attribute,
     ClassKind,
     Model,
     ParseFailure,
@@ -269,6 +270,160 @@ def test_serialize_parse_serialize_is_a_fixpoint():
     model = parse_json(ATM.read_text(encoding="utf-8"))
     once = serialize_json(model)
     assert serialize_json(parse_json(once)) == once
+
+
+# A model with every field shape the JSON format has: an attribute, a group
+# interface with generals, an interface with operations, a non-default class
+# kind, a multiplicity, a reversed port, the three connector end shapes, an
+# untyped and a typed connector, a synthesized association and a root.
+EVERY_FIELD_DSL = """
+interface I { op ping; op pong; }
+interface IG group : I {}
+class Worker active {
+  realizes I;
+  port pIn: I;
+  port rOut: I reversed;
+}
+class Sys observer {
+  part w: Worker x2;
+  port p: I;
+  connector self.p , w.pIn;
+  connector w , self.p via link;
+}
+assoc link ( Worker , I nav );
+"""
+
+EVERY_FIELD_JSON = """{
+  "formatVersion": 1,
+  "interfaces": [
+    {
+      "name": "I",
+      "group": false,
+      "generals": [],
+      "operations": [
+        "ping",
+        "pong"
+      ]
+    },
+    {
+      "name": "IG",
+      "group": true,
+      "generals": [
+        "I"
+      ],
+      "operations": []
+    }
+  ],
+  "classes": [
+    {
+      "name": "Worker",
+      "kind": "active",
+      "generals": [],
+      "realizes": [
+        "I"
+      ],
+      "uses": [],
+      "attributes": [
+        {
+          "name": "count",
+          "type": "int"
+        }
+      ],
+      "parts": [],
+      "ports": [
+        {
+          "name": "pIn",
+          "contract": "I",
+          "reversed": false
+        },
+        {
+          "name": "rOut",
+          "contract": "I",
+          "reversed": true
+        }
+      ],
+      "connectors": []
+    },
+    {
+      "name": "Sys",
+      "kind": "observer",
+      "generals": [],
+      "realizes": [],
+      "uses": [],
+      "attributes": [],
+      "parts": [
+        {
+          "name": "w",
+          "type": "Worker",
+          "multiplicity": 2
+        }
+      ],
+      "ports": [
+        {
+          "name": "p",
+          "contract": "I",
+          "reversed": false
+        }
+      ],
+      "connectors": [
+        {
+          "end1": {
+            "port": "p"
+          },
+          "end2": {
+            "part": "w",
+            "port": "pIn"
+          }
+        },
+        {
+          "end1": {
+            "part": "w"
+          },
+          "end2": {
+            "port": "p"
+          },
+          "association": "link"
+        }
+      ]
+    }
+  ],
+  "associations": [
+    {
+      "name": "link",
+      "end1": {
+        "type": "Worker",
+        "navigable": false
+      },
+      "end2": {
+        "type": "I",
+        "navigable": true
+      }
+    },
+    {
+      "name": "deleg_I",
+      "end1": {
+        "type": "I",
+        "navigable": false
+      },
+      "end2": {
+        "type": "I",
+        "navigable": true
+      },
+      "synthesized": true
+    }
+  ],
+  "root": "Sys"
+}
+"""
+
+
+def test_serialization_of_every_field_shape_is_pinned():
+    model = parse_dsl(EVERY_FIELD_DSL)
+    model.classes[0].attributes.append(Attribute("count", "int"))
+    model.root = "Sys"
+    model = synthesize_deleg_associations(model)
+    assert serialize_json(model) == EVERY_FIELD_JSON
+    assert parse_json(EVERY_FIELD_JSON) == without_synthesized(model)
 
 
 def test_synthesized_associations_round_trip_as_omittable():
@@ -535,7 +690,7 @@ def _reader_inputs():
 def test_statement_reader_declines_or_agrees_with_the_token_parser():
     taken = 0
     for text, must_take in _reader_inputs():
-        model, first_line = _read_statements(text, "f.csm")
+        model, first_line, _ = _read_statements(text, "f.csm")
         if first_line is not None:
             assert not must_take, text
             continue
@@ -610,7 +765,7 @@ def test_token_parser_resumed_at_the_declined_declaration_agrees_with_a_full_tok
 
 
 @pytest.mark.parametrize("lines, first_line", [
-    (["interface I { op f; }", "class A {", "  part p: B;", "}", "class C {", "  part q: ;", "}"], 5),
+    (["interface I { op f; }", "class A {", "  part p: B;", "}", "class C {", "  part q: ;", "}"], 6),
     (["class A {", "  part p: B;", "}", "", "part q: B;", "class C {}"], 5),
     (["assoc a ( A , B )", ";", "class A {}"], 2),
 ])
@@ -631,3 +786,13 @@ def test_token_parser_reads_only_from_the_declined_declaration(monkeypatch, line
         outcome = failure.errors
     assert outcome == _token_parse(text, "f.csm")
     assert read[0][2] == first_line and read[-1][0] == "eof"
+
+
+@pytest.mark.parametrize("text", ["class A {\n", "class A {\n  part p: B;\n", "class A {\n  part p: B;",
+                                  "class A {\n  part p: B; // open",
+                                  "interface I {}\nclass A {\n  part p: B;\n\n// end\n"])
+def test_a_class_left_open_is_reported_at_the_end_as_by_the_token_parser(text):
+    with pytest.raises(ParseFailure) as failure:
+        parse_dsl(text, "f.csm")
+    assert failure.value.errors == _token_parse(text, "f.csm")
+    assert [e.message for e in failure.value.errors] == ["class body is not closed"]

@@ -16,6 +16,7 @@ from compocheck.type_system import pairwise_disjoint_by_cardinality
 import oracles
 from conftest import prepare
 from generators import (
+    bidirectional_part_links,
     corrupt_names,
     drop_connector,
     random_classifier_dag,
@@ -299,7 +300,8 @@ def _reference_models():
     """(case id, model) pairs, unprepared: well-formed and fan-out seeds, the
     well-formed seeds with each connector dropped in turn, both sides of every
     ``MUTATION_PAIRS`` entry, the rule branch pins, well-formed seeds with
-    scrambled typing, and ``corrupt_names`` seeds that pass integrity."""
+    scrambled typing, part-part links typed by bidirectional associations, and
+    ``corrupt_names`` seeds that pass integrity."""
     for seed in range(40):
         yield f"wellformed-{seed}", random_wellformed_model(random.Random(seed))
         yield f"fanout-{seed}", random_fanout_port_model(random.Random(seed))[0]
@@ -317,6 +319,8 @@ def _reference_models():
         rng = random.Random(seed)
         yield f"scrambled-{seed}", scramble_typing(rng, random_wellformed_model(rng),
                                                    rng.randint(1, 6))
+    for seed in range(40):
+        yield f"bidirectional-{seed}", bidirectional_part_links(random.Random(seed))
     for seed in range(200):
         rng = random.Random(seed)
         model = random_classifier_dag(rng) if seed % 4 == 3 else random_wellformed_model(rng)
@@ -361,8 +365,8 @@ _RULE_CODE = {
     "W002": rules.rule_link_type, "W003": rules._association_finding,
     "W004": rules._association_finding, "W005": rules.rule_typed_from_part,
     "W006": rules.rule_nonvoid, "W007": rules.rule_pairwise_disjoint,
-    "W008": rules.rule_completeness, "W009": rules.rule_concurrency,
-    "W010": rules.rule_concurrency, "W011": rules.rule_observer,
+    "W008": rules.rule_completeness, "W009": rules._composite_finding,
+    "W010": rules._composite_finding, "W011": rules._composite_finding,
 }
 
 
@@ -381,6 +385,18 @@ def test_the_reference_catches_a_mutant_of_each_rule(code, monkeypatch):
             except (AttributeError, TypeError):  # a mutant that crashes shows nothing here
                 continue
     assert caught, f"no mutant of {function.__name__} changes the {code} findings"
+
+
+@pytest.mark.parametrize("label", ["assoc.end2.type not in index.classes",
+                                   "compatible(t1, assoc.end1.type)",
+                                   "compatible(t1, assoc.end2.type)"])
+def test_bidirectional_typings_catch_each_weakened_orientation_check(label, monkeypatch):
+    mutants = dict(dropped_tests(rules._association_finding))
+    monkeypatch.setattr(rules, "_association_finding",
+                        mutants[f"_association_finding without {label}"])
+    assert [case for case, index, expected in _reference_cases()
+            if case.startswith("bidirectional-")
+            and _triples(run_rules(index), "W003") != sorted(expected["W003"])]
 
 
 @pytest.mark.parametrize("seed", range(60))
