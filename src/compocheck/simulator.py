@@ -2,16 +2,16 @@
 
 A composite class acts as an initialization scheme: :func:`instantiate` builds
 the component instances (parts expanded by multiplicity), one port instance
-per (component, port declaration), and a binding table entry per connector and
-transported interface. Untyped connectors bind under the per-interface
-``deleg_I`` associations, typed connectors under their own association name;
-connectors starting at a part bind an attribute of the component instance.
-What an instance binds depends only on its class, so each class's binding plan
-(ends and (interface, binding name) pairs per connector direction) is derived
-once per graph and expanded per instance. The plans, the instance count and
-the binding count are computed from the classes before anything is allocated;
-a root with more than :data:`MAX_INSTANCES` component instances or more than
-:data:`MAX_BINDINGS` bindings is refused with a :class:`SimError`.
+per (component, port declaration), and a binding table entry per connector
+channel and interface it carries. Untyped connectors bind under the
+per-interface ``deleg_I`` associations, typed connectors under their own
+association name; connectors starting at a part bind an attribute of the
+component instance. What an instance binds depends only on its class, so each
+class's binding plan, the ``channels`` of its connectors' typing records, is
+read once per graph and expanded per instance. The plans, the instance count
+and the binding count are computed from the classes before anything is
+allocated; a root with more than :data:`MAX_INSTANCES` component instances or
+more than :data:`MAX_BINDINGS` bindings is refused with a :class:`SimError`.
 
 Requests then travel one hop at a time. Only one forwarding action fires per
 step: the pending request whose holder was instantiated earliest (ports and
@@ -39,9 +39,9 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import Class, Model, Port, deleg_name
+from .model import Class, EndRef, Model, Port, deleg_name
 from .rules import check_model, prepare, run_rules  # check_model: perfbench's tracer patches it
-from .type_system import LinkKind, TypingIndex
+from .type_system import Channel, TypingIndex
 
 ENVIRONMENT = "environment"
 # build_graph refuses a root with more component instances, or more bindings,
@@ -240,13 +240,14 @@ def instantiate(model: Model, root: str | Class, downgrade: frozenset[str] | set
     return build_graph(prepare(model), root, downgrade)
 
 
-def _census(index: TypingIndex, root: Class) -> tuple[int, int, dict[str, list]]:
+def _census(index: TypingIndex, root: Class) -> tuple[int, int, dict[str, list[Channel]]]:
     """The number of component instances under ``root``, itself included, the
     number of bindings they make, each capped one above its ceiling, and the
-    binding plan of each class by name. The counts are sums of products along
-    containment, which E010 keeps acyclic, taken once per class on an explicit
-    stack; an instance binds, per plan entry, each (interface, name) pair once
-    per origin holder and far holder. Only a class with connectors has a plan."""
+    binding plan (its connectors' channels) of each class by name. The counts
+    are sums of products along containment, which E010 keeps acyclic, taken
+    once per class on an explicit stack; an instance binds, per channel, each
+    (interface, name) pair once per origin holder and far holder. Only a class
+    with connectors has a plan."""
     counts: dict[str, tuple[int, int]] = {}
     plans: dict[str, list] = {}
     stack = [root]
@@ -263,14 +264,15 @@ def _census(index: TypingIndex, root: Class) -> tuple[int, int, dict[str, list]]
         bindings = sum(part.multiplicity * counts[part.type][1] for part in cls.parts)
         if cls.connectors:  # only a class with connectors binds, and only its plan is read
             holders = {part.name: part.multiplicity for part in cls.parts}
-            plan = plans[cls.name] = _binding_plan(index, cls)
-            bindings += sum(holders.get(origin_part, 1) * holders.get(far_part, 1) * len(pairs)
-                            for origin_part, _, far_part, _, pairs in plan)
+            plan = plans[cls.name] = [channel for conn in cls.connectors
+                                      for channel in index.connector(cls, conn).channels]
+            bindings += sum(holders.get(origin.ref.part, 1) * holders.get(far.ref.part, 1)
+                            * len(pairs) for origin, far, pairs in plan)
         counts[cls.name] = min(MAX_INSTANCES + 1, instances), min(MAX_BINDINGS + 1, bindings)
     return (*counts[root.name], plans)
 
 
-def _create(graph: InstanceGraph, root: Class, plans: dict[str, list]) -> None:
+def _create(graph: InstanceGraph, root: Class, plans: dict[str, list[Channel]]) -> None:
     """Create the root instance and everything below it: each instance, then
     its ports, then its parts depth first, and its bindings once its parts
     have theirs, by its class's binding plan in ``plans``. Composite instances
@@ -319,48 +321,20 @@ def _part_instances(graph: InstanceGraph, cls: Class, instance_id: str):
             yield part_cls, child_id
 
 
-def _site_holder_ids(graph: InstanceGraph, composite_id: str, part: str | None,
-                     port: str | None) -> list[str]:
-    if part is None:
-        return [f"{composite_id}.{port}"]
-    child_ids = graph.part_instances[(composite_id, part)]
-    if port is not None:
-        return [f"{cid}.{port}" for cid in child_ids]
+def _site_holder_ids(graph: InstanceGraph, composite_id: str, ref: EndRef) -> list[str]:
+    if ref.part is None:
+        return [f"{composite_id}.{ref.port}"]
+    child_ids = graph.part_instances[(composite_id, ref.part)]
+    if ref.port is not None:
+        return [f"{cid}.{ref.port}" for cid in child_ids]
     return child_ids
 
 
-def _binding_plan(index: TypingIndex, cls: Class) -> list:
-    """What every instance of ``cls`` binds, in binding order: per connector
-    direction, its origin and far ends as the connector names them (part name,
-    port name) and its (interface, binding name) pairs."""
-    plan = []
-    for conn in cls.connectors:
-        link = index.connector(cls, conn)
-        if link.kind is LinkKind.FORBIDDEN:
-            continue
-        assoc = link.association
-        if assoc is not None and assoc.is_bidirectional and link.kind is LinkKind.ASSEMBLY_PART_PART:
-            s1, s2 = (site.ref for site in link.ends)
-            directions = [(s1, s2, index.provided_interfaces(assoc.end2.type)),
-                          (s2, s1, index.provided_interfaces(assoc.end1.type))]
-        else:
-            if assoc is not None and assoc.pointed_end() is None:
-                continue
-            ts = link.transported
-            interfaces = ts.interfaces if assoc is None or ts.computable \
-                else index.provided_interfaces(assoc.pointed_end().type)
-            directions = [(link.origin.site.ref, link.far.ref, interfaces)]
-        for origin, far, interfaces in directions:
-            pairs = [(x, deleg_name(x) if assoc is None else assoc.name) for x in sorted(interfaces)]
-            plan.append((origin.part, origin.port, far.part, far.port, pairs))
-    return plan
-
-
-def _bind_connectors(graph: InstanceGraph, plan: list, instance_id: str) -> None:
+def _bind_connectors(graph: InstanceGraph, plan: list[Channel], instance_id: str) -> None:
     add_binding = graph.add_binding
-    for origin_part, origin_port, far_part, far_port, pairs in plan:
-        holders = _site_holder_ids(graph, instance_id, origin_part, origin_port)
-        targets = _site_holder_ids(graph, instance_id, far_part, far_port)
+    for origin, far, pairs in plan:
+        holders = _site_holder_ids(graph, instance_id, origin.ref)
+        targets = _site_holder_ids(graph, instance_id, far.ref)
         for x, name in pairs:
             for holder in holders:
                 for target in targets:

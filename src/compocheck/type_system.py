@@ -10,10 +10,11 @@ the simulator need to know about a model's typing:
   one of the forbidden direction combinations) and its origin (the end
   requests flow away from), both picked by one case analysis over the end
   shapes and port directions, and the end opposite the origin; its typing
-  association; and the set of interfaces it transports, the intersection of
+  association; the set of interfaces it transports, the intersection of
   the interface sets at its two ends, narrowed to the pointed type's closure
-  when the connector is statically typed with an association. A link that
-  starts at a port therefore never transports more than that port's closure;
+  when the connector is statically typed with an association (a link that
+  starts at a port therefore never transports more than that port's closure);
+  and its ``channels``, what the simulator binds in each run-time direction;
 * the ports that originate a link, each with its outgoing records
   (:meth:`TypingIndex.port_origins`), and per port the fan-out that W007, W008
   and ``explain`` read (:meth:`TypingIndex.fanout`);
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .model import Association, Class, Connector, EndRef, Model, Part, Port, _by_name
+from .model import Association, Class, Connector, EndRef, Model, Part, Port, _by_name, deleg_name
 
 
 class LinkKind(Enum):
@@ -103,19 +104,29 @@ class TransportedSet(namedtuple("TransportedSet", "interfaces computable")):
     __slots__ = ()
 
 
+class Channel(namedtuple("Channel", "origin far pairs")):
+    """One run-time direction of a connector: from the ``origin`` to the ``far``
+    :class:`EndSite`, the ``(interface, binding name)`` pairs in interface
+    order, named ``deleg_I`` when the connector is untyped, else by its association."""
+
+    __slots__ = ()
+
+
 class ConnectorTyping(namedtuple("ConnectorTyping",
-                                 "connector path kind ends origin far association transported")):
+                                 "connector path kind ends origin far association transported "
+                                 "channels")):
     """Everything derived about one connector, in terms of its owning class: the
     connector, its element path (``A#0``), its :class:`LinkKind`, both
     :class:`EndSite` s, its :class:`LinkOrigin`, the end opposite the origin
     (``far``, None for forbidden links), its typing association (the first
     declared of that name, None when the connector is untyped or the name is
-    undeclared) and its :class:`TransportedSet`."""
+    undeclared), its :class:`TransportedSet` and its :class:`Channel` s."""
 
     __slots__ = ()
 
 
 _EMPTY: frozenset[str] = frozenset()
+_NOT_COMPUTABLE = TransportedSet(_EMPTY, False)
 _FORBIDDEN = (_FORBIDDEN_KIND, LinkOrigin(_UNDIRECTED, None))
 
 
@@ -298,9 +309,7 @@ class TypingIndex:
         """Polymorphic interface set of a classifier name (class or interface)."""
         if name in self.interfaces:
             return self.interface_closure(name)
-        if name in self.classes:
-            return self.class_interfaces(name)
-        return _EMPTY
+        return self.class_interfaces(name)  # empty for an undeclared name
 
     # --- compatibility -------------------------------------------------------
 
@@ -364,7 +373,7 @@ class TypingIndex:
                     assoc = self.associations.get(conn.association)
                     link = self._connectors[id(owner), id(conn)] = ConnectorTyping(
                         conn, self.model.connector_path(owner, idx), kind, (s1, s2), origin, far,
-                        assoc, self._transported(assoc, kind, origin, far))
+                        assoc, *self._carried(assoc, kind, origin, far))
                     links.append(link)
             self._links = links
         return self._links
@@ -381,28 +390,44 @@ class TypingIndex:
             return self.class_interfaces(site.part.type)
         return _EMPTY
 
-    def _transported(self, assoc: Association | None, kind: LinkKind, origin: LinkOrigin,
-                     far: EndSite | None) -> TransportedSet:
-        """The set of interfaces a connector can carry.
+    def _carried(self, assoc: Association | None, kind: LinkKind, origin: LinkOrigin,
+                 far: EndSite | None) -> tuple[TransportedSet, tuple[Channel, ...]]:
+        """A connector's transported set and channels, from one case analysis.
 
         Untyped: intersection of the two end interface sets (a port contributes
-        its contract closure, a part the interfaces its class provides). Typed:
-        the closure of the port at the origin (or, for a link starting at a
-        part, at the far end) intersected with the pointed type's closure, so
-        the association narrows the channel. Not computable for part-part
-        links, forbidden links, or associations with no navigable end.
+        its contract closure, a part the interfaces its class provides), carried
+        from the origin. Typed: the closure of the port at the origin (or, for a
+        link starting at a part, at the far end) narrowed to the pointed type's
+        closure. Not computable for part-part links, forbidden links, or
+        associations with no navigable end; the last two carry nothing. A typed
+        part-part link carries the pointed type's interfaces from its first end,
+        and a bidirectional one also end1's type's interfaces back.
         """
-        if kind is _PART_PART or kind is _FORBIDDEN_KIND:
-            return TransportedSet(frozenset(), False)
-        if assoc is not None:
-            pointed = assoc.pointed_end()
-            if pointed is None:
-                return TransportedSet(frozenset(), False)
-            base = origin.site if origin.site.port is not None else far
-            return TransportedSet(
-                self.port_interfaces(base.port) & self.provided_interfaces(pointed.type), True)
-        return TransportedSet(
-            self._end_interface_set(origin.site) & self._end_interface_set(far), True)
+        if kind is _FORBIDDEN_KIND:
+            return _NOT_COMPUTABLE, ()
+        site = origin.site
+        if assoc is None:
+            transported = _NOT_COMPUTABLE if kind is _PART_PART else TransportedSet(
+                self._end_interface_set(site) & self._end_interface_set(far), True)
+            return transported, (Channel(site, far, [(x, deleg_name(x))
+                                                     for x in sorted(transported.interfaces)]),)
+        pointed = assoc.pointed_end()
+        if pointed is None:
+            return _NOT_COMPUTABLE, ()
+        name = assoc.name
+        carried = self.provided_interfaces(pointed.type)
+        if kind is _PART_PART:
+            transported = _NOT_COMPUTABLE
+            channels = [(site, far, carried)]
+            if assoc.is_bidirectional:  # end2 is the pointed end; end1's type answers back
+                channels.append((far, site, self.provided_interfaces(assoc.end1.type)))
+        else:
+            base = site if site.port is not None else far
+            carried = self.port_interfaces(base.port) & carried
+            transported = TransportedSet(carried, True)
+            channels = [(site, far, carried)]
+        return transported, tuple(Channel(start, end, [(x, name) for x in sorted(interfaces)])
+                                  for start, end, interfaces in channels)
 
     def outgoing(self, port: Port) -> list[ConnectorTyping]:
         """The records of the connectors anywhere in the model that originate at

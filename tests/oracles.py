@@ -153,47 +153,6 @@ def direction_oracle(end1, end2) -> tuple[str, int | None]:
     return "delegation" if own else "assembly", at if port.reversed != own else 1 - at
 
 
-def expected_untyped_bindings(model: Model, root_name: str) -> set[tuple[str, str, str, str]]:
-    """The (holder, association, target, interface) tuples every untyped
-    connector must contribute, derived with the oracle closures and
-    :func:`direction_oracle`. Part-part links contribute nothing (their
-    transported set is not computed) and neither do forbidden combinations."""
-    out: set[tuple[str, str, str, str]] = set()
-
-    def end_ids(owner_id: str, owner_cls: Class, ref) -> list[str]:
-        if ref.part is None:
-            return [f"{owner_id}.{ref.port}"]
-        part = owner_cls.find_part(ref.part)
-        bases = _part_ids(owner_id, part)
-        if ref.port is not None:
-            return [f"{base}.{ref.port}" for base in bases]
-        return bases
-
-    def walk(cls: Class, cid: str) -> None:
-        for part in cls.parts:
-            part_cls = model.find_class(part.type)
-            for child_id in _part_ids(cid, part):
-                walk(part_cls, child_id)
-        for conn in cls.connectors:
-            if conn.association is not None:
-                continue
-            ends = end_oracle(model, cls, conn.end1), end_oracle(model, cls, conn.end2)
-            kind, start = direction_oracle(*ends)
-            if kind == "part-part" or start is None:
-                continue
-            refs = conn.end1, conn.end2
-            transported = intersection_by_enumeration(
-                model, end_interfaces_oracle(model, ends[0]), end_interfaces_oracle(model, ends[1]))
-            for holder in end_ids(cid, cls, refs[start]):
-                for target in end_ids(cid, cls, refs[1 - start]):
-                    for iface in transported:
-                        out.add((holder, "deleg_" + iface, target, iface))
-
-    root_cls = model.find_class(root_name)
-    walk(root_cls, root_cls.name)
-    return out
-
-
 def next_request_oracle(graph) -> int | None:
     """The request the scheduler must move next: of the in-transit requests,
     the one whose current holder was created first, ties broken by request id.
@@ -409,6 +368,67 @@ def transported_oracle(model: Model, link: LinkFacts) -> set[str] | None:
         return None
     port = link.start[1] if link.start[1] is not None else link.far[1]
     return port_interfaces_oracle(model, port) & provided_oracle(model, directed[1].type)
+
+
+def channels_oracle(model: Model, link: LinkFacts) -> list[tuple[int, int, set[str]]]:
+    """(start end index, far end index, interfaces) of each run-time direction
+    of a link. Forbidden links and associations with no navigable end carry
+    nothing. A typed part-part link carries what its pointed end's type
+    provides from its first end, and, when both association ends are
+    navigable, what end1's type provides back from its second end. Every other
+    link carries its transported set from its origin (nothing for an untyped
+    part-part link)."""
+    if link.origin is None:
+        return []
+    if link.association is not None:
+        directed = directed_ends_oracle(link.association)
+        if directed is None:
+            return []
+        start, pointed = directed
+        if link.kind == "part-part":
+            out = [(0, 1, provided_oracle(model, pointed.type))]
+            if start.navigable:
+                out.append((1, 0, provided_oracle(model, start.type)))
+            return out
+    return [(link.origin, 1 - link.origin, transported_oracle(model, link) or set())]
+
+
+def expected_bindings(model: Model, root_name: str) -> list[tuple[str, str, str, str]]:
+    """The (holder, association, target, interface) tuples instantiating
+    ``root_name`` must make, in creation order: an instance binds after all its
+    parts, a connector after the one before it, and each direction of a link
+    (:func:`channels_oracle`) binds its interfaces in name order, each from
+    every holder to every target. An untyped link binds ``deleg_I``, a typed
+    one its association's name."""
+    links = {link.path: link for link in links_oracle(model)}
+    out: list[tuple[str, str, str, str]] = []
+
+    def end_ids(owner_id: str, owner_cls: Class, ref) -> list[str]:
+        if ref.part is None:
+            return [f"{owner_id}.{ref.port}"]
+        part = owner_cls.find_part(ref.part)
+        bases = _part_ids(owner_id, part)
+        if ref.port is not None:
+            return [f"{base}.{ref.port}" for base in bases]
+        return bases
+
+    def walk(cls: Class, cid: str) -> None:
+        for part in cls.parts:
+            part_cls = model.find_class(part.type)
+            for child_id in _part_ids(cid, part):
+                walk(part_cls, child_id)
+        for idx, conn in enumerate(cls.connectors):
+            link = links[f"{cls.name}#{idx}"]
+            refs = conn.end1, conn.end2
+            for start, far, interfaces in channels_oracle(model, link):
+                for iface in sorted(interfaces):
+                    name = "deleg_" + iface if conn.association is None else conn.association
+                    for holder in end_ids(cid, cls, refs[start]):
+                        for target in end_ids(cid, cls, refs[far]):
+                            out.append((holder, name, target, iface))
+
+    walk(model.find_class(root_name), root_name)
+    return out
 
 
 def conforms_oracle(model: Model, end_type: str, assoc_type: str) -> bool:

@@ -3,8 +3,8 @@
 The bounds are on call counts, which are deterministic, rather than on time,
 which is not on shared hosts: linear name scans (``Model.find_*`` and
 ``Class.find_*``), of which integrity validation, deleg synthesis and
-``check_model`` make none, connector records read by instantiation,
-binding plans built by instantiation, links looked up per port by the
+``check_model`` make none, connector records read by instantiation and
+the classes whose channels they read, links looked up per port by the
 fan-out rules (W007, W008), reads of a holder's creation order
 (``InstanceGraph.holder_seq``), hop derivations (``simulator._route``) and
 attribute reads of bindings for routing, and runs of the front stages, which
@@ -109,10 +109,12 @@ def test_binding_plans_are_derived_once_per_class_not_per_instance(monkeypatch):
 
 
 def test_binding_plans_are_built_only_for_classes_with_connectors(monkeypatch):
-    counter = Counter()
-    monkeypatch.setattr(simulator, "_binding_plan", counter.wrap(simulator._binding_plan))
+    read = []  # the owner of each connector record whose channels a plan reads
+    monkeypatch.setattr(TypingIndex, "connector",
+                        lambda index, owner, conn, connector=TypingIndex.connector:
+                        read.append(owner.name) or connector(index, owner, conn))
     instantiate(prepare(POOL), "Pool")
-    assert counter.calls == 2  # Group and Pool; the leaf W binds nothing
+    assert sorted(read) == ["Group", "Pool"]  # the leaf W binds nothing
 
 
 def test_fan_out_rules_look_up_only_ports_that_originate_a_link(monkeypatch):

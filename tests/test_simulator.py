@@ -7,12 +7,13 @@ import pytest
 from compocheck import simulator
 from compocheck import (
     DelegBinding,
+    DelegConflictError,
     RequestStatus,
     SimError,
     TypingIndex,
+    check_model,
     check_type_safety,
     default_injection_suite,
-    deleg_name,
     inject,
     instantiate,
     run_to_quiescence,
@@ -23,29 +24,26 @@ from compocheck.simulator import ENVIRONMENT
 import oracles
 from conftest import DELEGATION, prepare, prepare_model, regraft
 from generators import (
+    bidirectional_part_links,
     drop_connector,
     flat_model,
     provided_origin_connectors,
     random_wellformed_model,
     relay_chain_model,
+    scramble_typing,
 )
 from mutants import MUTATION_PAIRS
 
 
-def binding_tuples(graph, deleg_only=False):
-    out = set()
-    for b in graph.bindings:
-        if deleg_only and b.association != deleg_name(b.interface):
-            continue
-        out.add((b.holder, b.association, b.target, b.interface))
-    return out
+def binding_tuples(graph):
+    return [(b.holder, b.association, b.target, b.interface) for b in graph.bindings]
 
 
 def test_instantiate_builds_the_documented_bindings(delegation_model):
     graph = instantiate(delegation_model, "A")
     assert sorted(graph.components) == ["A", "A.d", "A.e"]
     assert sorted(graph.ports) == ["A.bak_rA_K", "A.e.pJL", "A.e.rK", "A.pIJL", "A.rA_K"]
-    got = binding_tuples(graph)
+    got = set(binding_tuples(graph))
     assert ("A.pIJL", "deleg_I", "A.d", "I") in got
     assert ("A.pIJL", "deleg_J", "A.e.pJL", "J") in got
     assert ("A.pIJL", "deleg_L", "A.e.pJL", "L") in got
@@ -143,7 +141,7 @@ def test_empty_pending_set_yields_an_empty_trace(delegation_model):
 def test_dropped_connector_strands_requests(delegation_model):
     mutated = prepare_model(drop_connector(delegation_model, "A", 1))
     # the binding oracle predicts there is no deleg_J route at pIJL any more
-    expected = oracles.expected_untyped_bindings(mutated, "A")
+    expected = oracles.expected_bindings(mutated, "A")
     assert not any(h == "A.pIJL" and a == "deleg_J" for h, a, _, _ in expected)
     graph = instantiate(mutated, "A", downgrade={"W008"})
     rid = inject(graph, "A.pIJL", "J")
@@ -156,16 +154,14 @@ def test_dropped_connector_strands_requests(delegation_model):
 def test_untyped_bindings_match_the_oracle_table(delegation_model, atm_model):
     for model, root in ((delegation_model, "A"), (atm_model, "ATM")):
         graph = instantiate(model, root)
-        assert binding_tuples(graph, deleg_only=True) == \
-            oracles.expected_untyped_bindings(model, root)
+        assert binding_tuples(graph) == oracles.expected_bindings(model, root)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_generated_models_route_safely(seed):
     model = prepare_model(random_wellformed_model(random.Random(seed)))
     graph = instantiate(model, model.root)
-    assert binding_tuples(graph, deleg_only=True) == \
-        oracles.expected_untyped_bindings(model, model.root)
+    assert binding_tuples(graph) == oracles.expected_bindings(model, model.root)
     for pid, iface in default_injection_suite(graph):
         inject(graph, pid, iface)
     trace = run_to_quiescence(graph)
@@ -173,6 +169,40 @@ def test_generated_models_route_safely(seed):
     port_count = len(graph.ports)
     for request in graph.requests.values():
         assert request.hops <= port_count
+
+
+EVERY_RULE = frozenset(f"W{code:03d}" for code in range(12))
+
+
+def _generated(family: str, seed: int):
+    """(model, root) of one seed of a generator family, unprepared."""
+    rng = random.Random(seed)
+    if family == "bidirectional":
+        return bidirectional_part_links(rng), "C"
+    model = random_wellformed_model(rng)
+    if family == "scrambled":
+        scramble_typing(rng, model, rng.randint(1, 6))
+    return model, model.root
+
+
+@pytest.mark.parametrize("family,seeds", [("wellformed", 40), ("scrambled", 300),
+                                          ("bidirectional", 40)])
+def test_bindings_match_the_reference_with_every_rule_downgraded(family, seeds):
+    # Forbidden and misfit links reach instantiation too; typed part-part
+    # links must bind their pointed type from their first end, and a
+    # bidirectional one the other end's type back.
+    part_part = 0
+    for seed in range(seeds):
+        model, root = _generated(family, seed)
+        try:
+            model = prepare_model(model)
+        except DelegConflictError:
+            continue
+        graph = instantiate(model, root, downgrade=EVERY_RULE)
+        assert binding_tuples(graph) == oracles.expected_bindings(model, root), seed
+        part_part += sum(b.holder in graph.components and b.target in graph.components
+                         for b in graph.bindings)
+    assert (part_part > 0) == (family != "wellformed")  # well-formed models link no two parts
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 12])
@@ -273,6 +303,34 @@ def test_non_navigable_typed_connector_binds_nothing():
     """)
     graph = instantiate(model, "C", downgrade={"W003", "W006", "W008"})
     assert graph.bindings == []
+
+
+@pytest.mark.parametrize("code,members", [
+    ("W002", "part b: P; connector a.p , b.p;"),  # an assembly of two provided ports
+    ("W001", "port r: I reversed; connector self.r , a.p;"),  # a delegation of mixed ports
+])
+def test_a_forbidden_link_binds_nothing(code, members):
+    model = prepare(f"""
+    interface I {{ op f; }}
+    class P active {{ realizes I; port p: I; }}
+    class C active {{ part a: P; {members} }}
+    """)
+    assert [d.code for d in check_model(model).diagnostics] == [code]
+    assert instantiate(model, "C", downgrade={code}).bindings == []
+
+
+def test_a_part_class_with_connectors_and_no_parts_binds_in_each_instance():
+    model = prepare("""
+    interface I { op f; }
+    class L active { realizes I; port p: I; port q: I reversed; connector self.p , self.q; }
+    class T active { part l: L x2; }
+    """)
+    report = check_model(model)
+    assert report.passed and report.diagnostics == []
+    graph = instantiate(model, "T")
+    assert binding_tuples(graph) == [("T.l[0].q", "deleg_I", "T.l[0].p", "I"),
+                                     ("T.l[1].q", "deleg_I", "T.l[1].p", "I")]
+    assert binding_tuples(graph) == oracles.expected_bindings(model, "T")
 
 
 def test_required_port_without_an_outgoing_channel_strands_the_request():
