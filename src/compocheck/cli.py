@@ -233,8 +233,11 @@ def _describe_element(index: TypingIndex, path: str, element) -> dict:
 
 
 def cmd_explain(args, out) -> int:
-    if not args.element:
-        print("error: explain needs a non-empty element path", file=out)
+    path = args.element
+    name, sep, member = path.partition("#" if "#" in path else ".")
+    if not name or (sep and not member):
+        print(f"error: explain needs a name on each side of '{sep}' in {path!r}" if path
+              else "error: explain needs a non-empty element path", file=out)
         return EXIT_INPUT
     index, code = _prepare(args, out)
     if index is None:

@@ -84,9 +84,7 @@ class EndRef:
             return f"{self.part}.{self.port}"
         if self.part:
             return self.part
-        if self.port:
-            return f"self.{self.port}"
-        return "<empty>"
+        return f"self.{self.port}"  # integrity refuses an end with neither (E006)
 
 
 @dataclass(slots=True)
@@ -487,10 +485,8 @@ def synthesize_deleg_associations(model: Model) -> Model:
 
 def without_synthesized(model: Model) -> Model:
     """A copy of the model with synthesized deleg associations removed."""
-    kept = [a for a in model.associations if not a.is_deleg_default]
-    if len(kept) == len(model.associations):
-        return model
-    return replace(model, associations=kept)
+    return replace(model, associations=[a for a in model.associations
+                                        if not a.is_deleg_default])
 
 
 def resolve(model: Model, path: str):

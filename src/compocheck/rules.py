@@ -322,7 +322,8 @@ def _composite_finding(index: TypingIndex, cls: Class) -> Diagnostic | None:
     The composite's kind decides which of them can fire. Passive composites
     may hold only passive parts (W009); active composites either only passive
     parts or only active and protected parts (W010); observer composites only
-    observer parts (W011). Protected composites are exempt.
+    observer parts (W011). Protected composites are exempt, so
+    :func:`_composite_findings` passes none.
     """
     part_kinds = [(f"{cls.name}.{part.name}", part_cls.kind) for part in cls.parts
                   if (part_cls := index.classes.get(part.type)) is not None]
@@ -331,14 +332,12 @@ def _composite_finding(index: TypingIndex, cls: Class) -> Diagnostic | None:
         code, allowed, why = "W009", (_PASSIVE,), "must contain only passive parts"
     elif kind is _OBSERVER:
         code, allowed, why = "W011", (_OBSERVER,), "must contain only observer parts"
-    elif kind is _ACTIVE:
-        if all(k is _PASSIVE for _, k in part_kinds):
-            return None
+    elif all(k is _PASSIVE for _, k in part_kinds):  # an active composite of passive parts
+        return None
+    else:
         code, allowed = "W010", (_ACTIVE, _PROTECTED)
         why = ("must contain either only passive parts or only active and protected parts; "
                "mark shared passive parts as protected to make the structure valid")
-    else:
-        return None
     offenders = [path for path, k in part_kinds if k not in allowed]
     if not offenders:
         return None

@@ -20,17 +20,23 @@ deterministic. A request arriving at a component is delivered when the
 component's class provides its interface and stuck otherwise; a provided port
 of a structureless component hands requests to its owner; a required port of
 the root instance hands them to the environment. A hop to several targets
-moves the request to the first and a clone to each further one. A request
-that arrives at a port already on its path raises a delegation-cycle
-:class:`SimError`; the path is the only record of where a request has been.
+moves the request to the first and a clone to each further one.
+
+No request revisits a port, so every run ends. Only instantiation makes
+bindings, each along a link the typing index has directed: a required port
+forwards up, to a required port of the enclosing instance, or across, to a
+provided port or a part at its own depth; a provided port forwards only
+down, to a part or a part's provided port, or to its owner; a request that
+reaches a component stops there. So a path climbs, crosses at most once,
+then descends.
 
 Bindings are filed by (holder, interface), the key a hop is routed by. Where
 a hop out of a holder goes depends only on that key's bindings, so each
 (holder, interface) hop is routed once, the first time a step needs it, and
 kept in the graph's hop table together with what happens on arrival at each
-target. :meth:`InstanceGraph.add_binding` clears the table. Routing alone
-judges whether a component receiver provides a request's interface; the
-safety check re-reads only the requests that left to the environment.
+target. Routing alone judges whether a component receiver provides a
+request's interface; the safety check re-reads only the requests that left
+to the environment.
 """
 
 from __future__ import annotations
@@ -160,6 +166,8 @@ class InstanceGraph:
 
     ``bindings`` lists every binding in creation order; the binding index
     files the same bindings by (holder id, interface), in the same order.
+    Only instantiation makes bindings, along directed links (see the module
+    docstring): no path revisits a port, and no hop table entry goes stale.
 
     Only :func:`inject` and :func:`step` change a request's status or
     location, and the run queue holds exactly the in-transit requests, as
@@ -172,8 +180,8 @@ class InstanceGraph:
     An arrival is ``RequestStatus.DELIVERED``, a component's stuck reason, the
     target port's creation seq (the request stays in transit), or None for a
     request a root port hands to the environment. Hops are routed when a step
-    first needs them; :meth:`add_binding` clears the table. ``exited`` holds
-    the ids of the requests that left to the environment.
+    first needs them. ``exited`` holds the ids of the requests that left to
+    the environment.
     """
 
     def __init__(self, typing: TypingIndex, root_id: str):
@@ -191,20 +199,13 @@ class InstanceGraph:
         self._next_request = 1
         self._next_step = 1
 
-    def add_binding(self, binding: DelegBinding) -> None:
-        self.bindings.append(binding)
-        self._bindings_by_hop.setdefault((binding.holder, binding.interface), []).append(binding)
-        self._hops.clear()
-
     def enqueue(self, request: Request) -> None:
         heapq.heappush(self._run_queue, (self.holder_seq(request.location), request.id))
 
     def holder_seq(self, holder_id: str) -> int:
         if holder_id in self.ports:
             return self.ports[holder_id].seq
-        if holder_id in self.components:
-            return self.components[holder_id].seq
-        raise SimError(f"unknown holder '{holder_id}'")
+        return self.components[holder_id].seq
 
     def component_class(self, component_id: str) -> Class:
         cls = self.typing.classes.get(self.components[component_id].class_name)
@@ -331,14 +332,18 @@ def _site_holder_ids(graph: InstanceGraph, composite_id: str, ref: EndRef) -> li
 
 
 def _bind_connectors(graph: InstanceGraph, plan: list[Channel], instance_id: str) -> None:
-    add_binding = graph.add_binding
+    """File each binding in ``graph.bindings`` and under its hop key."""
+    bindings, by_hop = graph.bindings, graph._bindings_by_hop
     for origin, far, pairs in plan:
         holders = _site_holder_ids(graph, instance_id, origin.ref)
         targets = _site_holder_ids(graph, instance_id, far.ref)
         for x, name in pairs:
             for holder in holders:
+                filed = by_hop.setdefault((holder, x), [])
                 for target in targets:
-                    add_binding(DelegBinding(holder, name, target, x))
+                    binding = DelegBinding(holder, name, target, x)
+                    bindings.append(binding)
+                    filed.append(binding)
 
 
 def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None = None) -> int:
@@ -410,9 +415,8 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
 
     Returns the trace events it produced (several when a request fans out to a
     multi-instance part), or an empty list when the graph is quiescent. The
-    request takes the hop's first target and a clone each further one; a
-    mover reaching a port already on the request's path raises a
-    delegation-cycle :class:`SimError`, which ends the run.
+    request takes the hop's first target and a clone each further one; no
+    mover reaches a port already on its path (see the module docstring).
     """
     queue = graph._run_queue
     if not queue:
@@ -454,9 +458,6 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
         elif arrival.__class__ is str:
             mover.status = _STUCK
             mover.stuck_reason = arrival
-        elif target in path:  # a port id never equals a component id (E002)
-            path.append(arrivals[0][0])
-            raise SimError(f"delegation cycle: request {mover_id} revisited port '{target}'")
         else:
             heapq.heappush(queue, (arrival, mover_id))
         mover = None
@@ -467,7 +468,8 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
 
 
 def run_to_quiescence(graph: InstanceGraph) -> Trace:
-    """Step until no request is in transit; the cycle guard bounds every run."""
+    """Step until no request is in transit; every run ends, since no request
+    revisits a port (see the module docstring)."""
     events: list[TraceEvent] = []
     extend = events.extend
     queue = graph._run_queue

@@ -386,9 +386,7 @@ class TypingIndex:
     def _end_interface_set(self, site: EndSite) -> frozenset[str]:
         if site.port is not None:
             return self.port_interfaces(site.port)
-        if site.part is not None:
-            return self.class_interfaces(site.part.type)
-        return _EMPTY
+        return self.class_interfaces(site.part.type)  # an end names one or the other (E006)
 
     def _carried(self, assoc: Association | None, kind: LinkKind, origin: LinkOrigin,
                  far: EndSite | None) -> tuple[TransportedSet, tuple[Channel, ...]]:

@@ -6,7 +6,6 @@ import pytest
 
 from compocheck import Model, parse_dsl, parse_json
 from compocheck.rules import prepare as prepare_index
-from compocheck.simulator import DelegBinding, InstanceGraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,15 +24,6 @@ def prepare(text: str, filename: str = "<test>") -> Model:
 def prepare_model(model: Model) -> Model:
     """The synthesized model; raises IntegrityError with every diagnostic."""
     return prepare_index(model).model
-
-
-def regraft(graph: InstanceGraph, bindings: list[DelegBinding]) -> None:
-    """Replace the graph's whole binding table with ``bindings``, in order."""
-    graph.bindings.clear()
-    graph._bindings_by_hop.clear()
-    graph._hops.clear()
-    for binding in bindings:
-        graph.add_binding(binding)
 
 
 @pytest.fixture(scope="session")

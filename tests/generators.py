@@ -435,7 +435,8 @@ def scramble_typing(rng: random.Random, model: Model, mutations: int) -> Model:
     else of any declared one; either or both or neither navigable), drops a
     connector's typing, adds a link between two parts or their ports, flips a
     port's direction, changes a class's kind, or has a class use an
-    interface. Together they reach every rule code."""
+    interface (a class with ports at times also realizes it). Together they
+    reach every rule code and every reason W000 gives."""
     classifiers = [i.name for i in model.interfaces] + [c.name for c in model.classes]
 
     def near(owner: Class, ref: EndRef) -> str:
@@ -486,7 +487,11 @@ def scramble_typing(rng: random.Random, model: Model, mutations: int) -> Model:
         elif choice == 4:
             rng.choice(model.classes).kind = rng.choice(list(ClassKind))
         elif model.interfaces:
-            rng.choice(model.classes).usages.append(rng.choice(model.interfaces).name)
+            cls = rng.choice(model.classes)
+            name = rng.choice(model.interfaces).name
+            cls.usages.append(name)
+            if cls.ports and rng.random() < 0.5:
+                cls.realizes.append(name)
     return model
 
 

@@ -231,6 +231,30 @@ def test_explain_refuses_an_empty_element_path(output):
         (2, "error: explain needs a non-empty element path\n")
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("path,sep", [("A.", "."), (".pIJL", "."), ("#0", "#"), ("A#", "#")])
+def test_explain_refuses_an_element_path_with_an_empty_name(output, path, sep):
+    assert run_cli("explain", str(DELEGATION), path, "--output", output) == \
+        (2, f"error: explain needs a name on each side of '{sep}' in {path!r}\n")
+
+
+def test_explain_of_a_forbidden_link_names_no_origin(tmp_path):
+    path = tmp_path / "forbidden.csm"
+    path.write_text("interface I { op f; }\nclass P active { realizes I; port p: I; }\n"
+                    "class C active { part a: P; part b: P; connector a.p , b.p; }\n",
+                    encoding="utf-8")
+    assert run_cli("explain", str(path), "C#0") == (0, (
+        "element: C#0\nends: ['a.p', 'b.p']\nkind: forbidden\norigin: undirected\n"
+        "transported: None\nassociation: None\n"))
+
+
+@pytest.mark.parametrize("path", [" ", "A. "])
+def test_explain_reports_a_blank_name_as_unknown(path):
+    # a JSON model may name an element " ", so a blank name is looked up
+    code, out = run_cli("explain", str(DELEGATION), path)
+    assert code == 1 and out.startswith(f"E005 error: {path}: ")
+
+
 def test_simulate_delegation_delivers_everything():
     code, out = run_cli("simulate", str(DELEGATION), "--root", "A")
     assert code == 0

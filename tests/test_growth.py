@@ -6,9 +6,10 @@ which is not on shared hosts: linear name scans (``Model.find_*`` and
 ``check_model`` make none, connector records read by instantiation and
 the classes whose channels they read, links looked up per port by the
 fan-out rules (W007, W008), reads of a holder's creation order
-(``InstanceGraph.holder_seq``), hop derivations (``simulator._route``) and
-attribute reads of bindings for routing, and runs of the front stages, which
-each command makes once per verdict.
+(``InstanceGraph.holder_seq``), hop derivations (``simulator._route``),
+attribute reads of bindings and comparisons against request paths for
+routing, and runs of the front stages, which each command makes once per
+verdict.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from compocheck.simulator import (
 from compocheck.type_system import PORT_ORIGINS, TypingIndex
 
 from conftest import DELEGATION, prepare, prepare_model
-from generators import flat_model, gen_chain_model
+from generators import flat_model, gen_chain_model, relay_chain_model
 
 FINDERS = [(model_layer.Model, name) for name in
            ("find_interface", "find_class", "find_association", "find_classifier")]
@@ -149,6 +150,35 @@ def test_routing_reads_creation_order_near_linearly(monkeypatch):
     small = holder_seq_calls(monkeypatch, prepare_model(flat_model(50)))
     large = holder_seq_calls(monkeypatch, prepare_model(flat_model(200)))
     assert large <= 5 * small
+
+
+class CountingPath(list):
+    """A request path that counts the items each membership test compares."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.compared = 0
+
+    def __contains__(self, item):
+        self.compared += len(self)
+        return super().__contains__(item)
+
+
+def path_comparisons(depth: int) -> int:
+    """Items compared against the path of one request routed down a relay
+    chain of ``depth`` levels."""
+    graph = instantiate(prepare_model(relay_chain_model(depth)), "R1")
+    request = graph.requests[inject(graph, "R1.p", "X")]
+    request.path = path = CountingPath(request.path)
+    run_to_quiescence(graph)
+    assert request.status.value == "delivered" and len(path) == depth + 1
+    return path.compared
+
+
+def test_path_comparisons_grow_at_most_linearly_with_depth():
+    # a scan of the path at each hop would compare ~depth²/2 items in all
+    small, large = path_comparisons(100), path_comparisons(200)
+    assert large <= 2 * small
 
 
 def binding_reads(monkeypatch, model) -> int:

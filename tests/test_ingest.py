@@ -191,6 +191,17 @@ def test_json_multiplicity_beyond_int_conversion_is_a_positioned_error():
         "x.csm.json:1:1: $.classes[1].parts[0]: field 'multiplicity' has too many digits"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "top level must be an object"),
+    ('{"formatVersion": 1' + "0" * 5000 + "}",
+     "$: unsupported formatVersion <integer with too many digits> (expected 1)"),
+], ids=["array", "long-version"])
+def test_json_document_that_is_no_model_is_one_error(text, message):
+    with pytest.raises(ParseFailure) as err:
+        parse_json(text, "x.csm.json")
+    assert [e.render() for e in err.value.errors] == [f"x.csm.json:1:1: {message}"]
+
+
 def _atm_document() -> dict:
     doc = json.loads(ATM.read_text(encoding="utf-8"))
     doc["classes"][0]["attributes"] = [{"name": "itsDisplay", "type": "Display"}]

@@ -220,6 +220,11 @@ BRANCH_PINS = {
         "interface K : I { op h; }" + _PORT_TO_PART % "K" + "assoc cp ( K , K nav );",
         ["W004 error: C#0: association 'cp' mis-types this link: pointed type 'K' does not "
          "match the far part 'p' of type 'P' (related: cp)"]),
+    "w000-owner-realizes-and-uses": (
+        "class A active { realizes I; uses I; port p: I; port r: I reversed; }",
+        [f"W000 error: A.{port}: port is effectively bidirectional: the owner both realizes "
+         "and uses {I}. Split it into a provided port and a reversed (required) port."
+         for port in "pr"]),
 }
 
 
@@ -397,6 +402,17 @@ def test_bidirectional_typings_catch_each_weakened_orientation_check(label, monk
     assert [case for case, index, expected in _reference_cases()
             if case.startswith("bidirectional-")
             and _triples(run_rules(index), "W003") != sorted(expected["W003"])]
+
+
+def test_scrambled_typings_catch_a_w000_that_forgets_what_the_owner_realizes_and_uses(
+        monkeypatch):
+    original = rules.rule_unidirectional
+    mutant = dict(dropped_tests(original))["rule_unidirectional without both"]
+    monkeypatch.setattr(rules, "rule_unidirectional", mutant)
+    monkeypatch.setattr(rules, "RULES", [mutant if r is original else r for r in rules.RULES])
+    assert [case for case, index, expected in _reference_cases()
+            if case.startswith("scrambled-")
+            and _triples(run_rules(index), "W000") != sorted(expected["W000"])]
 
 
 @pytest.mark.parametrize("seed", range(60))

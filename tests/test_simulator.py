@@ -6,7 +6,6 @@ import pytest
 
 from compocheck import simulator
 from compocheck import (
-    DelegBinding,
     DelegConflictError,
     RequestStatus,
     SimError,
@@ -22,7 +21,7 @@ from compocheck import (
 from compocheck.simulator import ENVIRONMENT
 
 import oracles
-from conftest import DELEGATION, prepare, prepare_model, regraft
+from conftest import DELEGATION, prepare, prepare_model
 from generators import (
     bidirectional_part_links,
     drop_connector,
@@ -254,25 +253,6 @@ def test_priority_order_follows_instantiation_order(delegation_model):
     assert first.request == early  # the earlier-created holder wins, not the earlier request
 
 
-def test_delegation_cycle_is_detected_by_the_guard(delegation_model):
-    graph = instantiate(delegation_model, "A")
-    # graft a looping binding table: pJL sends J back to pIJL
-    graph.add_binding(DelegBinding("A.e.pJL", "deleg_J", "A.pIJL", "J"))
-    inject(graph, "A.pIJL", "J")
-    with pytest.raises(SimError, match="cycle"):
-        run_to_quiescence(graph)
-
-
-def test_a_binding_added_after_routing_takes_effect(delegation_model):
-    graph = instantiate(delegation_model, "A")
-    inject(graph, "A.pIJL", "I")
-    assert [e.to for e in step(graph)] == ["A.d"]
-    # the hop (A.pIJL, I) has been routed; the new binding must still count
-    graph.add_binding(DelegBinding("A.pIJL", "deleg_I", "A.e.pJL", "I"))
-    inject(graph, "A.pIJL", "I")
-    assert [e.to for e in step(graph)] == ["A.d", "A.e.pJL"]
-
-
 def test_bidirectional_part_part_link_binds_both_directions():
     model = prepare("""
     interface I { op f; }
@@ -361,34 +341,6 @@ def test_hops_are_read_from_the_path(delegation_model):
         request.hops = 0
 
 
-def test_a_delegation_cycle_raises_when_a_request_revisits_a_port():
-    model = prepare("""
-    interface I { op f; }
-    class X active { realizes I; port p: I; }
-    class A active { part x: X; port p: I; connector self.p , x.p; }
-    """)
-    graph = instantiate(model, "A")
-    graph.add_binding(DelegBinding("A.x.p", "deleg_I", "A.p", "I"))
-    inject(graph, "A.p", "I")
-    with pytest.raises(SimError, match=r"^delegation cycle: request 1 revisited port 'A\.p'$"):
-        run_to_quiescence(graph)
-
-
-def test_a_delegation_cycle_reached_by_a_fan_out_clone_raises():
-    model = prepare("""
-    interface I { op f; }
-    class X active { realizes I; port p: I; }
-    class A active { part x: X x2; port p: I; connector self.p , x.p; }
-    """)
-    graph = instantiate(model, "A")
-    graph.add_binding(DelegBinding("A.x[1].p", "deleg_I", "A.p", "I"))
-    inject(graph, "A.p", "I")
-    with pytest.raises(SimError, match=r"^delegation cycle: request 2 revisited port 'A\.p'$"):
-        run_to_quiescence(graph)
-    assert graph.requests[1].path == ["A.p", "A.x[0].p", "A.x[0]"]
-    assert graph.requests[2].path == ["A.p", "A.x[1].p", "A.p"]
-
-
 def test_run_to_quiescence_calls_the_module_step_once_per_step(monkeypatch, delegation_model):
     # perfbench's tracer wraps simulator.step and divides by its call count
     graph = instantiate(delegation_model, "A")
@@ -444,45 +396,56 @@ def test_binding_count_is_summed_along_containment(monkeypatch, text, count):
 
 
 def test_stuck_at_component_when_receiver_lacks_the_interface():
-    # the leaf provides nothing that matches the boundary port contract of its
-    # sibling channel: force it by grafting a binding to the wrong component
-    text = """
+    # the association mis-types the link (W004): it sends I to a part that
+    # provides only J
+    model = prepare("""
     interface I { op f; }
     interface J { op g; }
-    class WI active { realizes I; }
     class WJ active { realizes J; }
     class Duo active {
-      part wi: WI;
       part wj: WJ;
       port pi: I;
       port pj: J;
-      connector self.pi , wi;
+      connector self.pi , wj via a;
       connector self.pj , wj;
     }
-    """
-    model = prepare(text)
-    graph = instantiate(model, "Duo")
-    regraft(graph, [DelegBinding("Duo.pi", "deleg_I", "Duo.wj", "I")])
+    assoc a ( I , I nav );
+    """)
+    assert [d.code for d in check_model(model).diagnostics] == ["W004"]
+    graph = instantiate(model, "Duo", downgrade={"W004"})
     rid = inject(graph, "Duo.pi", "I")
     trace = run_to_quiescence(graph)
     assert graph.requests[rid].status is RequestStatus.STUCK
-    assert "does not provide" in graph.requests[rid].stuck_reason
+    assert graph.requests[rid].stuck_reason == \
+        "component 'Duo.wj' of class 'WJ' does not provide interface 'I'"
     assert not check_type_safety(trace, graph).passed
+
+
+def _grafted_delegation_text() -> str:
+    """The delegation fixture with its two ``e.rK`` links swapped, so that the
+    typed link precedes the untyped one on the same port and interface, and
+    with a mistyped link grafted on (W004) that sends J to ``d``, whose class
+    does not provide it."""
+    text = DELEGATION.read_text(encoding="utf-8")
+    untyped = "  connector e.rK , self.rA_K;\n"
+    typed = "  connector e.rK , self.bak_rA_K via deleg_backup;\n"
+    assert untyped + typed in text
+    return text.replace(untyped + typed, typed + untyped).replace(
+        "  port pIJL: IJL;\n",
+        "  port pIJL: IJL;\n  port pJ: J;\n  connector self.pJ , d via toD;\n",
+    ) + "assoc toD ( J , J nav );\n"
 
 
 def _stepping_graph(case: str, seed: int):
     """A well-formed model, the same model with one connector dropped so that
-    some requests get stuck, a flat fan-out, or the delegation fixture. The
-    grafted fixture has its binding table reversed, so that a typed binding
-    precedes the ``deleg_K`` one at ``A.e.rK``, and a binding that also sends J
-    to a component that does not provide it."""
+    some requests get stuck, a flat fan-out, the delegation fixture, or its
+    grafted form (:func:`_grafted_delegation_text`)."""
     if case == "flat":
         return instantiate(prepare_model(flat_model(30)), "Flat")
-    if case in ("delegation", "grafted"):
-        graph = instantiate(prepare(DELEGATION.read_text(encoding="utf-8")), "A")
-        if case == "grafted":
-            regraft(graph, graph.bindings[::-1] + [DelegBinding("A.pIJL", "deleg_J", "A.d", "J")])
-        return graph
+    if case == "delegation":
+        return instantiate(prepare(DELEGATION.read_text(encoding="utf-8")), "A")
+    if case == "grafted":
+        return instantiate(prepare(_grafted_delegation_text()), "A", downgrade={"W004"})
     model = prepare_model(random_wellformed_model(random.Random(seed)))
     if case == "dropped":
         cls, index = random.Random(seed).choice(provided_origin_connectors(model))
@@ -499,6 +462,78 @@ def _inner_injections(graph) -> list[tuple[str, str]]:
             for iface in sorted(index.port_interfaces(port.declaration))] + \
         [(cid, iface) for cid in graph.components for iface in sorted(index.interfaces)
          if not index.interfaces[iface].is_group]
+
+
+# Hops of every kind between ports: up from m.s.r to m.r, across from m.r to
+# n.p and from l.q to l.p, down from n.p to n.t.p.
+ASSEMBLY = """
+interface I { op f; }
+class S active { uses I; port r: I reversed; }
+class T active { realizes I; port p: I; }
+class L active { realizes I; port p: I; port q: I reversed; connector self.p , self.q; }
+class M active { part s: S; port r: I reversed; connector s.r , self.r; }
+class N active { part t: T; port p: I; connector self.p , t.p; }
+class A active { part m: M; part n: N; part l: L; connector m.r , n.p; }
+"""
+
+
+def _direction_graphs(family: str, count: int = 60):
+    """``count`` instance graphs of a generator family, every rule downgraded;
+    a seed whose model takes a ``deleg_`` name is skipped. The assembly
+    family is the one graph of :data:`ASSEMBLY`."""
+    if family == "assembly":
+        return [instantiate(prepare(ASSEMBLY), "A", downgrade=EVERY_RULE)]
+    graphs = []
+    for seed in range(10 * count):
+        if family == "dropped":
+            model = prepare_model(random_wellformed_model(random.Random(seed)))
+            cls, index = random.Random(seed).choice(provided_origin_connectors(model))
+            model, root = drop_connector(model, cls.name, index), model.root
+        else:
+            model, root = _generated(family, seed)
+        try:
+            graphs.append(instantiate(prepare_model(model), root, downgrade=EVERY_RULE))
+        except DelegConflictError:
+            continue
+        if len(graphs) == count:
+            return graphs
+    raise AssertionError(f"{family}: fewer than {count} seeds prepare")
+
+
+@pytest.mark.parametrize("family,kinds_seen", [
+    ("wellformed", {"up", "down"}),  # the generators link no required port to a provided one
+    ("dropped", {"up", "down"}),
+    ("scrambled", {"up", "down"}),
+    ("bidirectional", set()),  # part-part links only
+    ("assembly", {"up", "across", "down"}),
+])
+def test_every_hop_between_ports_goes_up_across_or_down(family, kinds_seen):
+    """The direction argument that makes every run end: out of a required port
+    a request goes up one level, or across to a provided port at its own
+    level; out of a provided port it goes down one level. So no path repeats
+    a port."""
+    kinds = {"up": 0, "across": 0, "down": 0}
+    for graph in _direction_graphs(family):
+        for location, interface in _inner_injections(graph):
+            inject(graph, location, interface)
+        trace = run_to_quiescence(graph)
+        ports = graph.ports
+        for event in trace.events:
+            source, target = ports.get(event.from_), ports.get(event.to)
+            if source is None or target is None:
+                continue
+            rise = source.owner.count(".") - target.owner.count(".")  # ids are dotted paths
+            if source.declaration.reversed:
+                kind = "up" if rise == 1 else "across"
+                assert rise == 1 or (rise == 0 and not target.declaration.reversed), event
+            else:
+                kind = "down"
+                assert rise == -1, event
+            kinds[kind] += 1
+        for request in graph.requests.values():
+            visited = [holder for holder in request.path if holder in ports]
+            assert len(set(visited)) == len(visited), request.path
+    assert {kind for kind, count in kinds.items() if count} == kinds_seen, kinds
 
 
 @pytest.mark.parametrize("case,seed", [("wellformed", s) for s in range(60)]

@@ -404,6 +404,7 @@ def test_compatibility_examples(delegation_model):
     assert TypingIndex(delegation_model).classifier_compatible("D", "I")
     assert TypingIndex(delegation_model).classifier_compatible("I", "I")
     assert not TypingIndex(delegation_model).classifier_compatible("D", "K")
+    assert not TypingIndex(delegation_model).classifier_compatible("I", "D")  # no class governs an interface
 
 
 def test_class_class_compatibility_direction():
@@ -420,6 +421,16 @@ def test_port_compatibility(delegation_model):
     assert not TypingIndex(delegation_model).port_compatible(rak, "J")
     assert TypingIndex(delegation_model).port_compatible(rak, "K")
     assert TypingIndex(delegation_model).port_compatible(pijl, "IJL")  # group closure is covered
+    assert not TypingIndex(delegation_model).port_compatible(pijl, "D")  # a class, not an interface
+
+
+def test_class_closures_survive_a_generalization_cycle():
+    # integrity refuses the cycle (E003), but an index may be built without it
+    model = Model(interfaces=[Interface("I"), Interface("J")],
+                  classes=[Class("A", generals=["B"], realizes=["I"]),
+                           Class("B", generals=["A"], realizes=["J"])])
+    index = TypingIndex(model)
+    assert index.class_interfaces("A") == index.class_interfaces("B") == {"I", "J"}
 
 
 @settings(max_examples=50, deadline=None)
