@@ -7,7 +7,8 @@ what the package produced for it:
   sides of every ``MUTATION_PAIRS`` entry, 200 ``random_wellformed_model``
   seeds and 100 ``random_fanout_port_model`` seeds;
 * ``explain/...``: ``compocheck explain --output json`` (exit code and
-  standard output) for every connector and port of the fixtures;
+  standard output) for every connector and port of the fixtures and of both
+  sides of every ``MUTATION_PAIRS`` entry;
 * ``simulate/...``: the trace events, final statuses and
   ``SafetyReport.to_dict()`` of the default injection suite on the
   well-formed seeds;
@@ -34,7 +35,9 @@ the ``parse`` and ``parse-json`` digests recorded with the character-by-characte
 DSL scanner and the JSON reader that formatted every element path up front,
 except ``parse-json/183``: it was recorded again when a required string set
 to ``null`` became an error, where that reader had dropped the part
-``$.classes[1].parts[1]`` unreported. ``test_golden.py`` recomputes them. To record them again,
+``$.classes[1].parts[1]`` unreported. The ``explain/mutant/...`` digests were
+recorded while a connector's origin and transported set were still records
+with a kind and a computable flag beside the end and the set. ``test_golden.py`` recomputes them. To record them again,
 only when an output change is intended::
 
     PYTHONPATH=src python tests/golden.py
@@ -47,6 +50,7 @@ import hashlib
 import io
 import json
 import random
+import tempfile
 from pathlib import Path
 
 from compocheck import cli
@@ -119,6 +123,15 @@ def _explain(path: Path, element: str) -> dict:
     with contextlib.redirect_stdout(buffer):
         code = cli.main(["explain", str(path), element, "--output", "json"])
     return {"exit": code, "stdout": buffer.getvalue()}
+
+
+def _explain_elements(model: Model) -> list[str]:
+    """The element path of every connector and port of a model."""
+    elements = []
+    for cls in model.classes:
+        elements += [f"{cls.name}#{i}" for i in range(len(cls.connectors))]
+        elements += [f"{cls.name}.{p.name}" for p in cls.ports]
+    return elements
 
 
 def _bindings(graph: InstanceGraph) -> dict:
@@ -222,15 +235,18 @@ def compute_digests() -> dict[str, str]:
     digests: dict[str, str] = {}
     for name, model in _fixture_models().items():
         digests[f"check/fixture/{name}"] = _digest(check_model(model).to_dict())
-        for cls in model.classes:
-            elements = [f"{cls.name}#{i}" for i in range(len(cls.connectors))]
-            elements += [f"{cls.name}.{p.name}" for p in cls.ports]
-            for element in elements:
-                digests[f"explain/{name}/{element}"] = _digest(_explain(FIXTURES / name, element))
-    for code, (violating, fixed) in MUTATION_PAIRS.items():
-        for side, text in (("violating", violating), ("fixed", fixed)):
-            report = check_model(_prepared(parse_dsl(text, f"{code}-{side}.csm")))
-            digests[f"check/mutant/{code}/{side}"] = _digest(report.to_dict())
+        for element in _explain_elements(model):
+            digests[f"explain/{name}/{element}"] = _digest(_explain(FIXTURES / name, element))
+    with tempfile.TemporaryDirectory() as scratch:
+        for code, (violating, fixed) in MUTATION_PAIRS.items():
+            for side, text in (("violating", violating), ("fixed", fixed)):
+                path = Path(scratch) / f"{code}-{side}.csm"
+                path.write_text(text, encoding="utf-8")
+                model = _prepared(parse_dsl(text, path.name))
+                digests[f"check/mutant/{code}/{side}"] = _digest(check_model(model).to_dict())
+                for element in _explain_elements(model):
+                    digests[f"explain/mutant/{code}/{side}/{element}"] = \
+                        _digest(_explain(path, element))
     for seed in WELLFORMED_SEEDS:
         model = _prepared(random_wellformed_model(random.Random(seed)))
         digests[f"check/wellformed/{seed}"] = _digest(check_model(model).to_dict())
