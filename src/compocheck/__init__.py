@@ -50,14 +50,7 @@ from .simulator import (
     run_to_quiescence,
     step,
 )
-from .type_system import (
-    LinkKind,
-    LinkOrigin,
-    OriginKind,
-    TransportedSet,
-    TypingIndex,
-    parents_of,
-)
+from .type_system import LinkKind, TypingIndex, parents_of
 
 __all__ = [
     "__version__",
@@ -68,7 +61,7 @@ __all__ = [
     "deleg_name", "resolve", "synthesize_deleg_associations", "validate_integrity",
     "without_synthesized",
     "CheckReport", "check_model",
-    "LinkKind", "LinkOrigin", "OriginKind", "TransportedSet", "TypingIndex", "parents_of",
+    "LinkKind", "TypingIndex", "parents_of",
     "DelegBinding", "InstanceGraph", "Request", "RequestStatus", "SafetyReport", "SimError", "Trace",
     "TraceEvent", "check_type_safety", "default_injection_suite", "inject", "instantiate",
     "run_to_quiescence", "step",

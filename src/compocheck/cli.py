@@ -176,13 +176,12 @@ def cmd_check(args, out) -> int:
 
 
 def _describe_connector(link: ConnectorTyping) -> dict:
-    ts = link.transported
     return {
         "element": link.path,
         "ends": [site.describe() for site in link.ends],
         "kind": link.kind.value,
-        "origin": link.origin.describe(),
-        "transported": sorted(ts.interfaces) if ts.computable else None,
+        "origin": "undirected" if link.origin is None else link.origin.describe(),
+        "transported": None if link.transported is None else sorted(link.transported),
         "association": link.connector.association,
     }
 

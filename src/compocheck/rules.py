@@ -18,11 +18,13 @@ Codes:
 Each rule, and the report notes, take one
 :class:`~compocheck.type_system.TypingIndex` and read the model
 (``index.model``), its closures and its connector records
-(``index.links()``) from it. :func:`prepare` runs the front stages once per
-verdict (integrity validation, deleg synthesis, then the index of the
-synthesized model); :func:`run_rules` runs the rules in order over that index
-and returns a deterministic report (diagnostics sorted by element path then
-code); :func:`check_model` does both. To run one rule alone, call it as
+(``index.links()``) from it: a link starts from a part when its ``origin``
+end has no port, and its ``transported`` set is None where it is not
+computable. :func:`prepare` runs the front stages once per verdict (integrity
+validation, deleg synthesis, then the index of the synthesized model);
+:func:`run_rules` runs the rules in order over that index and returns a
+deterministic report (diagnostics sorted by element path then code);
+:func:`check_model` does both. To run one rule alone, call it as
 ``rule(TypingIndex(model))``.
 """
 
@@ -35,12 +37,11 @@ from dataclasses import dataclass, field
 from .diagnostics import Diagnostic, Severity, error
 from .model import (Class, ClassKind, IntegrityError, Model, Port, synthesize_deleg_associations,
                     validate_integrity)
-from .type_system import ConnectorTyping, LinkKind, OriginKind, TypingIndex
+from .type_system import ConnectorTyping, LinkKind, TypingIndex
 
 # Enum members the per-element loops read, as module globals: a read through
 # the enum class costs a metaclass lookup (~0.1 µs).
-_FORBIDDEN_KIND, _PART_PART, _FROM_PART = (LinkKind.FORBIDDEN, LinkKind.ASSEMBLY_PART_PART,
-                                           OriginKind.FROM_PART)
+_FORBIDDEN_KIND, _PART_PART = LinkKind.FORBIDDEN, LinkKind.ASSEMBLY_PART_PART
 _ACTIVE, _PASSIVE, _PROTECTED, _OBSERVER = ClassKind
 
 
@@ -179,8 +180,8 @@ def _association_finding(index: TypingIndex, link: ConnectorTyping) -> Diagnosti
         return error("W003", link.path, f"bidirectional association '{assoc.name}' {why}",
                      [assoc.name])
     start, pointed = assoc.start_end(), assoc.pointed_end()
-    origin, far = link.origin.site, link.far
-    from_part = link.origin.kind is _FROM_PART
+    origin, far = link.origin, link.far
+    from_part = origin.port is None
     if kind is not _PART_PART and not (pointed.type in index.interfaces and (
             from_part or start.type in index.interfaces)):
         if origin.port is not None and far.port is not None:
@@ -200,9 +201,9 @@ def _association_finding(index: TypingIndex, link: ConnectorTyping) -> Diagnosti
             problems.append(f"start end '{start.type}' does not match part '{origin.part.name}' "
                             f"of type '{origin.part.type}'")
     else:
-        if pointed.type not in link.transported.interfaces:
+        if pointed.type not in link.transported:
             problems.append(f"pointed type '{pointed.type}' is not in the transported set "
-                            f"{_fmt_set(link.transported.interfaces)}")
+                            f"{_fmt_set(link.transported)}")
         if not index.port_compatible(origin.port, start.type):
             problems.append(f"start end '{start.type}' is not covered by the originating port "
                             f"(closure {_fmt_set(index.port_interfaces(origin.port))})")
@@ -253,11 +254,10 @@ def rule_typed_from_part(index: TypingIndex) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for link in index.links():
         origin = link.origin
-        if origin.kind is _FROM_PART and link.connector.association is None:
-            part_name = origin.site.part.name if origin.site and origin.site.part else "?"
+        if origin is not None and origin.port is None and link.connector.association is None:
             diags.append(error(
                 "W005", link.path,
-                f"link starting from part '{part_name}' must be statically typed with an "
+                f"link starting from part '{origin.part.name}' must be statically typed with an "
                 f"association; without one the component cannot refer to the channel",
             ))
     return diags
@@ -267,8 +267,7 @@ def rule_nonvoid(index: TypingIndex) -> list[Diagnostic]:
     """W006: a link whose transported set is computable must carry something."""
     diags: list[Diagnostic] = []
     for link in index.links():
-        ts = link.transported
-        if ts.computable and not ts.interfaces:
+        if link.transported is not None and not link.transported:
             s1, s2 = link.ends
             diags.append(error(
                 "W006", link.path,

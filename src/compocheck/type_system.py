@@ -4,17 +4,19 @@ A :class:`TypingIndex` derives, once, everything the rules, ``explain`` and
 the simulator need to know about a model's typing:
 
 * generalization closures (``parents``) and the provided-interface sets of
-  ports, classes and interfaces (interface groups never appear in a result);
+  ports, classes and interfaces, each folded once from its generals' sets
+  (interface groups never appear in a result);
 * one :class:`ConnectorTyping` record per connector (:meth:`TypingIndex.links`):
   its element path and resolved ends; its kind (delegation or assembly, or
   one of the forbidden direction combinations) and its origin (the end
-  requests flow away from), both picked by one case analysis over the end
-  shapes and port directions, and the end opposite the origin; its typing
-  association; the set of interfaces it transports, the intersection of
-  the interface sets at its two ends, narrowed to the pointed type's closure
-  when the connector is statically typed with an association (a link that
-  starts at a port therefore never transports more than that port's closure);
-  and its ``channels``, what the simulator binds in each run-time direction;
+  requests flow away from, None for forbidden links), both picked by one
+  case analysis over the end shapes and port directions, and the end
+  opposite the origin; its typing association; the frozenset of interfaces
+  it transports, the intersection of the interface sets at its two ends,
+  narrowed to the pointed type's closure when the connector is statically
+  typed with an association (a link that starts at a port therefore never
+  transports more than that port's closure); and its ``channels``, what
+  the simulator binds in each run-time direction;
 * the ports that originate a link, each with its outgoing records
   (:meth:`TypingIndex.port_origins`), and per port the fan-out that W007, W008
   and ``explain`` read (:meth:`TypingIndex.fanout`);
@@ -32,6 +34,7 @@ and it builds a fresh index per call.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
 
 from .model import Association, Class, Connector, EndRef, Model, Part, Port, _by_name, deleg_name
@@ -51,20 +54,10 @@ class LinkKind(Enum):
     FORBIDDEN = "forbidden"
 
 
-class OriginKind(Enum):
-    FROM_PROVIDED_PORT = "provided port"
-    FROM_REQUIRED_PORT = "required port"
-    FROM_PART = "part"
-    UNDIRECTED = "undirected"
-
-
-PORT_ORIGINS = frozenset({OriginKind.FROM_PROVIDED_PORT, OriginKind.FROM_REQUIRED_PORT})
-
 # An enum member read through its class costs a metaclass lookup (~0.1 µs);
 # the hot paths read the members from these module globals instead.
 (_PART_PART, _INBOUND_PORT_PORT, _OUTBOUND_PORT_PORT, _PORT_PORT, _PART_PROVIDED_PORT,
  _PART_REQUIRED_PORT, _INBOUND_PART_PORT, _OUTBOUND_PART_PORT, _FORBIDDEN_KIND) = LinkKind
-_FROM_PROVIDED_PORT, _FROM_REQUIRED_PORT, _FROM_PART, _UNDIRECTED = OriginKind
 
 
 # The records below are named tuples rather than dataclasses: defining a
@@ -85,25 +78,6 @@ class EndSite(namedtuple("EndSite", "ref part port on_composite")):
         return self.ref.describe()
 
 
-class LinkOrigin(namedtuple("LinkOrigin", "kind site")):
-    __slots__ = ()
-
-    def describe(self) -> str:
-        if self.site is None:
-            return self.kind.value
-        return self.site.describe()
-
-
-class TransportedSet(namedtuple("TransportedSet", "interfaces computable")):
-    """The dynamic type of a connector.
-
-    ``computable`` is false for part-part links (no port closure bounds the
-    channel) and for links typed with an association that has no navigable end.
-    """
-
-    __slots__ = ()
-
-
 class Channel(namedtuple("Channel", "origin far pairs")):
     """One run-time direction of a connector: from the ``origin`` to the ``far``
     :class:`EndSite`, the ``(interface, binding name)`` pairs in interface
@@ -117,20 +91,23 @@ class ConnectorTyping(namedtuple("ConnectorTyping",
                                  "channels")):
     """Everything derived about one connector, in terms of its owning class: the
     connector, its element path (``A#0``), its :class:`LinkKind`, both
-    :class:`EndSite` s, its :class:`LinkOrigin`, the end opposite the origin
-    (``far``, None for forbidden links), its typing association (the first
-    declared of that name, None when the connector is untyped or the name is
-    undeclared), its :class:`TransportedSet` and its :class:`Channel` s."""
+    :class:`EndSite` s, the ``origin`` end requests enter through (a part when
+    it has no ``port``, else a required port when the port is reversed, else
+    a provided port) and the ``far`` end, both None for forbidden links, its
+    typing association (the first declared of that name, None when the
+    connector is untyped or the name is undeclared), the frozenset of
+    interfaces it transports (None for part-part and forbidden links, where no
+    port closure bounds it, and for associations with no navigable end) and
+    its :class:`Channel` s."""
 
     __slots__ = ()
 
 
 _EMPTY: frozenset[str] = frozenset()
-_NOT_COMPUTABLE = TransportedSet(_EMPTY, False)
-_FORBIDDEN = (_FORBIDDEN_KIND, LinkOrigin(_UNDIRECTED, None))
+_FORBIDDEN = (_FORBIDDEN_KIND, None)
 
 
-def _classify(s1: EndSite, s2: EndSite) -> tuple[LinkKind, LinkOrigin]:
+def _classify(s1: EndSite, s2: EndSite) -> tuple[LinkKind, EndSite | None]:
     """Classify a connector by its end shapes and port directions, and name the
     end its requests flow away from (its origin); each case picks both.
 
@@ -143,31 +120,29 @@ def _classify(s1: EndSite, s2: EndSite) -> tuple[LinkKind, LinkOrigin]:
     requests enter the link through it (a required port of a part, a provided
     port of the composite) and at the part otherwise. Part-part links start at
     their first end. Two ports of the composite itself fall under the assembly
-    case. Forbidden links are undirected.
+    case. Forbidden links have no origin.
     """
     p1, p2 = s1.port, s2.port
     if p1 is None and p2 is None:
-        return _PART_PART, LinkOrigin(_FROM_PART, s1)
+        return _PART_PART, s1
     if p1 is not None and p2 is not None:
         if s1.on_composite != s2.on_composite:
             if not p1.reversed and not p2.reversed:
-                return (_INBOUND_PORT_PORT,
-                        LinkOrigin(_FROM_PROVIDED_PORT, s1 if s1.on_composite else s2))
+                return _INBOUND_PORT_PORT, s1 if s1.on_composite else s2
             if p1.reversed and p2.reversed:
-                return (_OUTBOUND_PORT_PORT,
-                        LinkOrigin(_FROM_REQUIRED_PORT, s2 if s1.on_composite else s1))
+                return _OUTBOUND_PORT_PORT, s2 if s1.on_composite else s1
             return _FORBIDDEN
         if p1.reversed != p2.reversed:
-            return _PORT_PORT, LinkOrigin(_FROM_REQUIRED_PORT, s1 if p1.reversed else s2)
+            return _PORT_PORT, s1 if p1.reversed else s2
         return _FORBIDDEN
     port_site, part_site = (s1, s2) if p1 is not None else (s2, s1)
     if not port_site.on_composite:
         if port_site.port.reversed:
-            return _PART_REQUIRED_PORT, LinkOrigin(_FROM_REQUIRED_PORT, port_site)
-        return _PART_PROVIDED_PORT, LinkOrigin(_FROM_PART, part_site)
+            return _PART_REQUIRED_PORT, port_site
+        return _PART_PROVIDED_PORT, part_site
     if port_site.port.reversed:
-        return _OUTBOUND_PART_PORT, LinkOrigin(_FROM_PART, part_site)
-    return _INBOUND_PART_PORT, LinkOrigin(_FROM_PROVIDED_PORT, port_site)
+        return _OUTBOUND_PART_PORT, part_site
+    return _INBOUND_PART_PORT, port_site
 
 
 class TypingIndex:
@@ -215,32 +190,26 @@ class TypingIndex:
             found = self._parents[name] = frozenset(seen)
         return found
 
-    def _fold(self, name: str, memo: dict[str, frozenset[str]], attribute: str) -> frozenset[str]:
-        """The union of ``_expanded(c, attribute)`` over the classifier ``name``
-        and all its ancestors, kept in ``memo``, which does not hold ``name`` yet.
+    def _fold(self, name: str, memo: dict[str, frozenset[str]],
+              own: Callable[[str], frozenset[str]]) -> frozenset[str]:
+        """The union of ``own(c)``, what a classifier contributes itself, over
+        the classifier ``name`` and all its ancestors, kept in ``memo``, which
+        does not hold ``name`` yet.
 
-        When every general is in ``memo`` already, the union is taken at once.
-        Otherwise generals are walked in post-order with an explicit stack, so
-        every ancestor's union is built once from its generals' unions and deep
-        hierarchies need no recursion. Results stay small (interface sets),
-        unlike the ancestor sets themselves. A cycle, which only a model
-        failing integrity has, falls back to a walk over :meth:`parents`. A
-        class without generals takes the union of its own references' closures.
+        When ``name`` has no generals, or every general is in ``memo`` already,
+        the union is taken at once. Otherwise generals are walked in post-order
+        with an explicit stack, so every ancestor's union is built once from its
+        generals' unions and deep hierarchies need no recursion. Results stay
+        small (interface sets), unlike the ancestor sets themselves. A cycle,
+        which only a model failing integrity has, falls back to a walk over
+        :meth:`parents`.
         """
-        cls = self.classes.get(name)
-        if cls is not None and not cls.generals:
-            found = memo[name] = self._closures(getattr(cls, attribute))
-            return found
-        expanded = self._expanded
         generals = self._generals(name)
         for general in generals:
             if general not in memo:
                 break
-        else:  # every general is folded already: nothing to walk
-            found = expanded(name, attribute)
-            if generals:
-                found = found.union(*map(memo.__getitem__, generals))
-            memo[name] = found
+        else:  # nothing to walk
+            found = memo[name] = own(name).union(*map(memo.__getitem__, generals))
             return found
         on_path = {name}
         stack = [(name, iter(generals))]
@@ -250,8 +219,7 @@ class TypingIndex:
                 if general in memo:
                     continue
                 if general in on_path:
-                    found = memo[name] = _EMPTY.union(
-                        *(expanded(c, attribute) for c in (name, *self.parents(name))))
+                    found = memo[name] = _EMPTY.union(*map(own, (name, *self.parents(name))))
                     return found
                 on_path.add(general)
                 stack.append((general, iter(self._generals(general))))
@@ -259,27 +227,23 @@ class TypingIndex:
             else:
                 stack.pop()
                 on_path.discard(node)
-                memo[node] = expanded(node, attribute).union(
-                    *(memo[g] for g in self._generals(node)))
+                memo[node] = own(node).union(*(memo[g] for g in self._generals(node)))
         return memo[name]
 
-    def interface_closure(self, name: str) -> frozenset[str]:
-        """The interface itself plus its ancestors, with interface groups rejected."""
-        found = self._interface_closures.get(name)
-        if found is None:
-            iface = self.interfaces.get(name)
-            if iface is not None and not iface.generals:
-                found = _EMPTY if iface.is_group else frozenset((name,))
-            else:
-                found = frozenset(c for c in (name, *self.parents(name))
-                                  if c in self.interfaces and not self.interfaces[c].is_group)
-            self._interface_closures[name] = found
-        return found
+    def _itself(self, name: str) -> frozenset[str]:
+        """An interface's own contribution to closures: itself, unless a group."""
+        iface = self.interfaces.get(name)
+        return _EMPTY if iface is None or iface.is_group else frozenset((name,))
 
-    def _expanded(self, name: str, attribute: str) -> frozenset[str]:
-        """The closures of the interfaces class ``name`` itself realizes or uses."""
+    def _realized(self, name: str) -> frozenset[str]:
+        """The closures of the interfaces class ``name`` itself realizes."""
         cls = self.classes.get(name)
-        return _EMPTY if cls is None else self._closures(getattr(cls, attribute))
+        return _EMPTY if cls is None else self._closures(cls.realizes)
+
+    def _used(self, name: str) -> frozenset[str]:
+        """The closures of the interfaces class ``name`` itself uses."""
+        cls = self.classes.get(name)
+        return _EMPTY if cls is None else self._closures(cls.usages)
 
     def _closures(self, refs: list[str]) -> frozenset[str]:
         """The union of the closures of the interfaces ``refs`` names."""
@@ -289,17 +253,24 @@ class TypingIndex:
             return self.interface_closure(refs[0])
         return _EMPTY.union(*map(self.interface_closure, refs))
 
+    def interface_closure(self, name: str) -> frozenset[str]:
+        """The interface itself plus its ancestors, with interface groups rejected."""
+        found = self._interface_closures.get(name)
+        return found if found is not None else self._fold(name, self._interface_closures,
+                                                          self._itself)
+
     def class_interfaces(self, name: str) -> frozenset[str]:
         """Interfaces a class provides: realized directly or via any ancestor class,
         expanded to the realized interfaces' ancestors, groups rejected."""
         found = self._class_interfaces.get(name)
-        return found if found is not None else self._fold(name, self._class_interfaces, "realizes")
+        return found if found is not None else self._fold(name, self._class_interfaces,
+                                                          self._realized)
 
     def used_interfaces(self, name: str) -> frozenset[str]:
         """Interfaces a class uses, directly or via any ancestor class, expanded
         to the used interfaces' ancestors, groups rejected."""
         found = self._used_interfaces.get(name)
-        return found if found is not None else self._fold(name, self._used_interfaces, "usages")
+        return found if found is not None else self._fold(name, self._used_interfaces, self._used)
 
     def port_interfaces(self, port: Port) -> frozenset[str]:
         """The interfaces a port provides (or requires, when reversed)."""
@@ -369,7 +340,7 @@ class TypingIndex:
                 for idx, conn in enumerate(owner.connectors):
                     s1, s2 = site(conn.end1, parts, ports), site(conn.end2, parts, ports)
                     kind, origin = _classify(s1, s2)
-                    far = None if origin.site is None else s2 if origin.site is s1 else s1
+                    far = None if origin is None else s2 if origin is s1 else s1
                     assoc = self.associations.get(conn.association)
                     link = self._connectors[id(owner), id(conn)] = ConnectorTyping(
                         conn, self.model.connector_path(owner, idx), kind, (s1, s2), origin, far,
@@ -388,42 +359,40 @@ class TypingIndex:
             return self.port_interfaces(site.port)
         return self.class_interfaces(site.part.type)  # an end names one or the other (E006)
 
-    def _carried(self, assoc: Association | None, kind: LinkKind, origin: LinkOrigin,
-                 far: EndSite | None) -> tuple[TransportedSet, tuple[Channel, ...]]:
+    def _carried(self, assoc: Association | None, kind: LinkKind, origin: EndSite | None,
+                 far: EndSite | None) -> tuple[frozenset[str] | None, tuple[Channel, ...]]:
         """A connector's transported set and channels, from one case analysis.
 
         Untyped: intersection of the two end interface sets (a port contributes
         its contract closure, a part the interfaces its class provides), carried
         from the origin. Typed: the closure of the port at the origin (or, for a
         link starting at a part, at the far end) narrowed to the pointed type's
-        closure. Not computable for part-part links, forbidden links, or
+        closure. None (not computable) for part-part links, forbidden links, or
         associations with no navigable end; the last two carry nothing. A typed
         part-part link carries the pointed type's interfaces from its first end,
         and a bidirectional one also end1's type's interfaces back.
         """
         if kind is _FORBIDDEN_KIND:
-            return _NOT_COMPUTABLE, ()
-        site = origin.site
+            return None, ()
         if assoc is None:
-            transported = _NOT_COMPUTABLE if kind is _PART_PART else TransportedSet(
-                self._end_interface_set(site) & self._end_interface_set(far), True)
-            return transported, (Channel(site, far, [(x, deleg_name(x))
-                                                     for x in sorted(transported.interfaces)]),)
+            transported = None if kind is _PART_PART else \
+                self._end_interface_set(origin) & self._end_interface_set(far)
+            return transported, (Channel(origin, far, [(x, deleg_name(x))
+                                                       for x in sorted(transported or ())]),)
         pointed = assoc.pointed_end()
         if pointed is None:
-            return _NOT_COMPUTABLE, ()
+            return None, ()
         name = assoc.name
         carried = self.provided_interfaces(pointed.type)
         if kind is _PART_PART:
-            transported = _NOT_COMPUTABLE
-            channels = [(site, far, carried)]
+            transported = None
+            channels = [(origin, far, carried)]
             if assoc.is_bidirectional:  # end2 is the pointed end; end1's type answers back
-                channels.append((far, site, self.provided_interfaces(assoc.end1.type)))
+                channels.append((far, origin, self.provided_interfaces(assoc.end1.type)))
         else:
-            base = site if site.port is not None else far
-            carried = self.port_interfaces(base.port) & carried
-            transported = TransportedSet(carried, True)
-            channels = [(site, far, carried)]
+            base = origin if origin.port is not None else far
+            transported = carried = self.port_interfaces(base.port) & carried
+            channels = [(origin, far, carried)]
         return transported, tuple(Channel(start, end, [(x, name) for x in sorted(interfaces)])
                                   for start, end, interfaces in channels)
 
@@ -443,9 +412,8 @@ class TypingIndex:
         if found is None:
             links = self.outgoing(port)
             untyped = [link for link in links if link.connector.association is None]
-            _, overlap = pairwise_disjoint_by_cardinality(
-                [link.transported.interfaces for link in untyped])
-            union = _EMPTY.union(*(link.transported.interfaces for link in links))
+            _, overlap = pairwise_disjoint_by_cardinality([link.transported for link in untyped])
+            union = _EMPTY.union(*(link.transported or _EMPTY for link in links))
             found = self._fanouts[id(port)] = (links, untyped, overlap, union,
                                                self.port_interfaces(port) - union)
         return found
@@ -457,11 +425,12 @@ class TypingIndex:
         if self._outgoing is None:
             self._outgoing = {}
             for link in self.links():
-                if link.origin.kind in PORT_ORIGINS:
-                    part, port = link.origin.site.part, link.origin.site.port
+                origin = link.origin
+                if origin is not None and origin.port is not None:
+                    part, port = origin.part, origin.port
                     entry = self._outgoing.get(id(port))
                     if entry is None:  # a part's port is its class's, otherwise the owner's
-                        owner = link.path.partition("#")[0] if part is None else part.type
+                        owner = link.path.rpartition("#")[0] if part is None else part.type
                         entry = self._outgoing[id(port)] = (f"{owner}.{port.name}", port, [])
                     entry[2].append(link)
         return self._outgoing

@@ -150,12 +150,13 @@ def random_wellformed_model(rng: random.Random, max_depth: int = 3) -> Model:
 def provided_origin_connectors(model: Model) -> list[tuple[Class, int]]:
     """(class, index) of every connector starting at a provided port; dropping
     one of these breaks a delivery path without touching any other rule."""
-    from compocheck.type_system import OriginKind, TypingIndex
+    from compocheck.type_system import TypingIndex
 
     index = TypingIndex(model)
     out = []
     for cls, idx, conn in model.iter_connectors():
-        if index.connector(cls, conn).origin.kind is OriginKind.FROM_PROVIDED_PORT:
+        origin = index.connector(cls, conn).origin
+        if origin is not None and origin.port is not None and not origin.port.reversed:
             out.append((cls, idx))
     return out
 
@@ -251,6 +252,19 @@ def gen_chain_model(n: int, cyclic: bool = False) -> Model:
     if cyclic:
         model.classes[0].generals.append(f"K{n - 1}")
     model.root = f"K{n - 1}"
+    return model
+
+
+def interface_chain_model(n: int) -> Model:
+    """An n-deep interface generalization chain ``I0 <- I1 <- ...`` and one
+    class with a provided port per interface, declared deepest first, that
+    uses ``I0``, so W000 asks for every port's closure."""
+    model = Model(interfaces=[Interface(name=f"I{i}", generals=[f"I{i - 1}"] if i else [])
+                              for i in range(n)])
+    model.classes.append(Class(name="C", kind=ClassKind.ACTIVE, usages=["I0"],
+                               ports=[Port(name=f"p{i}", contract=f"I{i}")
+                                      for i in reversed(range(n))]))
+    model.root = "C"
     return model
 
 
@@ -512,6 +526,70 @@ def bidirectional_part_links(rng: random.Random, links: int = 6) -> Model:
         ends = [AssociationEnd(rng.choice(candidates[rng.choice("ab")]), True) for _ in "12"]
         model.associations.append(Association(name, *ends))
         top.connectors.append(Connector(*[EndRef(part) for part in rng.sample("ab", 2)], name))
+    model.classes.append(top)
+    return model
+
+
+_ACROSS_SHAPES = ["client", "server", "up", "down", "self"]
+
+
+def across_links(rng: random.Random, parts: int = 6) -> Model:
+    """A composite ``A`` whose parts' required ports are each linked to a
+    sibling's provided port, untyped or typed by an interface association.
+    A part is a client (a required port), a server (a provided port), a relay
+    that forwards an inner client's required port up or its provided port
+    down to an inner server, or a class that links its own required port to
+    its own provided port and an inner client to that required port. Requests
+    then hop up, across (from a required port to a provided port at the same
+    level) and down."""
+    names = [f"X{i}" for i in range(rng.randint(1, 3))]
+    model = Model(interfaces=[Interface(x, operations=[f"op{x}"]) for x in names],
+                  root="A")
+    for x in names:
+        model.classes += [Class(f"Client{x}", ClassKind.ACTIVE, usages=[x],
+                                ports=[Port("r", x, reversed=True)]),
+                          Class(f"Server{x}", ClassKind.ACTIVE, realizes=[x], ports=[Port("p", x)])]
+    top = Class("A", ClassKind.ACTIVE)
+    required: list[tuple[str, str]] = []
+    provided: list[tuple[str, str]] = []  # (part, interface) of each end to link
+    for k in range(parts):
+        x, shape, name = rng.choice(names), rng.choice(_ACROSS_SHAPES), f"K{k}"
+        if shape in ("client", "server"):
+            top.parts.append(Part(f"k{k}", f"{shape.title()}{x}"))
+        else:
+            cls = Class(name, ClassKind.ACTIVE)
+            if shape == "up":
+                cls.parts.append(Part("s", f"Client{x}"))
+                cls.ports.append(Port("r", x, reversed=True))
+                cls.connectors.append(Connector(EndRef("s", "r"), EndRef(port="r")))
+            elif shape == "down":
+                cls.parts.append(Part("t", f"Server{x}"))
+                cls.ports.append(Port("p", x))
+                cls.connectors.append(Connector(EndRef(port="p"), EndRef("t", "p")))
+            else:
+                cls.realizes.append(x)
+                cls.parts.append(Part("s", f"Client{x}"))
+                cls.ports += [Port("p", x), Port("r", x, reversed=True)]
+                cls.connectors += [Connector(EndRef("s", "r"), EndRef(port="r")),
+                                   Connector(EndRef(port="r"), EndRef(port="p"))]
+            model.classes.append(cls)
+            top.parts.append(Part(f"k{k}", name))
+        if shape in ("client", "up"):
+            required.append((f"k{k}", x))
+        else:
+            provided.append((f"k{k}", x))
+    for part, x in required:
+        if not provided:
+            break
+        target, y = rng.choice(provided)
+        association = None
+        if rng.random() < 0.3:
+            association = f"t{len(model.associations)}"
+            model.associations.append(Association(association, AssociationEnd(x),
+                                                  AssociationEnd(y, navigable=True)))
+        ends = [EndRef(part, "r"), EndRef(target, "p")]
+        rng.shuffle(ends)
+        top.connectors.append(Connector(*ends, association))
     model.classes.append(top)
     return model
 

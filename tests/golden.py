@@ -36,9 +36,10 @@ DSL scanner and the JSON reader that formatted every element path up front,
 except ``parse-json/183``: it was recorded again when a required string set
 to ``null`` became an error, where that reader had dropped the part
 ``$.classes[1].parts[1]`` unreported. The ``explain/mutant/...`` digests were
-recorded while a connector's origin and transported set were still records
-with a kind and a computable flag beside the end and the set. ``test_golden.py`` recomputes them. To record them again,
-only when an output change is intended::
+recorded while a connector's origin was a record of an origin kind and an end,
+and its transported set a record of a set and a computable flag.
+``test_golden.py`` recomputes them. To record them again, only when an output
+change is intended::
 
     PYTHONPATH=src python tests/golden.py
 """

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compocheck import cli
+from compocheck import cli, parse_dsl, serialize_json
 from compocheck.cli import main
 
 from conftest import ATM, BROKEN, DELEGATION, FIXTURES, LEAF, MIXED_CONCURRENCY
@@ -246,6 +246,25 @@ def test_explain_of_a_forbidden_link_names_no_origin(tmp_path):
     assert run_cli("explain", str(path), "C#0") == (0, (
         "element: C#0\nends: ['a.p', 'b.p']\nkind: forbidden\norigin: undirected\n"
         "transported: None\nassociation: None\n"))
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_fan_out_findings_name_a_class_whose_name_contains_a_hash(tmp_path, output):
+    # a JSON model may name a class "C#x"; its connector paths are then "C#x#0"
+    model = parse_dsl("interface I { op f; }\ninterface J { op g; }\ninterface IJ : I, J { }\n"
+                      "class L active { realizes I; }\n"
+                      "class C active { part l: L; port b: IJ; connector self.b , l; }\n")
+    model.classes[1].name = "C#x"
+    path = tmp_path / "hash.csm.json"
+    path.write_text(serialize_json(model), encoding="utf-8")
+    code, out = run_cli("check", str(path), "--output", output)
+    assert code == 1
+    if output == "json":
+        assert [(d["code"], d["subject"], d["related"]) for d in json.loads(out)["diagnostics"]] \
+            == [("W008", "C#x.b", ["C#x#0"])]
+    else:
+        assert out.startswith("W008 error: C#x.b: links out of this port transport {I} ") \
+            and out.endswith("(related: C#x#0)\ncheck: FAILED (1 error(s), 0 warning(s))\n")
 
 
 @pytest.mark.parametrize("path", [" ", "A. "])

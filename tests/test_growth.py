@@ -5,7 +5,7 @@ which is not on shared hosts: linear name scans (``Model.find_*`` and
 ``Class.find_*``), of which integrity validation, deleg synthesis and
 ``check_model`` make none, connector records read by instantiation and
 the classes whose channels they read, links looked up per port by the
-fan-out rules (W007, W008), reads of a holder's creation order
+fan-out rules (W007, W008), ancestors walked for interface closures, reads of a holder's creation order
 (``InstanceGraph.holder_seq``), hop derivations (``simulator._route``),
 attribute reads of bindings and comparisons against request paths for
 routing, and runs of the front stages, which each command makes once per
@@ -30,10 +30,10 @@ from compocheck.simulator import (
     instantiate,
     run_to_quiescence,
 )
-from compocheck.type_system import PORT_ORIGINS, TypingIndex
+from compocheck.type_system import TypingIndex
 
 from conftest import DELEGATION, prepare, prepare_model
-from generators import flat_model, gen_chain_model, relay_chain_model
+from generators import flat_model, gen_chain_model, interface_chain_model, relay_chain_model
 
 FINDERS = [(model_layer.Model, name) for name in
            ("find_interface", "find_class", "find_association", "find_classifier")]
@@ -121,8 +121,8 @@ def test_binding_plans_are_built_only_for_classes_with_connectors(monkeypatch):
 def test_fan_out_rules_look_up_only_ports_that_originate_a_link(monkeypatch):
     model = prepare(DELEGATION.read_text(encoding="utf-8"))
     index = TypingIndex(model)
-    originating = {id(link.origin.site.port) for link in index.links()
-                   if link.origin.kind in PORT_ORIGINS}
+    originating = {id(link.origin.port) for link in index.links()
+                   if link.origin is not None and link.origin.port is not None}
     assert len(originating) < sum(len(cls.ports) for cls in model.classes)
     asked = []
     monkeypatch.setattr(index, "outgoing",
@@ -130,6 +130,31 @@ def test_fan_out_rules_look_up_only_ports_that_originate_a_link(monkeypatch):
     rules.rule_pairwise_disjoint(index)
     rules.rule_completeness(index)
     assert sorted(asked) == sorted(originating)  # once each: W008 reads W007's fan-outs
+
+
+def ancestors_walked(monkeypatch, n: int) -> int:
+    """The summed size of the ancestor sets ``TypingIndex.parents`` returns
+    while an ``n``-deep interface chain model is prepared and checked."""
+    walked = 0
+    parents = TypingIndex.parents
+
+    def counted(index, name):
+        nonlocal walked
+        found = parents(index, name)
+        walked += len(found)
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TypingIndex, "parents", counted)
+        report = rules.run_rules(rules.prepare(interface_chain_model(n)))
+    assert report.stats == {"W000": n}
+    return walked
+
+
+def test_interface_closures_grow_at_most_linearly_with_chain_depth(monkeypatch):
+    # an ancestor walk per port's interface would return ~n²/2 names in all
+    small, large = ancestors_walked(monkeypatch, 100), ancestors_walked(monkeypatch, 400)
+    assert large <= 5 * small
 
 
 @pytest.mark.parametrize("root", ["Flat", "Pool"])

@@ -277,7 +277,8 @@ def test_records_are_slotted_and_take_no_other_attributes(delegation_text):
     records = [model, model.interfaces[0], cls, cls.parts[0], cls.ports[0], cls.connectors[0],
                cls.connectors[0].end1, model.associations[0], model.associations[0].end1,
                validate_integrity(Model(root="Nowhere"))[0], parse_error,
-               link.ends[0], link.origin, link.transported, cls.parts[0].span, parse_error.span]
+               link, link.ends[0], link.origin, link.transported, link.channels[0],
+               cls.parts[0].span, parse_error.span]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         # Frozen slotted dataclasses raise TypeError here on some Pythons.
@@ -291,6 +292,7 @@ def test_value_records_are_named_tuples(delegation_text):
     span = model.classes[-1].span
     assert span == ("d.csm", 22, 7) and str(span) == "d.csm:22:7"
     link = TypingIndex(model).links()[0]
-    assert tuple(link.transported) == (link.transported.interfaces, link.transported.computable)
-    assert link.origin == (link.origin.kind, link.origin.site)
+    assert link == (link.connector, link.path, link.kind, link.ends, link.origin, link.far,
+                    link.association, link.transported, link.channels)
+    assert link.channels[0] == (link.origin, link.far, link.channels[0].pairs)
     assert link.ends[0] == (link.connector.end1, None, link.ends[0].port, True)

@@ -23,6 +23,7 @@ from compocheck.simulator import ENVIRONMENT
 import oracles
 from conftest import DELEGATION, prepare, prepare_model
 from generators import (
+    across_links,
     bidirectional_part_links,
     drop_connector,
     flat_model,
@@ -178,6 +179,8 @@ def _generated(family: str, seed: int):
     rng = random.Random(seed)
     if family == "bidirectional":
         return bidirectional_part_links(rng), "C"
+    if family == "across":
+        return across_links(rng), "A"
     model = random_wellformed_model(rng)
     if family == "scrambled":
         scramble_typing(rng, model, rng.randint(1, 6))
@@ -185,7 +188,7 @@ def _generated(family: str, seed: int):
 
 
 @pytest.mark.parametrize("family,seeds", [("wellformed", 40), ("scrambled", 300),
-                                          ("bidirectional", 40)])
+                                          ("bidirectional", 40), ("across", 60)])
 def test_bindings_match_the_reference_with_every_rule_downgraded(family, seeds):
     # Forbidden and misfit links reach instantiation too; typed part-part
     # links must bind their pointed type from their first end, and a
@@ -201,7 +204,8 @@ def test_bindings_match_the_reference_with_every_rule_downgraded(family, seeds):
         assert binding_tuples(graph) == oracles.expected_bindings(model, root), seed
         part_part += sum(b.holder in graph.components and b.target in graph.components
                          for b in graph.bindings)
-    assert (part_part > 0) == (family != "wellformed")  # well-formed models link no two parts
+    # well-formed and across models link no two parts
+    assert (part_part > 0) == (family in ("scrambled", "bidirectional"))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 12])
@@ -501,11 +505,13 @@ def _direction_graphs(family: str, count: int = 60):
 
 
 @pytest.mark.parametrize("family,kinds_seen", [
-    ("wellformed", {"up", "down"}),  # the generators link no required port to a provided one
+    # of the generators, only across_links links a required port to a provided one
+    ("wellformed", {"up", "down"}),
     ("dropped", {"up", "down"}),
     ("scrambled", {"up", "down"}),
     ("bidirectional", set()),  # part-part links only
     ("assembly", {"up", "across", "down"}),
+    ("across", {"up", "across", "down"}),
 ])
 def test_every_hop_between_ports_goes_up_across_or_down(family, kinds_seen):
     """The direction argument that makes every run end: out of a required port
