@@ -32,6 +32,7 @@ from .model import (
     Port,
     UnknownPathError,
     resolve,
+    split_path,
     synthesize_deleg_associations,  # unused: perfbench's tracer patches it
     validate_integrity,  # unused: perfbench's tracer patches it
 )
@@ -189,7 +190,7 @@ def _describe_connector(link: ConnectorTyping) -> dict:
 def _describe_port(index: TypingIndex, cls: Class, port: Port) -> dict:
     links, _, overlap, _, missing = index.fanout(port)
     return {
-        "element": f"{cls.name}.{port.name}",
+        "element": index.model.member_path(cls, port.name),
         "contract": port.contract,
         "reversed": port.reversed,
         "closure": sorted(index.port_interfaces(port)),
@@ -201,11 +202,11 @@ def _describe_port(index: TypingIndex, cls: Class, port: Port) -> dict:
     }
 
 
-def _describe_element(index: TypingIndex, path: str, element) -> dict:
+def _describe_element(index: TypingIndex, path: str, element, owner: Class | None) -> dict:
     if isinstance(element, Connector):
-        return _describe_connector(index.connector(index.classes[path.partition("#")[0]], element))
+        return _describe_connector(index.connector(owner, element))
     if isinstance(element, Port):
-        return _describe_port(index, index.classes[path.partition(".")[0]], element)
+        return _describe_port(index, owner, element)
     if isinstance(element, Part):
         return {
             "element": path,
@@ -233,7 +234,7 @@ def _describe_element(index: TypingIndex, path: str, element) -> dict:
 
 def cmd_explain(args, out) -> int:
     path = args.element
-    name, sep, member = path.partition("#" if "#" in path else ".")
+    name, sep, member = split_path(path)
     if not name or (sep and not member):
         print(f"error: explain needs a name on each side of '{sep}' in {path!r}" if path
               else "error: explain needs a non-empty element path", file=out)
@@ -242,11 +243,11 @@ def cmd_explain(args, out) -> int:
     if index is None:
         return code
     try:
-        element = resolve(index.model, args.element)
+        element, owner = resolve(index.model, path)
     except UnknownPathError as exc:
         _reject(args, exc.diagnostics, out)
         return EXIT_FINDINGS
-    info = _describe_element(index, args.element, element)
+    info = _describe_element(index, path, element, owner)
     if args.output == "json":
         print(json.dumps(info, indent=2), file=out)
     else:

@@ -194,6 +194,9 @@ class Model:
     def connector_path(self, cls: Class, index: int) -> str:
         return f"{cls.name}#{index}"
 
+    def member_path(self, cls: Class, name: str) -> str:
+        return f"{cls.name}.{name}"
+
     def iter_connectors(self):
         """Yield (owning class, index, connector) in declaration order."""
         for cls in self.classes:
@@ -332,6 +335,7 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
     interfaces = _by_name(model.interfaces)
     classes = _by_name(model.classes)
     port_names: dict[int, set[str]] = {}  # id(class) -> its port names, once an end reads them
+    member = model.member_path
     # A connector may name a deleg_I association before synthesis adds it.
     connector_types = {a.name for a in model.associations} | {
         deleg_name(i.name) for i in interfaces.values() if not i.is_group}
@@ -360,7 +364,7 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
     for cls in model.classes:
         if len(cls.parts) + len(cls.ports) > 1:
             for name in _duplicates([p.name for p in cls.parts] + [p.name for p in cls.ports]):
-                emit("E002", f"{cls.name}.{name}", f"class '{cls.name}' declares '{name}' more than once")
+                emit("E002", member(cls, name), f"class '{cls.name}' declares '{name}' more than once")
         for gen in cls.generals:
             if gen not in classes:
                 misplaced(gen, cls.name, "general '{0}' of class '{1}' is not a class",
@@ -375,18 +379,18 @@ def validate_integrity(model: Model) -> list[Diagnostic]:
                           "'{1}' uses undeclared interface '{0}'", cls.name)
         for attr in cls.attributes:
             if attr.type not in declared:
-                emit("E001", f"{cls.name}.{attr.name}", f"attribute type '{attr.type}' is not declared")
+                emit("E001", member(cls, attr.name), f"attribute type '{attr.type}' is not declared")
         for part in cls.parts:
             if part.type not in classes:
-                misplaced(part.type, f"{cls.name}.{part.name}",
+                misplaced(part.type, member(cls, part.name),
                           "part '{1}' is typed by '{0}', which is not a class",
                           "part '{1}' is typed by undeclared class '{0}'", part.name)
             if part.multiplicity < 1:
-                emit("E007", f"{cls.name}.{part.name}",
+                emit("E007", member(cls, part.name),
                      f"part '{part.name}' has multiplicity {part.multiplicity}; it must be at least 1")
         for port in cls.ports:
             if port.contract not in interfaces:
-                misplaced(port.contract, f"{cls.name}.{port.name}",
+                misplaced(port.contract, member(cls, port.name),
                           "port contract '{0}' is not an interface",
                           "port '{1}' has undeclared contract '{0}'", port.name)
         if not cls.connectors:
@@ -489,39 +493,52 @@ def without_synthesized(model: Model) -> Model:
                                         if not a.is_deleg_default])
 
 
-def resolve(model: Model, path: str):
-    """Look up an element by path: ``Name``, ``Class.member`` or ``Class#index``.
+def split_path(path: str) -> tuple[str, str, str]:
+    """The first reading of an element path: split at its first ``#``, else at
+    its first ``.``, as ``(name, separator, rest)``; ``(path, '', '')`` if neither."""
+    return path.partition("#" if "#" in path else ".")
 
-    Returns the Interface/Class/Association/Part/Port/Connector, or raises
-    :class:`UnknownPathError` (code E005).
-    """
-    def fail(message: str):
-        raise UnknownPathError([error("E005", path, message)])
 
-    if "#" in path:
-        cls_name, _, index_text = path.partition("#")
-        cls = model.find_class(cls_name)
-        if cls is None:
-            fail(f"no class named '{cls_name}'")
-        try:  # ASCII digits only: int() also takes blanks, signs, '_' and other digits
-            index = int(index_text) if index_text.isascii() and index_text.isdigit() else None
-        except ValueError:  # more digits than int() converts
-            index = None
-        if index is None:
-            fail(f"'{index_text}' is not a connector index")
-        if not 0 <= index < len(cls.connectors):
-            fail(f"class '{cls_name}' has {len(cls.connectors)} connectors; index {index} is out of range")
-        return cls.connectors[index]
-    if "." in path:
-        cls_name, _, member = path.partition(".")
-        cls = model.find_class(cls_name)
-        if cls is None:
-            fail(f"no class named '{cls_name}'")
-        element = cls.find_part(member) or cls.find_port(member)
+def _lookup(model: Model, name: str, sep: str, rest: str):
+    """The element and owner one reading of a path names, or why none is named."""
+    if not sep:
+        element = model.find_classifier(name)
+        return f"no element named '{name}'" if element is None else (element, None)
+    cls = model.find_class(name)
+    if cls is None:
+        return f"no class named '{name}'"
+    if sep == ".":
+        element = cls.find_part(rest) or cls.find_port(rest)
         if element is None:
-            fail(f"class '{cls_name}' has no part or port named '{member}'")
-        return element
-    element = model.find_classifier(path)
-    if element is None:
-        fail(f"no element named '{path}'")
-    return element
+            return f"class '{name}' has no part or port named '{rest}'"
+        return element, cls
+    try:  # ASCII digits only: int() also takes blanks, signs, '_' and other digits
+        index = int(rest) if rest.isascii() and rest.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        index = None
+    if index is None:
+        return f"'{rest}' is not a connector index"
+    if not 0 <= index < len(cls.connectors):
+        return f"class '{name}' has {len(cls.connectors)} connectors; index {index} is out of range"
+    return cls.connectors[index], cls
+
+
+def resolve(model: Model, path: str) -> tuple:
+    """The element a path names, as ``Model.connector_path`` and
+    ``Model.member_path`` print them (``Name``, ``Class.member``, ``Class#index``),
+    and the class declaring it (None for a classifier).
+
+    Names may hold ``#`` and ``.``: when the :func:`split_path` reading names
+    nothing, the path is split at each other ``#`` or ``.`` from the left, then
+    read whole, and the first reading that names an element wins. If none does,
+    raises :class:`UnknownPathError` (code E005) saying why the first failed.
+    """
+    first = len(split_path(path)[0])
+    others = [i for i, char in enumerate(path) if char in "#." and i != first]
+    failure = None
+    for cut in dict.fromkeys([first, *others, len(path)]):
+        found = _lookup(model, path[:cut], path[cut:cut + 1], path[cut + 1:])
+        if found.__class__ is not str:
+            return found
+        failure = failure or found
+    raise UnknownPathError([error("E005", path, failure)])

@@ -35,7 +35,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Severity, error
-from .model import (Class, ClassKind, IntegrityError, Model, Port, synthesize_deleg_associations,
+from .model import (Class, ClassKind, IntegrityError, Model, synthesize_deleg_associations,
                     validate_integrity)
 from .type_system import ConnectorTyping, LinkKind, TypingIndex
 
@@ -72,10 +72,6 @@ def code_counts(diagnostics: list[Diagnostic]) -> dict[str, int]:
 def _fmt_set(names: Iterable[str]) -> str:
     inner = ", ".join(sorted(names))
     return "{" + inner + "}"
-
-
-def _port_path(cls: Class, port: Port) -> str:
-    return f"{cls.name}.{port.name}"
 
 
 def rule_unidirectional(index: TypingIndex) -> list[Diagnostic]:
@@ -116,7 +112,7 @@ def rule_unidirectional(index: TypingIndex) -> list[Diagnostic]:
                     f"carry outgoing requests")
             if reasons:
                 diags.append(error(
-                    "W000", _port_path(cls, port),
+                    "W000", index.model.member_path(cls, port.name),
                     "port is effectively bidirectional: " + "; ".join(reasons)
                     + ". Split it into a provided port and a reversed (required) port.",
                 ))
@@ -324,7 +320,7 @@ def _composite_finding(index: TypingIndex, cls: Class) -> Diagnostic | None:
     observer parts (W011). Protected composites are exempt, so
     :func:`_composite_findings` passes none.
     """
-    part_kinds = [(f"{cls.name}.{part.name}", part_cls.kind) for part in cls.parts
+    part_kinds = [(part.name, part_cls.kind) for part in cls.parts
                   if (part_cls := index.classes.get(part.type)) is not None]
     kind = cls.kind
     if kind is _PASSIVE:
@@ -337,7 +333,7 @@ def _composite_finding(index: TypingIndex, cls: Class) -> Diagnostic | None:
         code, allowed = "W010", (_ACTIVE, _PROTECTED)
         why = ("must contain either only passive parts or only active and protected parts; "
                "mark shared passive parts as protected to make the structure valid")
-    offenders = [path for path, k in part_kinds if k not in allowed]
+    offenders = [index.model.member_path(cls, name) for name, k in part_kinds if k not in allowed]
     if not offenders:
         return None
     return error(code, cls.name, f"{kind.value} composite '{cls.name}' {why}", offenders)
@@ -382,7 +378,8 @@ def _report_notes(index: TypingIndex) -> list[str]:
     for cls in index.model.classes:
         for port in cls.ports:
             if id(port) not in touched:
-                notes.append(f"port {cls.name}.{port.name} is not connected to any link")
+                notes.append(f"port {index.model.member_path(cls, port.name)} is not connected "
+                             f"to any link")
     for cls in index.model.classes:
         if cls.kind is _PROTECTED and cls.is_composite:
             notes.append(f"composite {cls.name} is protected; no concurrency rule constrains "

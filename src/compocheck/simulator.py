@@ -54,6 +54,8 @@ ENVIRONMENT = "environment"
 # than these.
 MAX_INSTANCES = 1_000_000
 MAX_BINDINGS = 1_000_000
+_TAKEN = ("two instances would get the id '{}': rename a part or port whose name holds "
+          "'.', '[' or ']'")
 
 
 class SimError(Exception):
@@ -298,13 +300,19 @@ def _create(graph: InstanceGraph, root: Class, plans: dict[str, list[Channel]]) 
 
 def _add_instance(graph: InstanceGraph, cls: Class, instance_id: str, seq: int) -> int:
     """Create an instance and its ports, numbered after ``seq``; returns the
-    last seq used."""
+    last seq used. Names may hold '.', '[' and ']', so an id may be taken
+    already, by a component or a port: that is refused."""
+    components, ports = graph.components, graph.ports
     seq += 1
-    graph.components[instance_id] = ComponentInstance(cls.name, seq)
-    ports = graph.ports
+    if instance_id in ports or components.setdefault(
+            instance_id, ComponentInstance(cls.name, seq)).seq != seq:
+        raise SimError(_TAKEN.format(instance_id))
     for port in cls.ports:
         seq += 1
-        ports[f"{instance_id}.{port.name}"] = PortInstance(instance_id, port, seq)
+        port_id = f"{instance_id}.{port.name}"
+        if port_id in components or ports.setdefault(
+                port_id, PortInstance(instance_id, port, seq)).seq != seq:
+            raise SimError(_TAKEN.format(port_id))
     return seq
 
 

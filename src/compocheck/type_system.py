@@ -17,9 +17,10 @@ the simulator need to know about a model's typing:
   typed with an association (a link that starts at a port therefore never
   transports more than that port's closure); and its ``channels``, what
   the simulator binds in each run-time direction;
-* the ports that originate a link, each with its outgoing records
-  (:meth:`TypingIndex.port_origins`), and per port the fan-out that W007, W008
-  and ``explain`` read (:meth:`TypingIndex.fanout`);
+* the ports that originate a link, each with its element path and the links
+  out of it, filed as the records are built (:meth:`TypingIndex.port_origins`),
+  and per port the fan-out that W007, W008 and ``explain`` read
+  (:meth:`TypingIndex.fanout`);
 * compatibility predicates between link ends and association ends.
 
 :class:`~compocheck.model.Model` is mutable, so an index is a snapshot:
@@ -166,7 +167,7 @@ class TypingIndex:
         self._ports: dict[int, dict[str, Port]] = {}
         self._links: list[ConnectorTyping] | None = None
         self._connectors: dict[tuple[int, int], ConnectorTyping] = {}
-        self._outgoing: dict[int, tuple[str, Port, list[ConnectorTyping]]] | None = None
+        self._origins: dict[int, tuple[str, Port, list[ConnectorTyping]]] = {}
         self._fanouts: dict[int, tuple] = {}
 
     # --- closures ------------------------------------------------------------
@@ -329,11 +330,12 @@ class TypingIndex:
 
     def links(self) -> list[ConnectorTyping]:
         """The record of every connector of the model, in ``Model.iter_connectors``
-        order, each built once. Do not mutate."""
+        order, each built once; a link that starts at a port is also filed under
+        that port (see :meth:`port_origins`). Do not mutate."""
         if self._links is None:
             links = []
-            site = self._site
-            for owner in self.model.classes:
+            site, origins, model = self._site, self._origins, self.model
+            for owner in model.classes:
                 if not owner.connectors:
                     continue
                 parts, ports = _by_name(owner.parts), self._ports_of(owner)
@@ -343,9 +345,15 @@ class TypingIndex:
                     far = None if origin is None else s2 if origin is s1 else s1
                     assoc = self.associations.get(conn.association)
                     link = self._connectors[id(owner), id(conn)] = ConnectorTyping(
-                        conn, self.model.connector_path(owner, idx), kind, (s1, s2), origin, far,
+                        conn, model.connector_path(owner, idx), kind, (s1, s2), origin, far,
                         assoc, *self._carried(assoc, kind, origin, far))
                     links.append(link)
+                    if origin is not None and (port := origin.port) is not None:
+                        entry = origins.get(id(port))
+                        if entry is None:  # a part's port is its class's, otherwise the owner's
+                            cls = owner if origin.part is None else self.classes[origin.part.type]
+                            entry = origins[id(port)] = (model.member_path(cls, port.name), port, [])
+                        entry[2].append(link)
             self._links = links
         return self._links
 
@@ -396,21 +404,16 @@ class TypingIndex:
         return transported, tuple(Channel(start, end, [(x, name) for x in sorted(interfaces)])
                                   for start, end, interfaces in channels)
 
-    def outgoing(self, port: Port) -> list[ConnectorTyping]:
-        """The records of the connectors anywhere in the model that originate at
-        this port declaration, in ``Model.iter_connectors`` order. Do not mutate."""
-        entry = self.port_origins().get(id(port))
-        return [] if entry is None else entry[2]
-
     def fanout(self, port: Port) -> tuple[list[ConnectorTyping], list[ConnectorTyping], set[str],
                                           frozenset[str], frozenset[str]]:
-        """The links out of a port (:meth:`outgoing`), the untyped ones among
-        them, the interfaces two untyped ones both transport, the union of what
-        all of them transport, and the part of the port's closure that union
-        misses; derived once per port. Do not mutate."""
+        """The records of the links out of a port (see :meth:`port_origins`),
+        the untyped ones among them, the interfaces two untyped ones both
+        transport, the union of what all of them transport, and the part of the
+        port's closure that union misses; derived once per port. Do not mutate."""
         found = self._fanouts.get(id(port))
         if found is None:
-            links = self.outgoing(port)
+            entry = self.port_origins().get(id(port))
+            links = [] if entry is None else entry[2]
             untyped = [link for link in links if link.connector.association is None]
             _, overlap = pairwise_disjoint_by_cardinality([link.transported for link in untyped])
             union = _EMPTY.union(*(link.transported or _EMPTY for link in links))
@@ -421,19 +424,10 @@ class TypingIndex:
     def port_origins(self) -> dict[int, tuple[str, Port, list[ConnectorTyping]]]:
         """Each port declaration that originates a link, keyed by ``id``, in the
         order of its first link: its element path (``Class.port``), the port and
-        its :meth:`outgoing` records. Built once. Do not mutate."""
-        if self._outgoing is None:
-            self._outgoing = {}
-            for link in self.links():
-                origin = link.origin
-                if origin is not None and origin.port is not None:
-                    part, port = origin.part, origin.port
-                    entry = self._outgoing.get(id(port))
-                    if entry is None:  # a part's port is its class's, otherwise the owner's
-                        owner = link.path.rpartition("#")[0] if part is None else part.type
-                        entry = self._outgoing[id(port)] = (f"{owner}.{port.name}", port, [])
-                    entry[2].append(link)
-        return self._outgoing
+        the records of the links out of it, in ``Model.iter_connectors`` order,
+        filed by :meth:`links`. Do not mutate."""
+        self.links()
+        return self._origins
 
 
 def pairwise_disjoint_by_cardinality(sets: list[frozenset[str]] | list[set[str]]) -> tuple[bool, set[str]]:

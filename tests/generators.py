@@ -509,6 +509,42 @@ def scramble_typing(rng: random.Random, model: Model, mutations: int) -> Model:
     return model
 
 
+def separate_names(rng: random.Random, model: Model) -> Model:
+    """Insert a ``#`` or a ``.`` inside most class, part and port names of
+    ``model``, in place, with every reference to them following; return it.
+    Element paths may then be split at more than one place."""
+    def inside(name: str) -> str:
+        if len(name) < 2 or rng.random() < 0.2:
+            return name
+        cut = rng.randint(1, len(name) - 1)
+        return name[:cut] + rng.choice("#.") + name[cut:]
+
+    classes = {cls.name: inside(cls.name) for cls in model.classes}
+    ports = {(cls.name, port.name): inside(port.name) for cls in model.classes
+             for port in cls.ports}
+    for cls in model.classes:
+        parts = {part.name: (inside(part.name), part.type) for part in cls.parts}
+        for conn in cls.connectors:
+            for ref in (conn.end1, conn.end2):
+                if ref.port is not None:
+                    holder = cls.name if ref.part is None else parts[ref.part][1]
+                    ref.port = ports[holder, ref.port]
+                if ref.part is not None:
+                    ref.part = parts[ref.part][0]
+        for part in cls.parts:
+            part.name, part.type = parts[part.name][0], classes[part.type]
+        for port in cls.ports:
+            port.name = ports[cls.name, port.name]
+        cls.generals = [classes[name] for name in cls.generals]
+    for cls in model.classes:
+        cls.name = classes[cls.name]
+    for assoc in model.associations:
+        for end in (assoc.end1, assoc.end2):
+            end.type = classes.get(end.type, end.type)
+    model.root = classes.get(model.root, model.root)
+    return model
+
+
 def bidirectional_part_links(rng: random.Random, links: int = 6) -> Model:
     """A composite whose part-part links are each typed by a bidirectional
     association of their own. Each association end is drawn, for one of the

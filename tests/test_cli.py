@@ -16,15 +16,22 @@ from hypothesis import strategies as st
 
 from compocheck import cli, parse_dsl, serialize_json
 from compocheck.cli import main
+from compocheck.model import resolve
+from compocheck.rules import prepare as prepare_index, run_rules
 
 from conftest import ATM, BROKEN, DELEGATION, FIXTURES, LEAF, MIXED_CONCURRENCY
 from generators import (
     corrupt_dsl,
     model_to_dsl,
     mutate_json_document,
+    random_fanout_port_model,
+    random_wellformed_model,
     relay_chain_model,
+    scramble_typing,
+    separate_names,
     token_soup,
 )
+from mutants import MUTATION_PAIRS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -267,6 +274,76 @@ def test_fan_out_findings_name_a_class_whose_name_contains_a_hash(tmp_path, outp
             and out.endswith("(related: C#x#0)\ncheck: FAILED (1 error(s), 0 warning(s))\n")
 
 
+def _separated_models():
+    """(case, model) pairs: the violating side of every ``MUTATION_PAIRS``
+    entry, well-formed seeds, most with scrambled typing, and fan-out seeds,
+    their class, part and port names split by ``#`` or ``.``."""
+    for code, (text, _) in sorted(MUTATION_PAIRS.items()):
+        yield code, separate_names(random.Random(code), parse_dsl(text))
+    for seed in range(80):
+        rng = random.Random(seed)
+        model = random_wellformed_model(rng)
+        if seed % 4:
+            scramble_typing(rng, model, rng.randint(1, 6))
+        yield f"wellformed-{seed}", separate_names(rng, model)
+    for seed in range(10):
+        rng = random.Random(seed)
+        yield f"fanout-{seed}", separate_names(rng, random_fanout_port_model(rng)[0])
+
+
+def _elements_by_path(model) -> dict | None:
+    """Each element ``resolve`` finds, by the path ``check`` prints for it, or
+    None when two elements print the same path."""
+    pairs = [(element.name, element)
+             for element in model.interfaces + model.classes + model.associations]
+    for cls in model.classes:
+        pairs += [(f"{cls.name}.{member.name}", member) for member in cls.parts + cls.ports]
+        pairs += [(f"{cls.name}#{i}", conn) for i, conn in enumerate(cls.connectors)]
+    found = dict(pairs)
+    return found if len(found) == len(pairs) else None
+
+
+def test_every_path_check_prints_resolves_to_its_element(tmp_path):
+    codes, split = set(), 0
+    for case, model in _separated_models():
+        index = prepare_index(model)
+        elements = _elements_by_path(index.model)
+        assert elements is not None, case  # else a path could name either of two elements
+        report = run_rules(index)
+        paths = [path for d in report.diagnostics for path in (d.subject, *d.related)]
+        paths += [note[len("port "):-len(" is not connected to any link")]
+                  for note in report.notes if note.startswith("port ")]
+        codes.update(d.code for d in report.diagnostics)
+        file = tmp_path / f"{case}.csm.json"
+        file.write_text(serialize_json(model), encoding="utf-8")
+        for path in dict.fromkeys(paths):
+            assert resolve(index.model, path)[0] is elements[path], (case, path)
+            code, out = run_cli("explain", str(file), path, "--output", "json")
+            assert code == 0 and json.loads(out)["element"] == path, (case, path, out)
+            split += path.count("#") + path.count(".") > 1  # more than one way to split
+    assert codes == {f"W{code:03d}" for code in range(12)}
+    assert split, "no path could be split at more than one place"
+
+
+@pytest.mark.parametrize("name,path,element", [
+    ("C#x", "C#x#0", {"element": "C#x#0", "ends": ["self.b", "l"]}),
+    ("C#x", "C#x.b", {"element": "C#x.b", "contract": "IJ"}),
+    ("C#x", "C#x", {"element": "C#x", "kind": "active"}),
+    ("C.x", "C.x.b", {"element": "C.x.b", "contract": "IJ"}),
+    ("C.x", "C.x", {"element": "C.x", "kind": "active"}),
+])
+def test_explain_names_an_element_of_a_class_whose_name_holds_a_hash_or_a_dot(
+        tmp_path, name, path, element):
+    model = parse_dsl("interface I { op f; }\ninterface J { op g; }\ninterface IJ : I, J { }\n"
+                      "class L active { realizes I; }\n"
+                      "class C active { part l: L; port b: IJ; connector self.b , l; }\n")
+    model.classes[1].name = name
+    file = tmp_path / "named.csm.json"
+    file.write_text(serialize_json(model), encoding="utf-8")
+    code, out = run_cli("explain", str(file), path, "--output", "json")
+    assert code == 0 and element.items() <= json.loads(out).items()
+
+
 @pytest.mark.parametrize("path", [" ", "A. "])
 def test_explain_reports_a_blank_name_as_unknown(path):
     # a JSON model may name an element " ", so a blank name is looked up
@@ -332,6 +409,23 @@ def test_simulate_refuses_a_huge_binding_count_before_allocating():
     code, out = run_cli("simulate", str(huge), "--root", "A")
     assert code == 2
     assert out.splitlines() == ["error: root 'A' would have more than 1000000 bindings"]
+
+
+def test_simulate_refuses_an_instance_id_taken_twice(tmp_path):
+    # part "p[0]" beside part "p" of multiplicity 2, and port "x.y" beside
+    # part "x" with port "y": each model passes check
+    colliding = Path(__file__).parent / "limits" / "colliding_ids.csm.json"
+    model = parse_dsl("interface I { op f; }\ninterface J { op g; }\n"
+                      "class K active { realizes J; port y: J; }\n"
+                      "class A active { realizes I; part x: K; port z: I; }\n")
+    model.classes[1].ports[0].name = "x.y"
+    (tmp_path / "port.csm.json").write_text(serialize_json(model), encoding="utf-8")
+    for path, taken in [(colliding, "A.p[0]"), (tmp_path / "port.csm.json", "A.x.y")]:
+        assert run_cli("check", str(path))[0] == 0
+        code, out = run_cli("simulate", str(path), "--root", "A")
+        assert (code, out.splitlines()) == (2, [
+            f"error: two instances would get the id '{taken}': rename a part or port whose "
+            "name holds '.', '[' or ']'"])
 
 
 def test_unexpected_errors_exit_2_with_one_line_and_no_traceback(monkeypatch, capsys):

@@ -124,12 +124,16 @@ def test_fan_out_rules_look_up_only_ports_that_originate_a_link(monkeypatch):
     originating = {id(link.origin.port) for link in index.links()
                    if link.origin is not None and link.origin.port is not None}
     assert len(originating) < sum(len(cls.ports) for cls in model.classes)
-    asked = []
-    monkeypatch.setattr(index, "outgoing",
-                        lambda port, outgoing=index.outgoing: asked.append(id(port)) or outgoing(port))
+    calls = []  # (id of the port asked about, the fan-out returned)
+    monkeypatch.setattr(index, "fanout", lambda port, fanout=index.fanout:
+                        calls.append((id(port), fanout(port))) or calls[-1][1])
     rules.rule_pairwise_disjoint(index)
+    w007 = dict(calls)
+    assert len(calls) == len(w007) and w007.keys() == originating  # each originating port once
+    calls.clear()
     rules.rule_completeness(index)
-    assert sorted(asked) == sorted(originating)  # once each: W008 reads W007's fan-outs
+    assert [port for port, _ in calls] == list(w007)
+    assert all(found is w007[port] for port, found in calls)  # derived once: W008 reads W007's
 
 
 def ancestors_walked(monkeypatch, n: int) -> int:

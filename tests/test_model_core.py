@@ -224,19 +224,20 @@ def test_deleg_name_helper():
 
 class TestResolve:
     def test_part_and_port_paths(self, delegation_model):
-        part = resolve(delegation_model, "A.d")
-        assert isinstance(part, Part) and part.type == "D"
-        port = resolve(delegation_model, "A.pIJL")
-        assert isinstance(port, Port) and port.contract == "IJL"
+        owner = delegation_model.find_class("A")
+        part, part_owner = resolve(delegation_model, "A.d")
+        assert isinstance(part, Part) and part.type == "D" and part_owner is owner
+        port, port_owner = resolve(delegation_model, "A.pIJL")
+        assert isinstance(port, Port) and port.contract == "IJL" and port_owner is owner
 
     def test_connector_index(self, delegation_model):
-        conn = resolve(delegation_model, "A#0")
-        assert isinstance(conn, Connector)
+        conn, owner = resolve(delegation_model, "A#0")
+        assert isinstance(conn, Connector) and owner is delegation_model.find_class("A")
         assert conn.end1.port == "pIJL" and conn.end2.part == "d"
 
     def test_classifier_name(self, delegation_model):
-        iface = resolve(delegation_model, "IJL")
-        assert isinstance(iface, Interface) and iface.is_group
+        iface, owner = resolve(delegation_model, "IJL")
+        assert isinstance(iface, Interface) and iface.is_group and owner is None
 
     @pytest.mark.parametrize("path", ["Nope.x", "A.zz", "A#99", "A#x", "Zzz", "A# 0", "A#+0",
                                       "A#0_0", "A#-0", "A#\u0660", "A#0 ", "Nope#0",
@@ -245,6 +246,46 @@ class TestResolve:
         with pytest.raises(UnknownPathError) as err:
             resolve(delegation_model, path)
         assert codes(err.value.diagnostics) == {"E005"}
+
+    @pytest.mark.parametrize("path,message", [
+        ("Nope.x", "no class named 'Nope'"),
+        ("A.zz", "class 'A' has no part or port named 'zz'"),
+        ("A#99", "class 'A' has 5 connectors; index 99 is out of range"),
+        ("A#x", "'x' is not a connector index"),
+        ("Zzz", "no element named 'Zzz'"),
+        ("A.d.x", "class 'A' has no part or port named 'd.x'"),
+        ("A#0.x", "'0.x' is not a connector index"),
+        ("A#0#1", "'0#1' is not a connector index"),
+        ("A.pIJL#0", "no class named 'A.pIJL'"),
+        ("Nope#x.y", "no class named 'Nope'"),
+    ])
+    def test_a_failing_path_reports_why_its_first_reading_fails(self, delegation_model, path,
+                                                                message):
+        with pytest.raises(UnknownPathError) as err:
+            resolve(delegation_model, path)
+        assert [(d.subject, d.message) for d in err.value.diagnostics] == [(path, message)]
+
+    def test_names_holding_a_hash_or_a_dot_resolve(self):
+        model = parse_dsl("interface I { op f; }\nclass L active { realizes I; }\n"
+                          "class C active { part l: L; port b: I; connector self.b , l; }\n"
+                          "class D active { part l: L; port q: I; connector self.q , l; }\n")
+        hashed, dotted = model.classes[1], model.classes[2]
+        hashed.name, dotted.name = "C#x", "C.x"
+        assert resolve(model, "C#x") == (hashed, None)
+        assert resolve(model, "C#x#0") == (hashed.connectors[0], hashed)
+        assert resolve(model, "C#x.b") == (hashed.ports[0], hashed)
+        assert resolve(model, "C.x") == (dotted, None)
+        assert resolve(model, "C.x.q") == (dotted.ports[0], dotted)
+        assert resolve(model, "C.x#0") == (dotted.connectors[0], dotted)
+
+    def test_where_two_elements_print_one_path_the_first_reading_wins(self):
+        model = parse_dsl("interface I { op f; }\nclass L active { realizes I; }\n"
+                          "class A active { part b: L; }\nclass B active { part c: L; }\n")
+        a, b = model.classes[1], model.classes[2]
+        a.parts[0].name, b.name = "b.c", "A.b"  # both print "A.b.c"
+        assert resolve(model, "A.b.c") == (a.parts[0], a)
+        b.name = "A.b.c"  # a classifier printing the same path
+        assert resolve(model, "A.b.c") == (a.parts[0], a)
 
 
 @pytest.mark.parametrize("derived_first", [False, True])

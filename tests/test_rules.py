@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from compocheck import Model, Severity, TypingIndex, check_model, parse_dsl, rules
 from compocheck.cli import _describe_port
-from compocheck.model import DelegConflictError, validate_integrity
+from compocheck.model import DelegConflictError, resolve, validate_integrity
 from compocheck.rules import prepare as prepare_index, rule_pairwise_disjoint, run_rules
 from compocheck.type_system import pairwise_disjoint_by_cardinality
 
@@ -420,7 +420,9 @@ def test_explain_agrees_with_w007_and_w008_at_every_originating_port(seed):
     index = prepare_index(random_fanout_port_model(random.Random(seed))[0])
     fired = {(d.code, d.subject) for d in run_rules(index).diagnostics}
     for path, port, _ in index.port_origins().values():
-        view = _describe_port(index, index.classes[path.partition(".")[0]], port)
+        found, owner = resolve(index.model, path)
+        assert found is port
+        view = _describe_port(index, owner, port)
         assert view["element"] == path
         assert view["disjoint"] == (("W007", path) not in fired)
         assert view["complete"] == (("W008", path) not in fired)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,10 +16,12 @@ from compocheck import (
     default_injection_suite,
     inject,
     instantiate,
+    parse_dsl,
     run_to_quiescence,
     step,
 )
-from compocheck.simulator import ENVIRONMENT
+from compocheck.rules import prepare as prepare_index, run_rules
+from compocheck.simulator import ENVIRONMENT, build_graph
 
 import oracles
 from conftest import DELEGATION, prepare, prepare_model
@@ -206,6 +209,62 @@ def test_bindings_match_the_reference_with_every_rule_downgraded(family, seeds):
                          for b in graph.bindings)
     # well-formed and across models link no two parts
     assert (part_part > 0) == (family in ("scrambled", "bidirectional"))
+
+
+def _w008_gap_models():
+    """Well-formed seeds, each also with every connector dropped in turn, and
+    well-formed seeds with scrambled typing, unprepared."""
+    for seed in range(60):
+        model = random_wellformed_model(random.Random(seed))
+        yield model
+        for cls in model.classes:
+            for idx in range(len(cls.connectors)):
+                yield drop_connector(model, cls.name, idx)
+    for seed in range(300):
+        rng = random.Random(seed)
+        yield scramble_typing(rng, random_wellformed_model(rng), rng.randint(1, 6))
+
+
+def test_every_stuck_request_sits_at_a_port_check_points_at_or_at_the_stated_limit():
+    # simulate downgrades W008, so it runs every model that passes check with
+    # W008 downgraded. Each request its default suite leaves stuck must sit at
+    # a port check points at (a W008 finding missing the request's interface,
+    # or a note), or at a composite's provided port that links touch only as a
+    # far end, the limit README states.
+    sits = Counter()
+    for model in _w008_gap_models():
+        try:
+            index = prepare_index(model)
+        except DelegConflictError:
+            continue
+        report = run_rules(index, {"W008"})
+        if not report.passed:
+            continue
+        graph = build_graph(index, model.root, {"W008"})
+        for location, interface in default_injection_suite(graph):
+            inject(graph, location, interface)
+        run_to_quiescence(graph)
+        w008 = {d.subject for d in report.diagnostics if d.code == "W008"}
+        noted = {note[len("port "):-len(" is not connected to any link")]
+                 for note in report.notes if note.startswith("port ")}
+        far_ends = {id(link.far.port) for link in index.links()
+                    if link.far is not None and link.far.port is not None}
+        for request in graph.requests.values():
+            if request.status is not RequestStatus.STUCK:
+                continue
+            held = graph.ports.get(request.location)
+            assert held is not None, request.stuck_reason
+            port, cls = held.declaration, graph.component_class(held.owner)
+            path = f"{cls.name}.{port.name}"
+            if path in w008 and request.interface in index.fanout(port)[4]:
+                sits["W008"] += 1
+            elif path in noted:
+                sits["note"] += 1
+            else:
+                assert not port.reversed and cls.is_composite and id(port) in far_ends \
+                    and id(port) not in index.port_origins(), (path, request.stuck_reason)
+                sits["far end only"] += 1
+    assert sits["W008"] and sits["note"] and sits["far end only"], sits
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 12])
@@ -423,6 +482,40 @@ def test_stuck_at_component_when_receiver_lacks_the_interface():
     assert graph.requests[rid].stuck_reason == \
         "component 'Duo.wj' of class 'WJ' does not provide interface 'I'"
     assert not check_type_safety(trace, graph).passed
+
+
+# A part or port name holding '.', '[' or ']' can repeat another instance's id:
+# (DSL text, (kind of A's element, its index, its new name), the id taken twice).
+COLLIDING_IDS = {
+    "part beside a part's instance": (
+        "class L active { realizes I; }\nclass M active { }\n"
+        "class A active { part p: L x2; part q: M; port b: I; connector self.b , p; }\n",
+        ("parts", 1, "p[0]"), "A.p[0]"),
+    "port beside a part's port": (
+        "class K active { realizes J; port y: J; }\n"
+        "class A active { realizes I; part x: K; port z: I; }\n",
+        ("ports", 0, "x.y"), "A.x.y"),
+    "part beside a part's port": (
+        "class K active { realizes J; port y: J; }\nclass L active { realizes I; }\n"
+        "class A active { part x: K; part z: L; }\n",
+        ("parts", 1, "x.y"), "A.x.y"),
+    "part's port beside a part": (
+        "class K active { realizes J; port y: J; }\nclass L active { realizes I; }\n"
+        "class A active { part z: L; part x: K; }\n",
+        ("parts", 0, "x.y"), "A.x.y"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLIDING_IDS))
+def test_an_instance_id_taken_twice_is_refused(case):
+    text, (kind, idx, name), taken = COLLIDING_IDS[case]
+    model = parse_dsl("interface I { op f; }\ninterface J { op g; }\n" + text)
+    getattr(model.find_class("A"), kind)[idx].name = name
+    assert check_model(model).passed
+    with pytest.raises(SimError) as err:
+        instantiate(model, "A")
+    assert str(err.value) == (f"two instances would get the id '{taken}': rename a part or "
+                              "port whose name holds '.', '[' or ']'")
 
 
 def _grafted_delegation_text() -> str:

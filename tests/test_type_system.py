@@ -359,7 +359,7 @@ def test_connector_records_match_the_linear_lookups():
             for port in cls.ports:
                 expected = [link for link in links if link.origin is not None
                             and link.origin.port is port]
-                got = index.outgoing(port)
+                got = index.fanout(port)[0]
                 assert len(got) == len(expected), (case, cls.name, port.name)
                 assert all(a is b for a, b in zip(got, expected)), (case, cls.name, port.name)
 
