@@ -234,19 +234,19 @@ def _describe_element(index: TypingIndex, path: str, element, owner: Class | Non
 
 def cmd_explain(args, out) -> int:
     path = args.element
-    name, sep, member = split_path(path)
-    if not name or (sep and not member):
-        print(f"error: explain needs a name on each side of '{sep}' in {path!r}" if path
-              else "error: explain needs a non-empty element path", file=out)
-        return EXIT_INPUT
     index, code = _prepare(args, out)
     if index is None:
         return code
     try:
         element, owner = resolve(index.model, path)
     except UnknownPathError as exc:
-        _reject(args, exc.diagnostics, out)
-        return EXIT_FINDINGS
+        name, sep, member = split_path(path)
+        if name and (member or not sep):
+            _reject(args, exc.diagnostics, out)
+            return EXIT_FINDINGS
+        print(f"error: explain needs a name on each side of '{sep}' in {path!r}" if path
+              else "error: explain needs a non-empty element path", file=out)
+        return EXIT_INPUT
     info = _describe_element(index, path, element, owner)
     if args.output == "json":
         print(json.dumps(info, indent=2), file=out)
@@ -265,11 +265,16 @@ def cmd_explain(args, out) -> int:
     return EXIT_OK
 
 
-def _parse_injections(specs: list[str]) -> list[tuple[str, str]]:
+def _parse_injections(graph, specs: list[str]) -> list[tuple[str, str]]:
+    """Split each spec at its last ':' that follows an instance id, else at its
+    last ':'; names may hold ':' too."""
     pairs = []
     for spec in specs:
-        location, sep, interface = spec.rpartition(":")
-        if not sep or not location or not interface:
+        cuts = [i for i in reversed(range(len(spec))) if spec[i] == ":"]
+        cut = next((i for i in cuts if spec[:i] in graph.ports or spec[:i] in graph.components),
+                   spec.rfind(":"))
+        location, interface = spec[:cut], spec[cut + 1:]
+        if cut < 0 or not location or not interface:
             raise SimError(f"--inject expects LOCATION:INTERFACE, got {spec!r}")
         pairs.append((location, interface))
     return pairs
@@ -289,7 +294,7 @@ def cmd_simulate(args, out) -> int:
     downgrade = _downgrade_codes(args) | {"W008"}
     try:
         graph = build_graph(index, root, downgrade=downgrade)
-        injections = (_parse_injections(args.inject) if args.inject
+        injections = (_parse_injections(graph, args.inject) if args.inject
                       else default_injection_suite(graph))
         for location, interface in injections:
             inject(graph, location, interface)

@@ -30,13 +30,15 @@ down, to a part or a part's provided port, or to its owner; a request that
 reaches a component stops there. So a path climbs, crosses at most once,
 then descends.
 
-Bindings are filed by (holder, interface), the key a hop is routed by. Where
-a hop out of a holder goes depends only on that key's bindings, so each
-(holder, interface) hop is routed once, the first time a step needs it, and
-kept in the graph's hop table together with what happens on arrival at each
-target. Routing alone judges whether a component receiver provides a
-request's interface; the safety check re-reads only the requests that left
-to the environment.
+A hop is keyed by (holder, interface), and where it goes depends only on the
+bindings out of that holder for that interface. Since no binding is made
+after instantiation, each binding routes its hop as it is made: the graph's
+hop table holds, per bound key, the binding name and what happens on arrival
+at each target. A hop no binding covers (a hand-off to the owner or the
+environment, or a stuck request) is derived the first time a step needs it.
+Routing alone judges whether a component receiver provides a request's
+interface; the safety check re-reads only the requests that left to the
+environment.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ class DelegBinding:
 class Request:
     id: int
     interface: str
-    operation: str
     location: str
     status: RequestStatus = RequestStatus.IN_TRANSIT
     stuck_reason: str | None = None
@@ -166,10 +167,9 @@ class InstanceGraph:
     ``part_instances`` lists the component ids of each part, keyed by
     (parent id, part name), in creation order.
 
-    ``bindings`` lists every binding in creation order; the binding index
-    files the same bindings by (holder id, interface), in the same order.
-    Only instantiation makes bindings, along directed links (see the module
-    docstring): no path revisits a port, and no hop table entry goes stale.
+    ``bindings`` lists every binding in creation order. Only instantiation
+    makes bindings, along directed links (see the module docstring): no path
+    revisits a port, and no hop table entry goes stale.
 
     Only :func:`inject` and :func:`step` change a request's status or
     location, and the run queue holds exactly the in-transit requests, as
@@ -181,9 +181,10 @@ class InstanceGraph:
     that cannot leave the holder, or to ``(via, [(target, arrival), ...])``.
     An arrival is ``RequestStatus.DELIVERED``, a component's stuck reason, the
     target port's creation seq (the request stays in transit), or None for a
-    request a root port hands to the environment. Hops are routed when a step
-    first needs them. ``exited`` holds the ids of the requests that left to
-    the environment.
+    request a root port hands to the environment. Instantiation routes every
+    (holder, interface) key of ``bindings``; a step adds any other key it
+    meets. ``exited`` holds the ids of the requests that left to the
+    environment.
     """
 
     def __init__(self, typing: TypingIndex, root_id: str):
@@ -193,7 +194,6 @@ class InstanceGraph:
         self.part_instances: dict[tuple[str, str], list[str]] = {}
         self.ports: dict[str, PortInstance] = {}
         self.bindings: list[DelegBinding] = []
-        self._bindings_by_hop: dict[tuple[str, str], list[DelegBinding]] = {}
         self._hops: dict[tuple[str, str], tuple | str] = {}
         self.requests: dict[int, Request] = {}
         self.exited: set[int] = set()
@@ -340,21 +340,29 @@ def _site_holder_ids(graph: InstanceGraph, composite_id: str, ref: EndRef) -> li
 
 
 def _bind_connectors(graph: InstanceGraph, plan: list[Channel], instance_id: str) -> None:
-    """File each binding in ``graph.bindings`` and under its hop key."""
-    bindings, by_hop = graph.bindings, graph._bindings_by_hop
+    """Append each binding to ``graph.bindings`` and route its hop as it is
+    made. A channel's arrivals per interface are derived once for all its
+    holders. In creation order, the first binding out of a holder names its
+    hop, except that out of a port the first ``deleg_I`` binding takes the hop
+    over; later bindings under the hop's name add their targets."""
+    bindings, hops = graph.bindings, graph._hops
     for origin, far, pairs in plan:
         holders = _site_holder_ids(graph, instance_id, origin.ref)
         targets = _site_holder_ids(graph, instance_id, far.ref)
+        from_port = origin.ref.port is not None
         for x, name in pairs:
+            arrivals = [(target, _arrival(graph, target, x)) for target in targets]
+            takes_over = from_port and name == deleg_name(x)
             for holder in holders:
-                filed = by_hop.setdefault((holder, x), [])
-                for target in targets:
-                    binding = DelegBinding(holder, name, target, x)
-                    bindings.append(binding)
-                    filed.append(binding)
+                bindings.extend([DelegBinding(holder, name, target, x) for target in targets])
+                hop = hops.get((holder, x))
+                if hop is None or (takes_over and hop[0] != name):
+                    hops[(holder, x)] = (name, arrivals[:])  # a copy: it may be extended
+                elif hop[0] == name:
+                    hop[1].extend(arrivals)
 
 
-def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None = None) -> int:
+def inject(graph: InstanceGraph, at: str, interface: str) -> int:
     """Queue a request at a port or component instance; returns the request id.
 
     A port only accepts interfaces in its contract closure, and a component
@@ -370,11 +378,7 @@ def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None 
     elif interface not in graph.typing.interface_closure(interface):  # undeclared or a group
         raise SimError(f"component '{at}' cannot take interface '{interface}': the model "
                        f"declares no such non-group interface")
-    if operation is None:
-        iface = graph.typing.interfaces.get(interface)
-        operation = iface.operations[0] if iface is not None and iface.operations else "op"
-    request = Request(id=graph._next_request, interface=interface, operation=operation,
-                      location=at, path=[at])
+    request = Request(id=graph._next_request, interface=interface, location=at, path=[at])
     graph._next_request += 1
     graph.requests[request.id] = request
     graph.enqueue(request)
@@ -382,30 +386,21 @@ def inject(graph: InstanceGraph, at: str, interface: str, operation: str | None 
 
 
 def _route(graph: InstanceGraph, source: str, interface: str
-           ) -> tuple[str | None, list[tuple[str, RequestStatus | str | int | None]]] | str:
-    """The hop table entry for ``interface`` leaving ``source``: the binding
-    name and each target with its arrival, or a stuck reason."""
-    candidates = graph._bindings_by_hop.get((source, interface), [])
+           ) -> tuple[None, list[tuple[str, RequestStatus | str | None]]] | str:
+    """The hop table entry for ``interface`` leaving ``source`` when no binding
+    routed it: a hand-off to the owner or the environment, or a stuck reason."""
     port = graph.ports.get(source)
-    if port is not None:
-        deleg = deleg_name(interface)
-        candidates = [b for b in candidates if b.association == deleg] or candidates
-    if candidates:
-        via = candidates[0].association
-        targets = [b.target for b in candidates if b.association == via]
-    elif port is None:
+    if port is None:
         return f"component '{source}' has no channel for interface '{interface}'"
-    elif not port.declaration.reversed:
-        owner_cls = graph.component_class(port.owner)
-        if owner_cls.is_composite:
-            return (f"no forwarding destination for interface '{interface}' "
-                    f"inside composite '{owner_cls.name}'")
-        via, targets = None, [port.owner]
-    elif port.owner == graph.root_id:
-        return None, [(ENVIRONMENT, None)]
-    else:
+    if port.declaration.reversed:
+        if port.owner == graph.root_id:
+            return None, [(ENVIRONMENT, None)]
         return f"required port has no outgoing channel for interface '{interface}'"
-    return via, [(target, _arrival(graph, target, interface)) for target in targets]
+    owner_cls = graph.component_class(port.owner)
+    if owner_cls.is_composite:
+        return (f"no forwarding destination for interface '{interface}' "
+                f"inside composite '{owner_cls.name}'")
+    return None, [(port.owner, _arrival(graph, port.owner, interface))]
 
 
 def _arrival(graph: InstanceGraph, target: str, interface: str) -> RequestStatus | str | int:
@@ -435,7 +430,7 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
     interface = request.interface
     key = (source, interface)
     hop = graph._hops.get(key)
-    if hop is None:
+    if hop is None:  # no binding leaves the holder with this interface
         hop = graph._hops[key] = _route(graph, source, interface)
     if hop.__class__ is str:
         request.status = _STUCK
@@ -450,8 +445,7 @@ def step(graph: InstanceGraph) -> list[TraceEvent]:
     for target, arrival in arrivals:
         if mover is None:  # a further target: its clone is built with its final path
             mover = requests[clone_id] = Request(
-                clone_id, interface, request.operation, target, _IN_TRANSIT,
-                None, [*path, target])
+                clone_id, interface, target, _IN_TRANSIT, None, [*path, target])
             clone_id += 1
         else:
             mover.location = target

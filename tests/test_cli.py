@@ -245,6 +245,21 @@ def test_explain_refuses_an_element_path_with_an_empty_name(output, path, sep):
         (2, f"error: explain needs a name on each side of '{sep}' in {path!r}\n")
 
 
+# Passive composites "C#" and "K." (W009), and an interface "a:b" that A.p
+# forwards to the part A.l.
+SEPARATOR_NAMES = Path(__file__).parent / "limits" / "separator_names.csm.json"
+
+
+def test_explain_resolves_a_path_check_prints_before_asking_for_a_name():
+    code, out = run_cli("check", str(SEPARATOR_NAMES), "--output", "json")
+    paths = {path for diag in json.loads(out)["diagnostics"]
+             for path in [diag["subject"], *diag["related"]]}
+    assert code == 1 and paths == {"C#", "C#.l", "K.", "K..l"}
+    for path in sorted(paths):
+        code, out = run_cli("explain", str(SEPARATOR_NAMES), path, "--output", "json")
+        assert code == 0 and json.loads(out)["element"] == path, path
+
+
 def test_explain_of_a_forbidden_link_names_no_origin(tmp_path):
     path = tmp_path / "forbidden.csm"
     path.write_text("interface I { op f; }\nclass P active { realizes I; port p: I; }\n"
@@ -529,6 +544,15 @@ def test_simulate_rejects_injections_of_undeclared_interfaces_at_components(inte
     assert run_cli("simulate", str(DELEGATION), "--root", "A", "--inject", f"A:{interface}") == \
         (2, f"error: component 'A' cannot take interface '{interface}': the model declares no "
             f"such non-group interface\n")
+
+
+def test_an_injected_interface_name_may_hold_a_colon():
+    # "A.p:a" names no instance, so the spec is split at its earlier ':'
+    code, out = run_cli("simulate", str(SEPARATOR_NAMES), "--root", "A", "--downgrade", "W009",
+                        "--inject", "A.p:a:b", "--output", "json")
+    assert code == 0
+    assert json.loads(out.splitlines()[0]) == \
+        {"step": 1, "request": 1, "from": "A.p", "to": "A.l", "via": "deleg_a:b"}
 
 
 @pytest.mark.parametrize("spec", ["A.pIJL", ":I", "A.pIJL:"])

@@ -533,16 +533,43 @@ def _grafted_delegation_text() -> str:
     ) + "assoc toD ( J , J nav );\n"
 
 
+# Out of A.a, a typed link and two untyped ones carry I: the untyped ones win
+# and share the hop. Each t[k] binds I under two names: the first wins. Each
+# p[k].r is bound in P, across to p[k].q, and again by A, up to A.o (W007).
+SHARED = """
+interface I { op f; }
+class T active { realizes I; }
+class U active { realizes I; }
+class P active { realizes I; port r: I reversed; port q: I; connector self.r , self.q; }
+class A active {
+  part p: P x2; part t: T x2; part u: U;
+  port a: I; port o: I reversed;
+  connector self.a , p.q via toQ; connector self.a , t; connector self.a , u;
+  connector p.r , self.o;
+  connector t , u via first; connector t , u via second;
+}
+assoc toQ ( I , I nav );
+assoc first ( T , U nav );
+assoc second ( T , U nav );
+"""
+
+
 def _stepping_graph(case: str, seed: int):
     """A well-formed model, the same model with one connector dropped so that
-    some requests get stuck, a flat fan-out, the delegation fixture, or its
-    grafted form (:func:`_grafted_delegation_text`)."""
+    some requests get stuck, a scrambled or an across-links model with every
+    rule downgraded, a flat fan-out, the delegation fixture, its grafted form
+    (:func:`_grafted_delegation_text`), or :data:`SHARED`."""
     if case == "flat":
         return instantiate(prepare_model(flat_model(30)), "Flat")
     if case == "delegation":
         return instantiate(prepare(DELEGATION.read_text(encoding="utf-8")), "A")
     if case == "grafted":
         return instantiate(prepare(_grafted_delegation_text()), "A", downgrade={"W004"})
+    if case == "shared":
+        return instantiate(prepare(SHARED), "A", downgrade={"W007"})
+    if case in ("scrambled", "across"):
+        model, root = _generated(case, seed)
+        return instantiate(prepare_model(model), root, downgrade=EVERY_RULE)
     model = prepare_model(random_wellformed_model(random.Random(seed)))
     if case == "dropped":
         cls, index = random.Random(seed).choice(provided_origin_connectors(model))
@@ -635,15 +662,30 @@ def test_every_hop_between_ports_goes_up_across_or_down(family, kinds_seen):
     assert {kind for kind, count in kinds.items() if count} == kinds_seen, kinds
 
 
+def _outcome(arrival) -> tuple[str, str | None]:
+    """The hop oracle's (status, stuck reason) for a hop table arrival."""
+    if arrival is RequestStatus.DELIVERED:
+        return "delivered", None
+    return ("stuck", arrival) if isinstance(arrival, str) else ("inTransit", None)
+
+
 @pytest.mark.parametrize("case,seed", [("wellformed", s) for s in range(60)]
                          + [("dropped", s) for s in range(60)]
-                         + [("flat", 0), ("delegation", 0), ("grafted", 0)])
+                         + [("scrambled", s) for s in range(40)]
+                         + [("across", s) for s in range(30)]
+                         + [("flat", 0), ("delegation", 0), ("grafted", 0), ("shared", 0)])
 def test_each_step_moves_the_oracles_pick(case, seed):
-    """Each step moves the request the scheduler oracle picks, along the hop
-    the hop oracle derives, with the statuses, stuck reasons and paths it
+    """Instantiation routes exactly the bound hops, as the hop oracle derives
+    them. Each step moves the request the scheduler oracle picks, along the
+    hop the hop oracle derives, with the statuses, stuck reasons and paths it
     predicts."""
     graph = _stepping_graph(case, seed)
     rng = random.Random(seed)
+    assert graph._hops.keys() == {(b.holder, b.interface) for b in graph.bindings}
+    for (holder, interface), (via, arrivals) in graph._hops.items():
+        at = oracles.hop_oracle(graph, simulator.Request(0, interface, holder))
+        assert at == (via, [target for target, _ in arrivals],
+                      [_outcome(arrival) for _, arrival in arrivals])
 
     def checked_step() -> bool:
         expected = oracles.next_request_oracle(graph)
