@@ -5,6 +5,9 @@ and connectors) against a fixed rule set (W000-W011), derives the typing of
 every connector (link kind, origin, transported interface set), and executes
 the default port-forwarding semantics over an instantiated structure to verify
 that every request reaches a receiver providing its interface.
+
+The simulator's exports are imported on first use (a module ``__getattr__``),
+so a caller that only checks models never loads :mod:`compocheck.simulator`.
 """
 
 __version__ = "0.1.0"
@@ -34,23 +37,13 @@ from .model import (
     without_synthesized,
 )
 from .rules import CheckReport, check_model
-from .simulator import (
-    DelegBinding,
-    InstanceGraph,
-    Request,
-    RequestStatus,
-    SafetyReport,
-    SimError,
-    Trace,
-    TraceEvent,
-    check_type_safety,
-    default_injection_suite,
-    inject,
-    instantiate,
-    run_to_quiescence,
-    step,
-)
 from .type_system import LinkKind, TypingIndex, parents_of
+
+_SIMULATOR_EXPORTS = (
+    "DelegBinding", "InstanceGraph", "Request", "RequestStatus", "SafetyReport", "SimError", "Trace",
+    "TraceEvent", "check_type_safety", "default_injection_suite", "inject", "instantiate",
+    "run_to_quiescence", "step",
+)
 
 __all__ = [
     "__version__",
@@ -62,7 +55,12 @@ __all__ = [
     "without_synthesized",
     "CheckReport", "check_model",
     "LinkKind", "TypingIndex", "parents_of",
-    "DelegBinding", "InstanceGraph", "Request", "RequestStatus", "SafetyReport", "SimError", "Trace",
-    "TraceEvent", "check_type_safety", "default_injection_suite", "inject", "instantiate",
-    "run_to_quiescence", "step",
+    *_SIMULATOR_EXPORTS,
 ]
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_EXPORTS:
+        from . import simulator
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,6 +8,9 @@ standard output closed by its reader ends the command with no report).
 With ``--output json``, integrity errors and deleg conflicts (E004) are printed
 as a failed check report, and so is an ``explain`` path that does not resolve
 (E005, exit 1); parse and read failures carry no diagnostic code and stay text.
+
+Only ``simulate`` imports :mod:`compocheck.simulator`, when it runs, so a
+``check`` or ``explain`` call never loads it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
@@ -33,31 +37,33 @@ from .model import (
     UnknownPathError,
     resolve,
     split_path,
-    synthesize_deleg_associations,  # unused: perfbench's tracer patches it
-    validate_integrity,  # unused: perfbench's tracer patches it
 )
-from .rules import (
-    CheckReport,
-    _fmt_set,
-    check_model,  # unused: perfbench's tracer patches it
-    code_counts,
-    prepare,
-    run_rules,
-)
-from .simulator import (
-    SimError,
-    build_graph,
-    check_type_safety,
-    default_injection_suite,
-    inject,
-    instantiate,  # unused: perfbench's tracer patches it
-    run_to_quiescence,
-)
+from .rules import CheckReport, _fmt_set, code_counts, prepare, run_rules
 from .type_system import ConnectorTyping, TypingIndex
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_INPUT = 2
+
+# The functions perfbench's tracer wraps on this module besides ``main``, by
+# the module that defines each. No command calls them by these names: they
+# resolve on first read (a module ``__getattr__``), so that ``check`` and
+# ``explain`` need not import the simulator. ``simulate`` calls the
+# simulator through its module's attributes, which the tracer wraps too.
+_TRACED = {
+    "check_model": ".rules",
+    "validate_integrity": ".model",
+    "synthesize_deleg_associations": ".model",
+    "instantiate": ".simulator",
+    "run_to_quiescence": ".simulator",
+    "check_type_safety": ".simulator",
+}
+
+
+def __getattr__(name: str):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_TRACED[name], __package__), name)
 
 
 class _Palette:
@@ -268,6 +274,8 @@ def cmd_explain(args, out) -> int:
 def _parse_injections(graph, specs: list[str]) -> list[tuple[str, str]]:
     """Split each spec at its last ':' that follows an instance id, else at its
     last ':'; names may hold ':' too."""
+    from . import simulator
+
     pairs = []
     for spec in specs:
         cuts = [i for i in reversed(range(len(spec))) if spec[i] == ":"]
@@ -275,7 +283,7 @@ def _parse_injections(graph, specs: list[str]) -> list[tuple[str, str]]:
                    spec.rfind(":"))
         location, interface = spec[:cut], spec[cut + 1:]
         if cut < 0 or not location or not interface:
-            raise SimError(f"--inject expects LOCATION:INTERFACE, got {spec!r}")
+            raise simulator.SimError(f"--inject expects LOCATION:INTERFACE, got {spec!r}")
         pairs.append((location, interface))
     return pairs
 
@@ -292,17 +300,19 @@ def cmd_simulate(args, out) -> int:
     # Completeness findings (W008) surface at run time as stuck requests, so
     # they are downgraded here and the simulation is allowed to demonstrate them.
     downgrade = _downgrade_codes(args) | {"W008"}
+    from . import simulator
+
     try:
-        graph = build_graph(index, root, downgrade=downgrade)
+        graph = simulator.build_graph(index, root, downgrade=downgrade)
         injections = (_parse_injections(graph, args.inject) if args.inject
-                      else default_injection_suite(graph))
+                      else simulator.default_injection_suite(graph))
         for location, interface in injections:
-            inject(graph, location, interface)
-        trace = run_to_quiescence(graph)
-    except SimError as exc:
+            simulator.inject(graph, location, interface)
+        trace = simulator.run_to_quiescence(graph)
+    except simulator.SimError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_INPUT
-    safety = check_type_safety(trace, graph)
+    safety = simulator.check_type_safety(trace, graph)
     if args.output == "json":
         for event in trace.events:
             print(json.dumps(event.to_dict()), file=out)

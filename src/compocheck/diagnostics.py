@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from enum import Enum
+
+from .records import record
 
 
 class Severity(str, Enum):
@@ -21,7 +22,7 @@ class SourceSpan(namedtuple("SourceSpan", "file line column")):
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(slots=True)
+@record
 class Diagnostic:
     """One finding: stable code, severity, offending element path and explanation.
 
@@ -33,7 +34,7 @@ class Diagnostic:
     severity: Severity
     subject: str
     message: str
-    related: list[str] = field(default_factory=list)
+    related: list[str] = []
 
     def sort_key(self) -> tuple[str, str]:
         return (self.subject, self.code)

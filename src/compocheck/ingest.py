@@ -46,8 +46,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields as dataclass_fields
-
 from .diagnostics import SourceSpan
 from .model import (
     Association,
@@ -62,6 +60,7 @@ from .model import (
     Part,
     Port,
 )
+from .records import record
 
 FORMAT_VERSION = 1
 
@@ -70,7 +69,7 @@ _PASSIVE = ClassKind.PASSIVE.value
 _MULT_RE = re.compile(r"^x(\d+)$")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class ParseError:
     span: SourceSpan
     message: str
@@ -594,7 +593,7 @@ def _derive_build(record: type, fields: tuple):
             lines.append(f"    a{i} = test{i}({read})")
             value = f"a{i}"
         values[_RECORD_FIELD.get(key, key)] = value
-    args = ", ".join(values[field.name] for field in dataclass_fields(record)[:len(fields)])
+    args = ", ".join(values[name] for name in record.__match_args__[:len(fields)])
     lines.append(f"    return record({args})")
     exec(compile("\n".join(lines), f"<builder of {record.__name__}>", "exec"), namespace)
     return namespace["build"]

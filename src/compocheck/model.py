@@ -15,10 +15,10 @@ adds the ones a model omits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .diagnostics import Diagnostic, SourceSpan, error
+from .records import record, replace, uncompared
 
 DELEG_PREFIX = "deleg_"
 
@@ -34,40 +34,40 @@ class ClassKind(str, Enum):
     OBSERVER = "observer"
 
 
-@dataclass(slots=True)
+@record
 class Interface:
     name: str
-    generals: list[str] = field(default_factory=list)
+    generals: list[str] = []
     is_group: bool = False
-    operations: list[str] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    operations: list[str] = []
+    span: SourceSpan | None = uncompared(None)
 
 
-@dataclass(slots=True)
+@record
 class Attribute:
     name: str
     type: str
 
 
-@dataclass(slots=True)
+@record
 class Part:
     """A role-named instance slot inside a composite class."""
 
     name: str
     type: str
     multiplicity: int = 1
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: SourceSpan | None = uncompared(None)
 
 
-@dataclass(slots=True)
+@record
 class Port:
     name: str
     contract: str
     reversed: bool = False
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: SourceSpan | None = uncompared(None)
 
 
-@dataclass(slots=True)
+@record
 class EndRef:
     """One connector end: a part, a port of a part, or a port of the owner.
 
@@ -87,27 +87,27 @@ class EndRef:
         return f"self.{self.port}"  # integrity refuses an end with neither (E006)
 
 
-@dataclass(slots=True)
+@record
 class Connector:
     end1: EndRef
     end2: EndRef
     association: str | None = None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: SourceSpan | None = uncompared(None)
 
 
-@dataclass(slots=True)
+@record
 class AssociationEnd:
     type: str
     navigable: bool = False
 
 
-@dataclass(slots=True)
+@record
 class Association:
     name: str
     end1: AssociationEnd
     end2: AssociationEnd
     is_deleg_default: bool = False
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: SourceSpan | None = uncompared(None)
 
     @property
     def is_bidirectional(self) -> bool:
@@ -133,18 +133,18 @@ class Association:
         return None
 
 
-@dataclass(slots=True)
+@record
 class Class:
     name: str
     kind: ClassKind = ClassKind.PASSIVE
-    generals: list[str] = field(default_factory=list)
-    realizes: list[str] = field(default_factory=list)
-    usages: list[str] = field(default_factory=list)
-    attributes: list[Attribute] = field(default_factory=list)
-    parts: list[Part] = field(default_factory=list)
-    ports: list[Port] = field(default_factory=list)
-    connectors: list[Connector] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    generals: list[str] = []
+    realizes: list[str] = []
+    usages: list[str] = []
+    attributes: list[Attribute] = []
+    parts: list[Part] = []
+    ports: list[Port] = []
+    connectors: list[Connector] = []
+    span: SourceSpan | None = uncompared(None)
 
     @property
     def is_composite(self) -> bool:
@@ -163,11 +163,11 @@ class Class:
         return None
 
 
-@dataclass(slots=True)
+@record
 class Model:
-    interfaces: list[Interface] = field(default_factory=list)
-    classes: list[Class] = field(default_factory=list)
-    associations: list[Association] = field(default_factory=list)
+    interfaces: list[Interface] = []
+    classes: list[Class] = []
+    associations: list[Association] = []
     root: str | None = None
 
     def find_interface(self, name: str) -> Interface | None:

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-
 from .diagnostics import Diagnostic, Severity, error
 from .model import (Class, ClassKind, IntegrityError, Model, synthesize_deleg_associations,
                     validate_integrity)
+from .records import record
 from .type_system import ConnectorTyping, LinkKind, TypingIndex
 
 # Enum members the per-element loops read, as module globals: a read through
@@ -45,12 +44,12 @@ _FORBIDDEN_KIND, _PART_PART = LinkKind.FORBIDDEN, LinkKind.ASSEMBLY_PART_PART
 _ACTIVE, _PASSIVE, _PROTECTED, _OBSERVER = ClassKind
 
 
-@dataclass
+@record
 class CheckReport:
     diagnostics: list[Diagnostic]
     stats: dict[str, int]
     passed: bool
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = []
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.ERROR]

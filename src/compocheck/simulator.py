@@ -44,10 +44,10 @@ environment.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import Class, EndRef, Model, Port, deleg_name
+from .records import record
 from .rules import check_model, prepare, run_rules  # check_model: perfbench's tracer patches it
 from .type_system import Channel, TypingIndex
 
@@ -76,20 +76,20 @@ _IN_TRANSIT, _DELIVERED, _STUCK = (RequestStatus.IN_TRANSIT, RequestStatus.DELIV
                                    RequestStatus.STUCK)
 
 
-@dataclass
+@record
 class ComponentInstance:
     class_name: str
     seq: int
 
 
-@dataclass
+@record
 class PortInstance:
     owner: str
     declaration: Port
     seq: int
 
 
-@dataclass
+@record
 class DelegBinding:
     holder: str
     association: str
@@ -97,14 +97,14 @@ class DelegBinding:
     interface: str
 
 
-@dataclass(slots=True)
+@record
 class Request:
     id: int
     interface: str
     location: str
     status: RequestStatus = RequestStatus.IN_TRANSIT
     stuck_reason: str | None = None
-    path: list[str] = field(default_factory=list)
+    path: list[str] = []
 
     @property
     def hops(self) -> int:
@@ -112,7 +112,7 @@ class Request:
         return len(self.path) - 1
 
 
-@dataclass(slots=True)
+@record
 class TraceEvent:
     step: int
     request: int
@@ -125,7 +125,7 @@ class TraceEvent:
                 "from": self.from_, "to": self.to, "via": self.via}
 
 
-@dataclass
+@record
 class Trace:
     events: list[TraceEvent]
     final_statuses: dict[int, str]
@@ -137,14 +137,14 @@ class Trace:
         return counts
 
 
-@dataclass
+@record
 class SafetyViolation:
     request: int
     reason: str
     path: list[str]
 
 
-@dataclass
+@record
 class SafetyReport:
     passed: bool
     violations: list[SafetyViolation]

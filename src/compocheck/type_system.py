@@ -61,10 +61,10 @@ class LinkKind(Enum):
  _PART_REQUIRED_PORT, _INBOUND_PART_PORT, _OUTBOUND_PART_PORT, _FORBIDDEN_KIND) = LinkKind
 
 
-# The records below are named tuples rather than dataclasses: defining a
-# dataclass costs about a millisecond at import, which every CLI call pays, and
-# a named tuple is built in about half the time of a frozen dataclass, whose
-# constructor sets each field through ``object.__setattr__``.
+# The records below are immutable values, so they are named tuples rather than
+# record classes (``compocheck.records``): a named tuple is built in about half
+# the time of a frozen record, whose constructor sets each field through
+# ``object.__setattr__``.
 class EndSite(namedtuple("EndSite", "ref part port on_composite")):
     """A connector end resolved against its owning class.
 

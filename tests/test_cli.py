@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -723,3 +724,137 @@ def test_main_never_crashes_on_fuzzed_inputs(tmp_path_factory, seed, command, ou
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
     assert runs[1] == runs[0]
+
+
+LIMITS = Path(__file__).parent / "limits"
+
+# A part-part link typed by a bidirectional association, which routes both ways.
+BIDIRECTIONAL = """\
+interface I { op f; }
+interface J { op g; }
+class P active { realizes I; uses J; }
+class R active { realizes J; uses I; }
+class C active { part p: P; part r: R; connector p , r via chan; }
+assoc chan ( P nav , R nav );
+"""
+
+# The console-script checks, one row each: the arguments, the exit code,
+# whether the input's serialize_json form must give the same exit code and
+# bytes, and lines the output must hold. ``{scratch}`` stands for a directory
+# that holds BIDIRECTIONAL as ``bidirectional.csm``. Output asked for as JSON
+# must parse: one document, or one per line from ``simulate``.
+CONSOLE_TABLE = [
+    (("check", DELEGATION), 0, True, ["check: PASSED (0 error(s), 0 warning(s))"]),
+    (("check", MIXED_CONCURRENCY), 1, True, ["check: FAILED (1 error(s), 0 warning(s))"]),
+    (("check", LEAF), 0, True, ["check: PASSED (0 error(s), 0 warning(s))"]),
+    (("check", BROKEN), 2, False, []),
+    (("explain", DELEGATION, "A#0"), 0, True, ["element: A#0", "origin: self.pIJL"]),
+    (("explain", DELEGATION, "A.pIJL"), 0, False, ["element: A.pIJL", "complete: True"]),
+    (("explain", DELEGATION, "A.pIJL", "--output", "json"), 0, True, ['  "element": "A.pIJL",']),
+    (("explain", DELEGATION, "Nope.x", "--output", "json"), 1, False, ['  "passed": false,']),
+    (("explain", DELEGATION, "A."), 2, False,
+     ["error: explain needs a name on each side of '.' in 'A.'"]),
+    (("explain", SEPARATOR_NAMES, "C#"), 0, False, ["element: C#"]),
+    (("simulate", DELEGATION, "--root", "A"), 0, True, ["routing safety: PASSED"]),
+    (("simulate", DELEGATION, "--root", "A", "--output", "json"), 0, True, []),
+    (("simulate", DELEGATION, "--root", "A", "--inject", "A:Bogus"), 2, False, []),
+    (("simulate", SEPARATOR_NAMES, "--root", "A", "--downgrade", "W009", "--inject", "A.p:a:b"),
+     0, False, ["routing safety: PASSED"]),
+    (("simulate", ATM, "--root", "ATM", "--output", "json"), 0, False, []),
+    (("simulate", LIMITS / "huge_multiplicity.csm", "--root", "A"), 2, False, []),
+    (("simulate", LIMITS / "huge_bindings.csm", "--root", "A"), 2, False, []),
+    (("simulate", LIMITS / "colliding_ids.csm.json", "--root", "A"), 2, False, []),
+    (("simulate", "{scratch}/bidirectional.csm", "--root", "C", "--inject", "C.p:J",
+      "--inject", "C.r:I", "--output", "json"), 0, True,
+     ['{"step": 1, "request": 1, "from": "C.p", "to": "C.r", "via": "chan"}',
+      '{"step": 2, "request": 2, "from": "C.r", "to": "C.p", "via": "chan"}']),
+]
+
+
+def check_console_row(run, directory: Path, row) -> None:
+    """Check one CONSOLE_TABLE row through ``run(argv) -> (exit code, output
+    bytes)``, with ``directory`` as the scratch directory."""
+    (directory / "bidirectional.csm").write_text(BIDIRECTIONAL, encoding="utf-8")
+    args, code, same_as_json, lines = row
+    argv = [str(arg).format(scratch=directory) for arg in args]
+    got, out = run(argv)
+    text = out.decode("utf-8")
+    assert got == code, (argv, text)
+    assert set(lines) <= set(text.splitlines()), (argv, text)
+    if argv[-2:] == ["--output", "json"]:
+        for document in text.splitlines() if argv[0] == "simulate" else [text]:
+            json.loads(document)
+    if same_as_json:
+        source = Path(argv[1])
+        json_form = directory / f"{source.name.removesuffix('.csm')}.csm.json"
+        json_form.write_text(serialize_json(parse_dsl(source.read_text(encoding="utf-8"))),
+                             encoding="utf-8")
+        assert run([argv[0], str(json_form), *argv[2:]]) == (got, out), argv
+
+
+def subprocess_runner(command: list[str], env: dict | None = None):
+    """A ``run`` for :func:`check_console_row` that starts ``command`` with the
+    arguments, allows it 20 s, and requires an empty standard error."""
+    def run(argv: list[str]) -> tuple[int, bytes]:
+        proc = subprocess.run([*command, *argv], capture_output=True, timeout=20, env=env)
+        assert proc.stderr == b"", (argv, proc.stderr)
+        return proc.returncode, proc.stdout
+    return run
+
+
+def run_console_table(command: list[str]) -> None:
+    """Check every CONSOLE_TABLE row through ``command``, for example an
+    installed ``compocheck`` script:
+
+        cd tests && python -c 'import test_cli; test_cli.run_console_table(["compocheck"])'
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        for row in CONSOLE_TABLE:
+            check_console_row(subprocess_runner(command), Path(directory), row)
+            print(" ".join(map(str, row[0])), "-> exit", row[1])
+
+
+@pytest.mark.parametrize("row", CONSOLE_TABLE, ids=lambda row: " ".join(
+    [row[0][0], Path(str(row[0][1])).name, *map(str, row[0][2:])]))
+def test_console_table_in_process(tmp_path, row):
+    def run(argv):
+        code, out = run_cli(*argv)
+        return code, out.encode("utf-8")
+
+    check_console_row(run, tmp_path, row)
+
+
+@pytest.mark.parametrize("command", ["check", "explain", "simulate"])
+def test_console_table_through_python_m(tmp_path, command):
+    # the first row of each command, as ``python -m compocheck.cli``
+    row = next(row for row in CONSOLE_TABLE if row[0][0] == command)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COMPOCHECK_COLOR": "never"}
+    check_console_row(subprocess_runner([sys.executable, "-m", "compocheck.cli"], env),
+                      tmp_path, row)
+
+
+def _imported(*args: str) -> set[str]:
+    """The modules ``python -X importtime`` reports for ``args``."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_each_command_imports_only_what_it_runs():
+    start_up = _imported("-c", "pass")
+    unused = {"compocheck.simulator", "dataclasses", "inspect"}
+    for argv in (["check", str(DELEGATION)], ["explain", str(DELEGATION), "A#0"]):
+        imported = _imported("-m", "compocheck.cli", *argv) - start_up
+        assert "compocheck.rules" in imported and not imported & unused, argv
+    assert "compocheck.simulator" in _imported("-m", "compocheck.cli", "simulate",
+                                               str(DELEGATION), "--root", "A")
+    namespace: dict = {}
+    exec("from compocheck import *", namespace)
+    import compocheck
+    from compocheck import simulator
+    assert set(compocheck.__all__) <= set(namespace)
+    assert compocheck.TraceEvent is simulator.TraceEvent
+    assert not hasattr(compocheck, "Nothing") and not hasattr(cli, "nothing")
+    for name in ("instantiate", "run_to_quiescence", "check_type_safety"):
+        assert getattr(cli, name) is getattr(simulator, name)

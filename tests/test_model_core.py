@@ -7,14 +7,20 @@ import pytest
 from compocheck import (
     Association,
     AssociationEnd,
+    Attribute,
+    CheckReport,
     Class,
     Connector,
     DelegConflictError,
+    Diagnostic,
     EndRef,
     Interface,
     Model,
+    ParseError,
     Part,
     Port,
+    Severity,
+    SourceSpan,
     UnknownPathError,
     deleg_name,
     parse_dsl,
@@ -23,8 +29,11 @@ from compocheck import (
     synthesize_deleg_associations,
     validate_integrity,
 )
+from compocheck import diagnostics, ingest, rules, simulator
+from compocheck import model as model_layer
 from compocheck.ingest import ParseFailure
 from compocheck.model import _cycles
+from compocheck.records import replace
 from compocheck.rules import check_model
 from compocheck.type_system import TypingIndex
 
@@ -305,9 +314,86 @@ def test_deep_generalization_cycle_is_one_e003():
     assert len(diags[0].related) == 2999
 
 
+# Each record class made by ``compocheck.records.record``: the arguments its
+# required fields take here, and the repr of the record they build, in the
+# text the dataclasses these classes replaced printed.
+RECORDS = {
+    Diagnostic: (("W001", Severity.ERROR, "A", "m"),
+                 "Diagnostic(code='W001', severity=<Severity.ERROR: 'error'>, subject='A', "
+                 "message='m', related=[])"),
+    Interface: (("I",), "Interface(name='I', generals=[], is_group=False, operations=[])"),
+    Attribute: (("a", "T"), "Attribute(name='a', type='T')"),
+    Part: (("p", "P"), "Part(name='p', type='P', multiplicity=1)"),
+    Port: (("q", "I"), "Port(name='q', contract='I', reversed=False)"),
+    EndRef: ((), "EndRef(part=None, port=None)"),
+    Connector: ((EndRef("p"), EndRef(None, "q")),
+                "Connector(end1=EndRef(part='p', port=None), end2=EndRef(part=None, port='q'), "
+                "association=None)"),
+    AssociationEnd: (("I",), "AssociationEnd(type='I', navigable=False)"),
+    Association: (("deleg_I", AssociationEnd("I"), AssociationEnd("I", True)),
+                  "Association(name='deleg_I', end1=AssociationEnd(type='I', navigable=False), "
+                  "end2=AssociationEnd(type='I', navigable=True), is_deleg_default=False)"),
+    Class: (("C",), "Class(name='C', kind=<ClassKind.PASSIVE: 'passive'>, generals=[], "
+                    "realizes=[], usages=[], attributes=[], parts=[], ports=[], connectors=[])"),
+    Model: ((), "Model(interfaces=[], classes=[], associations=[], root=None)"),
+    ParseError: ((SourceSpan("f", 1, 2), "m"),
+                 "ParseError(span=SourceSpan(file='f', line=1, column=2), message='m', "
+                 "expected=None)"),
+    CheckReport: (([], {}, True), "CheckReport(diagnostics=[], stats={}, passed=True, notes=[])"),
+    simulator.ComponentInstance: (("C", 0), "ComponentInstance(class_name='C', seq=0)"),
+    simulator.PortInstance: (("A", Port("q", "I"), 1),
+                             "PortInstance(owner='A', declaration=Port(name='q', contract='I', "
+                             "reversed=False), seq=1)"),
+    simulator.DelegBinding: (("A.p", "deleg_I", "A.x", "I"),
+                             "DelegBinding(holder='A.p', association='deleg_I', target='A.x', "
+                             "interface='I')"),
+    simulator.Request: ((1, "I", "A.p"),
+                        "Request(id=1, interface='I', location='A.p', "
+                        "status=<RequestStatus.IN_TRANSIT: 'inTransit'>, stuck_reason=None, "
+                        "path=[])"),
+    simulator.TraceEvent: ((1, 1, "A.p", "A.x", None),
+                           "TraceEvent(step=1, request=1, from_='A.p', to='A.x', via=None)"),
+    simulator.Trace: (([], {}), "Trace(events=[], final_statuses={})"),
+    simulator.SafetyViolation: ((1, "r", ["A.p"]),
+                                "SafetyViolation(request=1, reason='r', path=['A.p'])"),
+    simulator.SafetyReport: ((True, []), "SafetyReport(passed=True, violations=[])"),
+}
+
+# The fields of each record class, in order.
+FIELDS = {
+    Diagnostic: "code severity subject message related",
+    Interface: "name generals is_group operations span",
+    Attribute: "name type",
+    Part: "name type multiplicity span",
+    Port: "name contract reversed span",
+    EndRef: "part port",
+    Connector: "end1 end2 association span",
+    AssociationEnd: "type navigable",
+    Association: "name end1 end2 is_deleg_default span",
+    Class: "name kind generals realizes usages attributes parts ports connectors span",
+    Model: "interfaces classes associations root",
+    ParseError: "span message expected",
+    CheckReport: "diagnostics stats passed notes",
+    simulator.ComponentInstance: "class_name seq",
+    simulator.PortInstance: "owner declaration seq",
+    simulator.DelegBinding: "holder association target interface",
+    simulator.Request: "id interface location status stuck_reason path",
+    simulator.TraceEvent: "step request from_ to via",
+    simulator.Trace: "events final_statuses",
+    simulator.SafetyViolation: "request reason path",
+    simulator.SafetyReport: "passed violations",
+}
+
+
 def test_records_are_slotted_and_take_no_other_attributes(delegation_text):
-    """Model records, diagnostics, parse errors, source spans and the typing
-    records have no per-instance ``__dict__``."""
+    """Every record class keeps the fields, defaults, ``==`` and ``repr`` of the
+    dataclass it replaced. Records, diagnostics, parse errors, source spans and
+    the typing records have no per-instance ``__dict__``."""
+    record_classes = {value for module in (diagnostics, ingest, model_layer, rules, simulator)
+                      for value in vars(module).values()
+                      if isinstance(value, type) and value.__module__ == module.__name__
+                      and "__match_args__" in vars(value)}
+    assert record_classes == set(RECORDS) == set(FIELDS)
     model = synthesize_deleg_associations(parse_dsl(delegation_text))
     cls = model.classes[-1]
     link = TypingIndex(model).links()[0]
@@ -320,10 +406,41 @@ def test_records_are_slotted_and_take_no_other_attributes(delegation_text):
                validate_integrity(Model(root="Nowhere"))[0], parse_error,
                link, link.ends[0], link.origin, link.transported, link.channels[0],
                cls.parts[0].span, parse_error.span]
+    for record_class, (required, text) in RECORDS.items():
+        names = tuple(FIELDS[record_class].split())
+        assert record_class.__match_args__ == names
+        first, second = record_class(*required), record_class(*required)
+        assert repr(first) == text and first == second and first != required
+        records.append(first)
+        for name in names[len(required):]:  # a list default is a new list per record
+            if getattr(first, name) == []:
+                assert getattr(first, name) is not getattr(second, name), name
+        values = [object() for _ in names]
+        full = record_class(*values)
+        assert [getattr(full, name) for name in names] == values
+        assert full == record_class(**dict(zip(names, values)))
+        for name in names:
+            changed = replace(full, **{name: object()})
+            assert [getattr(changed, other) is getattr(full, other) for other in names] \
+                == [other != name for other in names]
+            # Equality and repr leave out a span, except the one a parse error is at.
+            compared = name != "span" or record_class is ParseError
+            assert (changed == full) is not compared, (record_class.__name__, name)
+            assert (repr(changed) == repr(full)) is not compared, (record_class.__name__, name)
+        if record_class is not ParseError:
+            with pytest.raises(TypeError):
+                hash(first)
+    with pytest.raises(TypeError):
+        replace(model, nothing=1)
+    assert hash(parse_error) == hash(ParseError(*(getattr(parse_error, name)
+                                                  for name in FIELDS[ParseError].split())))
+    for refuse in (lambda: setattr(parse_error, "message", "x"),
+                   lambda: delattr(parse_error, "message")):
+        with pytest.raises(AttributeError):
+            refuse()
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
-        # Frozen slotted dataclasses raise TypeError here on some Pythons.
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(AttributeError):
             record.note = "x"
 
 
